@@ -14,7 +14,6 @@ from .linalg import (
     frobenius_norm,
     hermitian_eigenvalues,
     kron,
-    matmul,
     trace,
 )
 from .fock import (
@@ -32,7 +31,6 @@ from .algebra import (
     build_generators,
     commutator,
     interior_mask,
-    interior_projector,
     projected_residual,
     theta_scaling_check,
     verify_algebra,
@@ -62,9 +60,7 @@ from .propagators import (
     l_factor,
     operator_series_solution,
     propagate,
-    propagate_alternative,
     propagate_exact,
-    propagate_factorized,
     stepped_propagate,
     su11_factor,
 )
@@ -113,19 +109,15 @@ __all__ = [
     "hyperbolic_weights",
     "hyperbolic_weights_limit",
     "interior_mask",
-    "interior_projector",
     "kron",
     "l_factor",
-    "matmul",
     "operator_series_solution",
     "phase_equivalence_check",
     "phase_kernel",
     "phase_kernel_limit",
     "projected_residual",
     "propagate",
-    "propagate_alternative",
     "propagate_exact",
-    "propagate_factorized",
     "sandwich_superop",
     "state_diagnostics",
     "stepped_propagate",

@@ -15,12 +15,12 @@ untruncated limit:
                   two-photon part of the evolution factorizable in closed
                   form.
 
-pair_z, sym_z and squeeze_z are one and the same matrix (kept as three
-fields because each family is used independently).
+pair_z, sym_z and squeeze_z are one and the same matrix: one array is
+stored, and each family reads it under its own name.
 
 Truncation breaks a few of the relations at the highest Fock levels, in a
 completely localized way.  Every generator moves each of the two slot
-indices by at most 2, so conjugating a residual with interior_projector at
+indices by at most 2, so restricting a residual to interior_mask at
 margin 2 removes exactly the affected entries; verify_algebra reports the
 projected residuals.
 """
@@ -31,28 +31,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockOperators
+from .fock import FockOperators, build_fock_ops
 from .linalg import frobenius_norm, kron
 from .vectorize import sandwich_superop
 
 
 @dataclass(frozen=True)
 class SuperOpGenerators:
-    """Twelve d^2 x d^2 generator matrices over one Fock truncation."""
+    """Twelve d^2 x d^2 generator matrices over one Fock truncation.
+
+    theta is the ladder phase of the FockOperators they were built from.
+    """
 
     dim: int
+    theta: float
     jump_z: np.ndarray
     jump_plus: np.ndarray
     jump_minus: np.ndarray
     pair_z: np.ndarray
     pair_plus: np.ndarray
     pair_minus: np.ndarray
-    sym_z: np.ndarray
     sym_plus: np.ndarray
     sym_minus: np.ndarray
-    squeeze_z: np.ndarray
     squeeze_plus: np.ndarray
     squeeze_minus: np.ndarray
+
+    @property
+    def sym_z(self) -> np.ndarray:
+        return self.pair_z
+
+    @property
+    def squeeze_z(self) -> np.ndarray:
+        return self.pair_z
 
 
 def build_generators(ops: FockOperators) -> SuperOpGenerators:
@@ -72,11 +82,10 @@ def build_generators(ops: FockOperators) -> SuperOpGenerators:
     sym_minus = 0.5 * (kron(a2, one) + kron(one, a2.T))
 
     return SuperOpGenerators(
-        dim=ops.dim,
+        dim=ops.dim, theta=ops.theta,
         jump_z=jump_z, jump_plus=jump_plus, jump_minus=jump_minus,
         pair_z=pair_z, pair_plus=pair_plus, pair_minus=pair_minus,
-        sym_z=pair_z.copy(), sym_plus=sym_plus, sym_minus=sym_minus,
-        squeeze_z=pair_z.copy(),
+        sym_plus=sym_plus, sym_minus=sym_minus,
         squeeze_plus=pair_plus - sym_plus,
         squeeze_minus=pair_minus - sym_minus,
     )
@@ -100,12 +109,6 @@ def interior_mask(dim: int, margin: int) -> np.ndarray:
         raise ValueError(f"margin must be an integer >= 0, got {margin!r}")
     keep = np.arange(dim) <= dim - 1 - margin
     return np.kron(keep, keep).astype(bool)
-
-
-def interior_projector(dim: int, margin: int) -> np.ndarray:
-    """Diagonal 0/1 projector onto slots at least margin levels below the edge."""
-    mask = interior_mask(dim, margin)
-    return np.diag(mask.astype(np.complex128))
 
 
 def projected_residual(delta: np.ndarray, dim: int, margin: int) -> float:
@@ -222,20 +225,16 @@ def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
     """Interior-projected residual for every commutation identity.
 
     Accepts either FockOperators (generators are built on the fly) or an
-    existing SuperOpGenerators.  The residual for each identity is the
-    Frobenius norm of P (computed - expected) P with P the interior
-    projector at the given margin; margin 2 is enough to remove every
-    truncation artifact because no generator moves a slot index by more
-    than 2.
+    existing SuperOpGenerators (the ladder operators for the right-hand
+    sides are rebuilt from its dim and theta).  The residual for each
+    identity is the Frobenius norm of P (computed - expected) P with P the
+    interior projector at the given margin; margin 2 is enough to remove
+    every truncation artifact because no generator moves a slot index by
+    more than 2.
     """
     if isinstance(ops_or_gen, SuperOpGenerators):
-        from .fock import build_fock_ops
         gen = ops_or_gen
-        # Rebuild matching fock ops for the right-hand sides; theta affects
-        # individual generators but not the identity residuals, and the
-        # generators themselves fix only dim.  To stay faithful we recover
-        # theta from the first superdiagonal of pair_minus when possible.
-        ops = build_fock_ops(gen.dim, _infer_theta(gen))
+        ops = build_fock_ops(gen.dim, gen.theta)
     else:
         ops = ops_or_gen
         gen = build_generators(ops)
@@ -247,15 +246,6 @@ def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
                          entries=entries)
 
 
-def _infer_theta(gen: SuperOpGenerators) -> float:
-    # pair_minus maps slot (0,1) -> (1,0) with amplitude exp(2i theta);
-    # in flat row-major indexing that is entry [1, dim].
-    entry = gen.pair_minus[1, gen.dim]
-    if abs(entry) < 0.5:  # pragma: no cover - malformed generator set
-        return 0.0
-    return float(np.angle(entry) / 2.0)
-
-
 def theta_scaling_check(dim: int, theta: float) -> dict[str, float]:
     """How each raising generator transforms under the ladder phase.
 
@@ -263,7 +253,6 @@ def theta_scaling_check(dim: int, theta: float) -> dict[str, float]:
     Returns the Frobenius deviations from those laws (useful as a seeded
     sanity check; all values should be at roundoff).
     """
-    from .fock import build_fock_ops
     g0 = build_generators(build_fock_ops(dim, 0.0))
     gt = build_generators(build_fock_ops(dim, theta))
     ph = np.exp(-2j * theta)

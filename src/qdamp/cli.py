@@ -9,17 +9,17 @@ Subcommands:
 Exit codes: 0 success, 1 config/parse error (also a failed verification
 verdict), 2 positivity rejection in strict mode, 3 numerical failure.
 All CSV output is deterministic: identical config gives bit-identical
-bytes, including under --parallel.
+bytes.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, TextIO
+from typing import Any, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -48,7 +48,6 @@ CONVERGENCE_COLUMNS = ("mode", "method", "x", "error_frobenius",
                        "error_tracedist")
 SWEEP_PARAMS = ("kappa_abs", "kappa_arg", "mu", "nu", "omega", "t")
 STATE_KINDS = ("fock", "coherent", "thermal")
-METHOD_NAMES = ("exact", "factorized", "alternative", "series", "stepped")
 
 
 class ConfigError(ValueError):
@@ -204,10 +203,11 @@ class RunConfig:
     def _parse_methods(ms) -> tuple:
         if not isinstance(ms, list) or not ms:
             raise ConfigError("methods must be a nonempty list")
-        bad = [m for m in ms if m not in METHOD_NAMES]
+        names = propagators.METHODS + ("stepped",)
+        bad = [m for m in ms if m not in names]
         if bad:
             raise ConfigError(f"unknown method(s) {bad}; "
-                              f"choose from {list(METHOD_NAMES)}")
+                              f"choose from {list(names)}")
         if len(set(ms)) != len(ms):
             raise ConfigError("methods must not repeat")
         return tuple(ms)
@@ -217,9 +217,9 @@ class RunConfig:
         _require_keys(c, "convergence", required=("method",),
                       optional=("t_values", "n_steps_values", "t_final"))
         method = c.get("method")
-        if method not in ("exact", "factorized", "alternative"):
-            raise ConfigError("convergence.method must be exact, factorized "
-                              "or alternative")
+        if method not in propagators.SUPEROP_METHODS:
+            raise ConfigError("convergence.method must be one of "
+                              f"{list(propagators.SUPEROP_METHODS)}")
         has_local = "t_values" in c
         has_global = "n_steps_values" in c
         if has_local == has_global:
@@ -288,8 +288,6 @@ def load_config(path: str) -> RunConfig:
 
 def _evolve(cfg: RunConfig, rho0: np.ndarray, t: float,
             method: str) -> np.ndarray:
-    if method == "series":
-        return propagators.operator_series_solution(cfg.model, rho0, t).rho_t
     if method == "stepped":
         return propagators.stepped_propagate(cfg.model, rho0, t,
                                              cfg.n_steps).rho_t
@@ -317,19 +315,12 @@ def _rows_at_time(cfg: RunConfig, rho0: np.ndarray, t: float) -> list:
     return rows
 
 
-def _run_jobs(jobs: list, worker: Callable, parallel: int) -> list:
-    """Evaluate worker over jobs, preserving job order in the result."""
-    if parallel <= 1 or len(jobs) <= 1:
-        return [worker(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(worker, jobs))
-
-
 def _open_out(cfg_output: Optional[str], out_flag: Optional[str]):
+    """Context manager yielding the output stream; only a file is closed."""
     path = out_flag or cfg_output
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _write_csv(stream: TextIO, header: Sequence[str], rows: list,
@@ -342,20 +333,13 @@ def _write_csv(stream: TextIO, header: Sequence[str], rows: list,
         stream.write(f"# {line}\n")
 
 
-def cmd_simulate(cfg: RunConfig, out_flag: Optional[str],
-                 parallel: int) -> int:
+def cmd_simulate(cfg: RunConfig, out_flag: Optional[str]) -> int:
     if cfg.positivity == "strict":
         cfg.model.require_positivity()
     rho0 = cfg.initial_density_matrix()
-    per_time = _run_jobs(list(cfg.times),
-                         lambda t: _rows_at_time(cfg, rho0, t), parallel)
-    rows = [row for chunk in per_time for row in chunk]
-    stream, close = _open_out(cfg.output, out_flag)
-    try:
+    rows = [row for t in cfg.times for row in _rows_at_time(cfg, rho0, t)]
+    with _open_out(cfg.output, out_flag) as stream:
         _write_csv(stream, SIMULATE_COLUMNS, rows)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -389,12 +373,8 @@ def cmd_convergence(cfg: RunConfig, out_flag: Optional[str]) -> int:
                                  table.errors_trace_distance)]
     comments = [f"slope = {_fmt(table.slope) if table.slope is not None else 'nan'}",
                 f"exact_within_noise = {str(table.exact_within_noise).lower()}"]
-    stream, close = _open_out(cfg.output, out_flag)
-    try:
+    with _open_out(cfg.output, out_flag) as stream:
         _write_csv(stream, CONVERGENCE_COLUMNS, rows, comments)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -411,7 +391,7 @@ def _swept_model(model: ModelParams, param: str, value: float) -> ModelParams:
     return ModelParams(**kw)
 
 
-def cmd_sweep(cfg: RunConfig, out_flag: Optional[str], parallel: int) -> int:
+def cmd_sweep(cfg: RunConfig, out_flag: Optional[str]) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep subcommand needs a 'sweep' section in the "
                           "config")
@@ -430,9 +410,8 @@ def cmd_sweep(cfg: RunConfig, out_flag: Optional[str], parallel: int) -> int:
         rho0 = sub.initial_density_matrix()
         return ("rows", value, _rows_at_time(sub, rho0, t))
 
-    results = _run_jobs(list(cfg.sweep["values"]), one_point, parallel)
-    stream, close = _open_out(cfg.output, out_flag)
-    try:
+    results = [one_point(v) for v in cfg.sweep["values"]]
+    with _open_out(cfg.output, out_flag) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(("param", "value") + SIMULATE_COLUMNS)
         for kind, value, rows in results:
@@ -442,9 +421,6 @@ def cmd_sweep(cfg: RunConfig, out_flag: Optional[str], parallel: int) -> int:
                 continue
             for row in rows:
                 writer.writerow([param, _fmt(value)] + row)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -467,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                           action="store_const", const="permissive",
                           help="run even when mu*nu < |kappa|^2")
         p.set_defaults(positivity=None)
-        p.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="evaluate independent points on N threads")
 
     add_common(sub.add_parser("simulate", help="time series per method"))
     add_common(sub.add_parser("convergence", help="splitting-error study"))
@@ -503,13 +477,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify-algebra":
             return cmd_verify_algebra(args.dim, args.margin, args.theta)
         cfg = _apply_overrides(load_config(args.config), args)
-        if args.parallel < 1:
-            raise ConfigError("--parallel must be >= 1")
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.out, args.parallel)
+            return cmd_simulate(cfg, args.out)
         if args.command == "convergence":
             return cmd_convergence(cfg, args.out)
-        return cmd_sweep(cfg, args.out, args.parallel)
+        return cmd_sweep(cfg, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,15 +26,6 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch for product: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, row-major block convention."""
     return np.kron(np.asarray(a), np.asarray(b))

@@ -14,16 +14,16 @@ commuting squeeze pair).  Each part exponentiates in closed form:
                  the diagonal, and each exponential is a terminating series
                  (the ladder matrices are nilpotent at any truncation).
 
-propagate_factorized multiplies the two closed forms; the product differs
+factorized_superop multiplies the two closed forms; the product differs
 from the exact exponential only because the two parts do not commute, so
 the error is second order in t locally and first order globally, and
 vanishes identically when kappa == 0 (the phase part then commutes with the
-jump part).  propagate_alternative reorders the splitting so the two-photon
+jump part).  alternative_superop reorders the splitting so the two-photon
 raising and lowering exponentials sit on the outside.
 
 operator_series_solution evaluates the same factorized map directly on the
 density matrix as nested finite sums of ladder sandwiches, never forming a
-d^2 x d^2 matrix; it must agree with propagate_factorized to roundoff and
+d^2 x d^2 matrix; it must agree with factorized_superop to roundoff and
 is kept as an independent implementation route for exactly that check.
 
 Every map here multiplies a vectorized state by construction, so a state
@@ -49,7 +49,8 @@ from .vectorize import unvec, vec
 
 STATE_TRACE_TOL = 1e-10
 
-METHODS = ("exact", "factorized", "alternative", "series")
+SUPEROP_METHODS = ("exact", "factorized", "alternative")
+METHODS = SUPEROP_METHODS + ("series",)
 
 
 @dataclass(frozen=True)
@@ -204,23 +205,9 @@ def alternative_superop(params: ModelParams, t: float) -> np.ndarray:
     return pref * (outer_up @ middle @ outer_dn)
 
 
-def propagate_exact(params: ModelParams, rho0, t: float,
-                    form: str = "cyclic") -> PropagationResult:
-    rho0 = _check_state(rho0, params.dim)
-    rho_t = unvec(exact_superop(params, t, form) @ vec(rho0))
-    return _result(rho_t, "exact", t)
-
-
-def propagate_factorized(params: ModelParams, rho0, t: float) -> PropagationResult:
-    rho0 = _check_state(rho0, params.dim)
-    rho_t = unvec(factorized_superop(params, t) @ vec(rho0))
-    return _result(rho_t, "factorized", t)
-
-
-def propagate_alternative(params: ModelParams, rho0, t: float) -> PropagationResult:
-    rho0 = _check_state(rho0, params.dim)
-    rho_t = unvec(alternative_superop(params, t) @ vec(rho0))
-    return _result(rho_t, "alternative", t)
+def propagate_exact(params: ModelParams, rho0, t: float) -> PropagationResult:
+    """The dense-exponential reference route; propagate(..., "exact")."""
+    return propagate(params, rho0, t, "exact")
 
 
 def operator_series_solution(params: ModelParams, rho0, t: float) -> PropagationResult:
@@ -229,7 +216,7 @@ def operator_series_solution(params: ModelParams, rho0, t: float) -> Propagation
     Works directly on d x d matrices: two-photon lowering layer, phase
     rotation, two-photon raising layer, then decay-jump sum, diagonal
     rescale, pump-jump sum, and the scalar prefactor.  Algebraically
-    identical to propagate_factorized; no d^2 x d^2 matrix is ever built.
+    identical to factorized_superop; no d^2 x d^2 matrix is ever built.
     """
     rho0 = _check_state(rho0, params.dim)
     t = _check_time(t)
@@ -289,14 +276,16 @@ def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
         for _ in range(n_steps):
             rho = operator_series_solution(params, rho, dt).rho_t
         return _result(rho, "series", t)
-    step = _superop_for(params, dt, method)
+    step = _superop(params, dt, method)
     v = vec(rho0)
     for _ in range(n_steps):
         v = step @ v
     return _result(unvec(v), method, t)
 
 
-def _superop_for(params: ModelParams, t: float, method: str) -> np.ndarray:
+def _superop(params: ModelParams, t: float, method: str) -> np.ndarray:
+    # Builders are looked up as module attributes at call time, not captured
+    # in a table, so a caller that rebinds one (a tracer, a test) is seen.
     if method == "exact":
         return exact_superop(params, t)
     if method == "factorized":
@@ -307,16 +296,11 @@ def _superop_for(params: ModelParams, t: float, method: str) -> np.ndarray:
 
 
 def propagate(params: ModelParams, rho0, t: float, method: str = "exact") -> PropagationResult:
-    """Dispatch to one of the four propagation routes by name."""
-    if method == "exact":
-        return propagate_exact(params, rho0, t)
-    if method == "factorized":
-        return propagate_factorized(params, rho0, t)
-    if method == "alternative":
-        return propagate_alternative(params, rho0, t)
+    """Evolve rho0 to time t by one of the routes named in METHODS."""
     if method == "series":
         return operator_series_solution(params, rho0, t)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    rho0 = _check_state(rho0, params.dim)
+    return _result(unvec(_superop(params, t, method) @ vec(rho0)), method, t)
 
 
 def _result(rho_t: np.ndarray, method: str, t: float) -> PropagationResult:

@@ -4,8 +4,8 @@ import numpy.testing as npt
 import pytest
 
 from qdamp.algebra import (build_generators, commutator, interior_mask,
-                           interior_projector, projected_residual,
-                           theta_scaling_check, verify_algebra)
+                           projected_residual, theta_scaling_check,
+                           verify_algebra)
 from qdamp.fock import build_fock_ops
 
 TOL = 1e-12
@@ -25,6 +25,7 @@ def test_identities_hold_with_phase_convention():
 
 def test_verify_accepts_prebuilt_generators():
     gen = build_generators(build_fock_ops(6, theta=0.5))
+    assert gen.theta == 0.5
     report = verify_algebra(gen, margin=2)
     assert report.all_within(TOL)
     assert report.dim == 6
@@ -59,12 +60,6 @@ def test_interior_mask_semantics():
     assert not interior_mask(4, 9).any()
     with pytest.raises(ValueError):
         interior_mask(4, -1)
-
-
-def test_interior_projector_is_diagonal_01():
-    p = interior_projector(3, 1)
-    npt.assert_array_equal(p, np.diag(interior_mask(3, 1).astype(float)))
-    npt.assert_allclose(p @ p, p, atol=1e-15)
 
 
 def test_projected_residual_ignores_exterior_rows_and_columns():

@@ -334,25 +334,7 @@ def test_exit_code_for_numerical_failure(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_parallel_must_be_positive(tmp_path, capsys):
-    assert main(["simulate", "--config", write_config(tmp_path),
-                 "--parallel", "0"]) == EXIT_CONFIG
-    assert "--parallel" in capsys.readouterr().err
-
-
 # ----------------------------------------------------------- determinism
-
-
-def test_parallel_output_is_bit_identical(tmp_path):
-    path = write_config(
-        tmp_path,
-        model={"omega": 1.0, "mu": 0.5, "nu": 0.2, "kappa_re": 0.1, "dim": 10},
-        times=[0.0, 0.3, 0.6, 0.9], methods=["exact", "factorized", "series"])
-    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    assert main(["simulate", "--config", path, "--out", str(serial)]) == EXIT_OK
-    assert main(["simulate", "--config", path, "--out", str(threaded),
-                 "--parallel", "3"]) == EXIT_OK
-    assert serial.read_bytes() == threaded.read_bytes()
 
 
 def test_repeated_runs_are_bit_identical(tmp_path):
@@ -360,7 +342,7 @@ def test_repeated_runs_are_bit_identical(tmp_path):
                         sweep={"param": "kappa_abs", "values": [0.0, 0.2, 0.5]})
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["sweep", "--config", path, "--out", str(a)])
-    main(["sweep", "--config", path, "--out", str(b), "--parallel", "2"])
+    main(["sweep", "--config", path, "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from qdamp.linalg import (NumericalError, as_complex_matrix, expm,
                           frobenius_distance, frobenius_norm,
-                          hermitian_eigenvalues, kron, matmul, trace)
+                          hermitian_eigenvalues, kron, trace)
 
 ATOL = 1e-13
 
@@ -27,12 +27,6 @@ def test_as_complex_matrix_rejects_bad_shapes_and_values():
         as_complex_matrix(np.array([[np.nan, 0], [0, 1]]), "nan")
     with pytest.raises(NumericalError):
         as_complex_matrix(np.array([[np.inf, 0], [0, 1]]), "inf")
-
-
-def test_matmul_matches_numpy(rng):
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    npt.assert_allclose(matmul(a, b), a @ b, atol=ATOL)
 
 
 def test_kron_matches_numpy(rng):
