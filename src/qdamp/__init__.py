@@ -10,11 +10,9 @@ from .linalg import (
     NumericalError,
     as_complex_matrix,
     expm,
-    frobenius_distance,
     frobenius_norm,
     hermitian_eigenvalues,
     kron,
-    trace,
 )
 from .fock import (
     FockOperators,
@@ -103,7 +101,6 @@ __all__ = [
     "expm",
     "factorized_superop",
     "fock_state",
-    "frobenius_distance",
     "frobenius_norm",
     "hermitian_eigenvalues",
     "hyperbolic_weights",
@@ -124,7 +121,6 @@ __all__ = [
     "su11_factor",
     "thermal_state",
     "theta_scaling_check",
-    "trace",
     "trace_functional",
     "unvec",
     "vec",

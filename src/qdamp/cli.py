@@ -6,8 +6,9 @@ Subcommands:
   convergence     splitting-error study (single-step or fixed-horizon)
   sweep           final-time diagnostics across one swept parameter
 
-Exit codes: 0 success, 1 config/parse error (also a failed verification
-verdict), 2 positivity rejection in strict mode, 3 numerical failure.
+Exit codes: 0 success, 1 config/parse error or a value the library
+rejects (also a failed verification verdict), 2 positivity rejection in
+strict mode, 3 numerical failure.
 All CSV output is deterministic: identical config gives bit-identical
 bytes.
 """
@@ -18,8 +19,8 @@ import contextlib
 import csv
 import json
 import sys
-from dataclasses import dataclass
-from typing import Any, Optional, Sequence, TextIO
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -87,7 +88,7 @@ def _as_int(v, where: str) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description; round-trips losslessly through to_dict."""
+    """Validated run description, built by from_dict from the JSON config."""
 
     model: ModelParams
     initial_state: dict
@@ -148,8 +149,10 @@ class RunConfig:
             vals = sweep["values"]
             if not isinstance(vals, list) or not vals:
                 raise ConfigError("sweep.values must be a nonempty list")
-            sweep = {"param": sweep["param"],
-                     "values": [_as_float(v, "sweep.values") for v in vals]}
+            vals = [_as_float(v, "sweep.values") for v in vals]
+            if sweep["param"] == "kappa_abs" and any(v < 0 for v in vals):
+                raise ConfigError("sweep.values for kappa_abs must be >= 0")
+            sweep = {"param": sweep["param"], "values": vals}
 
         conv = raw.get("convergence")
         if conv is not None:
@@ -241,30 +244,6 @@ class RunConfig:
                 "n_steps_values": [_as_int(v, "convergence.n_steps_values") for v in ns],
                 "t_final": t_final}
 
-    def to_dict(self) -> dict:
-        d: dict[str, Any] = {
-            "model": {
-                "omega": self.model.omega, "mu": self.model.mu,
-                "nu": self.model.nu, "kappa_re": self.model.kappa.real,
-                "kappa_im": self.model.kappa.imag, "dim": self.model.dim,
-                "theta": self.model.theta,
-            },
-            "initial_state": dict(self.initial_state),
-            "times": list(self.times),
-            "methods": list(self.methods),
-            "n_steps": self.n_steps,
-            "positivity": self.positivity,
-            "margin": self.margin,
-        }
-        if self.output is not None:
-            d["output"] = self.output
-        if self.sweep is not None:
-            d["sweep"] = {"param": self.sweep["param"],
-                          "values": list(self.sweep["values"])}
-        if self.convergence is not None:
-            d["convergence"] = dict(self.convergence)
-        return d
-
     def initial_density_matrix(self) -> np.ndarray:
         s = self.initial_state
         if s["kind"] == "fock":
@@ -286,12 +265,11 @@ def load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _evolve(cfg: RunConfig, rho0: np.ndarray, t: float,
+def _evolve(cfg: RunConfig, model: ModelParams, rho0: np.ndarray, t: float,
             method: str) -> np.ndarray:
     if method == "stepped":
-        return propagators.stepped_propagate(cfg.model, rho0, t,
-                                             cfg.n_steps).rho_t
-    return propagators.propagate(cfg.model, rho0, t, method=method).rho_t
+        return propagators.stepped_propagate(model, rho0, t, cfg.n_steps).rho_t
+    return propagators.propagate(model, rho0, t, method=method).rho_t
 
 
 def _diag_cells(rho: np.ndarray, margin: int) -> list:
@@ -301,9 +279,10 @@ def _diag_cells(rho: np.ndarray, margin: int) -> list:
             _fmt(rec.purity), _fmt(rec.mean_n), _fmt(rec.tail_mass)]
 
 
-def _rows_at_time(cfg: RunConfig, rho0: np.ndarray, t: float) -> list:
+def _rows_at_time(cfg: RunConfig, model: ModelParams, rho0: np.ndarray,
+                  t: float) -> list:
     """All simulate rows for one time point, methods in sorted order."""
-    states = {m: _evolve(cfg, rho0, t, m) for m in cfg.methods}
+    states = {m: _evolve(cfg, model, rho0, t, m) for m in cfg.methods}
     exact = states.get("exact")
     rows = []
     for m in sorted(states):
@@ -337,7 +316,8 @@ def cmd_simulate(cfg: RunConfig, out_flag: Optional[str]) -> int:
     if cfg.positivity == "strict":
         cfg.model.require_positivity()
     rho0 = cfg.initial_density_matrix()
-    rows = [row for t in cfg.times for row in _rows_at_time(cfg, rho0, t)]
+    rows = [row for t in cfg.times
+            for row in _rows_at_time(cfg, cfg.model, rho0, t)]
     with _open_out(cfg.output, out_flag) as stream:
         _write_csv(stream, SIMULATE_COLUMNS, rows)
     return EXIT_OK
@@ -359,15 +339,8 @@ def cmd_convergence(cfg: RunConfig, out_flag: Optional[str]) -> int:
                           "section in the config")
     if cfg.positivity == "strict":
         cfg.model.require_positivity()
-    rho0 = cfg.initial_density_matrix()
-    c = cfg.convergence
-    if "t_values" in c:
-        table = convergence_study(cfg.model, rho0, method=c["method"],
-                                  t_values=c["t_values"])
-    else:
-        table = convergence_study(cfg.model, rho0, method=c["method"],
-                                  n_steps_values=c["n_steps_values"],
-                                  t_final=c["t_final"])
+    table = convergence_study(cfg.model, cfg.initial_density_matrix(),
+                              **cfg.convergence)
     rows = [[table.mode, table.method, _fmt(x), _fmt(ef), _fmt(et)]
             for x, ef, et in zip(table.xs, table.errors_frobenius,
                                  table.errors_trace_distance)]
@@ -379,16 +352,12 @@ def cmd_convergence(cfg: RunConfig, out_flag: Optional[str]) -> int:
 
 
 def _swept_model(model: ModelParams, param: str, value: float) -> ModelParams:
-    kw = {"omega": model.omega, "mu": model.mu, "nu": model.nu,
-          "kappa": model.kappa, "dim": model.dim, "theta": model.theta}
     if param == "kappa_abs":
         phase = np.exp(1j * np.angle(model.kappa)) if model.kappa != 0 else 1.0
-        kw["kappa"] = value * phase
-    elif param == "kappa_arg":
-        kw["kappa"] = abs(model.kappa) * np.exp(1j * value)
-    else:
-        kw[param] = value
-    return ModelParams(**kw)
+        return replace(model, kappa=value * phase)
+    if param == "kappa_arg":
+        return replace(model, kappa=abs(model.kappa) * np.exp(1j * value))
+    return replace(model, **{param: value})
 
 
 def cmd_sweep(cfg: RunConfig, out_flag: Optional[str]) -> int:
@@ -397,6 +366,7 @@ def cmd_sweep(cfg: RunConfig, out_flag: Optional[str]) -> int:
                           "config")
     param = cfg.sweep["param"]
     t_final = cfg.times[-1]
+    rho0 = cfg.initial_density_matrix()   # no sweep parameter changes dim
 
     def one_point(value: float):
         t = value if param == "t" else t_final
@@ -404,11 +374,7 @@ def cmd_sweep(cfg: RunConfig, out_flag: Optional[str]) -> int:
                                                             value)
         if cfg.positivity == "strict" and not model.positivity_satisfied:
             return ("skip", value, None)
-        sub = RunConfig(model=model, initial_state=cfg.initial_state,
-                        times=(t,), methods=cfg.methods, n_steps=cfg.n_steps,
-                        positivity="permissive", margin=cfg.margin)
-        rho0 = sub.initial_density_matrix()
-        return ("rows", value, _rows_at_time(sub, rho0, t))
+        return ("rows", value, _rows_at_time(cfg, model, rho0, t))
 
     results = [one_point(v) for v in cfg.sweep["values"]]
     with _open_out(cfg.output, out_flag) as stream:
@@ -456,14 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.positivity is not None and args.positivity != cfg.positivity:
-        d = cfg.to_dict()
-        d["positivity"] = args.positivity
-        cfg = RunConfig.from_dict(d)
-    return cfg
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -476,21 +434,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "verify-algebra":
             return cmd_verify_algebra(args.dim, args.margin, args.theta)
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config)
+        if args.positivity is not None:
+            cfg = replace(cfg, positivity=args.positivity)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out)
         if args.command == "convergence":
             return cmd_convergence(cfg, args.out)
         return cmd_sweep(cfg, args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # PositivityError and LinAlgError subclass ValueError, so they go first;
+    # any other ValueError is an input the library rejected.
     except PositivityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_POSITIVITY
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry_point() -> None:

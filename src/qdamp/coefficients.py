@@ -50,44 +50,34 @@ class CoefficientSet:
     squeeze_down: complex
 
 
-def _sinhc(x: float) -> float:
-    """sinh(x)/x with a removable singularity at 0."""
-    if abs(x) <= HYPERBOLIC_BRANCH_AT:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-    return math.sinh(x) / x
-
-
-def _cosh(x: float) -> float:
-    if abs(x) <= HYPERBOLIC_BRANCH_AT:
-        x2 = x * x
-        return 1.0 + x2 / 2.0 + x2 * x2 / 24.0
-    return math.cosh(x)
-
-
 def hyperbolic_weights(mu: float, nu: float, t: float) -> tuple[float, float, float]:
     """(decay, pump, scale) at time t; valid on both sides of mu == nu."""
     x = 0.5 * (mu - nu) * t
-    s = _sinhc(x)
-    scale = _cosh(x) + 0.5 * (mu + nu) * t * s
-    return mu * t * s / scale, nu * t * s / scale, scale
+    if abs(x) <= HYPERBOLIC_BRANCH_AT:
+        return hyperbolic_weights_limit(mu, nu, t)
+    return _weights(mu, nu, t, math.sinh(x) / x, math.cosh(x))
 
 
 def hyperbolic_weights_limit(mu: float, nu: float, t: float) -> tuple[float, float, float]:
     """Forced Taylor-branch evaluation, exposed for seam-continuity tests."""
     x = 0.5 * (mu - nu) * t
     x2 = x * x
-    s = 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-    c = 1.0 + x2 / 2.0 + x2 * x2 / 24.0
-    scale = c + 0.5 * (mu + nu) * t * s
-    return mu * t * s / scale, nu * t * s / scale, scale
+    return _weights(mu, nu, t, 1.0 + x2 / 6.0 + x2 * x2 / 120.0,
+                    1.0 + x2 / 2.0 + x2 * x2 / 24.0)
+
+
+def _weights(mu: float, nu: float, t: float, sinhc: float,
+             cosh: float) -> tuple[float, float, float]:
+    """(decay, pump, scale) from sinh(x)/x and cosh(x)."""
+    scale = cosh + 0.5 * (mu + nu) * t * sinhc
+    return mu * t * sinhc / scale, nu * t * sinhc / scale, scale
 
 
 def phase_kernel(omega: float, t: float) -> complex:
     """(exp(-2i omega t) - 1)/(-2i omega), cancellation-free."""
     w = omega * t
     if abs(w) <= PHASE_BRANCH_AT:
-        return t * (1.0 - 1j * w)
+        return phase_kernel_limit(omega, t)
     return cmath.exp(-1j * w) * math.sin(w) / omega
 
 

@@ -42,7 +42,7 @@ def expm(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermitian_eigenvalues(m: np.ndarray, with_vectors: bool = False):
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Hermitian part of m, ascending.
 
     The input is symmetrized as (m + m')/2 first; callers that care about
@@ -54,9 +54,6 @@ def hermitian_eigenvalues(m: np.ndarray, with_vectors: bool = False):
         raise ValueError(f"eigensolve needs a square matrix, got shape {m.shape}")
     h = 0.5 * (m + m.conj().T)
     try:
-        if with_vectors:
-            w, v = np.linalg.eigh(h)
-            return w, v
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"hermitian eigensolve failed: {exc}") from exc
@@ -64,18 +61,3 @@ def hermitian_eigenvalues(m: np.ndarray, with_vectors: bool = False):
 
 def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"distance needs equal shapes, got {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-def trace(a: np.ndarray) -> complex:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace needs a square matrix, got shape {a.shape}")
-    return complex(np.trace(a))

@@ -98,7 +98,7 @@ class ModelParams:
         return build_fock_ops(self.dim, self.theta)
 
 
-def build_dissipator(jump_ops, dim: int | None = None) -> np.ndarray:
+def build_dissipator(jump_ops) -> np.ndarray:
     """Vectorized dissipator for a list of jump operators.
 
     Returns sum_j (A+A (x) 1 + 1 (x) (A+A)^T - 2 A (x) (A+)^T)/2; the caller
@@ -108,9 +108,7 @@ def build_dissipator(jump_ops, dim: int | None = None) -> np.ndarray:
     """
     ops = [np.asarray(a, dtype=np.complex128) for a in jump_ops]
     if not ops:
-        if dim is None:
-            raise ValueError("empty jump list needs an explicit dim")
-        return np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+        raise ValueError("jump list must not be empty")
     d = ops[0].shape[0]
     for a in ops:
         if a.ndim != 2 or a.shape != (d, d):

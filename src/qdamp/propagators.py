@@ -28,8 +28,8 @@ is kept as an independent implementation route for exactly that check.
 
 Every map here multiplies a vectorized state by construction, so a state
 whose population stays away from the truncation edge preserves trace and
-Hermiticity to working precision; diagnostics are attached to every result
-rather than asserted.
+Hermiticity to working precision; every result reports its diagnostics on
+access rather than asserting them.
 """
 
 from __future__ import annotations
@@ -58,7 +58,11 @@ class PropagationResult:
     rho_t: np.ndarray
     method: str
     t: float
-    diagnostics: DiagnosticsRecord
+
+    @property
+    def diagnostics(self) -> DiagnosticsRecord:
+        """state_diagnostics(rho_t) at the default margin, computed on access."""
+        return state_diagnostics(self.rho_t)
 
 
 def _check_state(rho0, dim: int) -> np.ndarray:
@@ -304,5 +308,4 @@ def propagate(params: ModelParams, rho0, t: float, method: str = "exact") -> Pro
 
 
 def _result(rho_t: np.ndarray, method: str, t: float) -> PropagationResult:
-    return PropagationResult(rho_t=rho_t, method=method, t=float(t),
-                             diagnostics=state_diagnostics(rho_t))
+    return PropagationResult(rho_t=rho_t, method=method, t=float(t))

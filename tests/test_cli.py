@@ -18,6 +18,7 @@ from qdamp.cli import (
 )
 from qdamp.fock import coherent_state, thermal_state
 from qdamp.linalg import NumericalError
+from qdamp.liouvillian import ModelParams
 
 HEADER = ("t,method,trace_re,trace_im,herm_residual,min_eig,purity,mean_n,"
           "tail_mass,dist_to_exact_frob,dist_to_exact_tracedist")
@@ -50,14 +51,30 @@ def csv_rows(text):
 
 
 def test_config_round_trip_is_lossless():
+    # every value of every optional section reaches RunConfig unchanged
     raw = base_config(
+        model={"omega": 1.5, "mu": 0.5, "nu": 0.2, "kappa_re": 0.1,
+               "kappa_im": -0.05, "theta": 0.3, "dim": 10},
+        initial_state={"kind": "coherent", "alpha_re": 0.4, "alpha_im": -0.2},
         n_steps=5, positivity="permissive", margin=3, output="out.csv",
         sweep={"param": "mu", "values": [0.3, 0.6]},
         convergence={"method": "factorized", "n_steps_values": [2, 4],
                      "t_final": 1.5},
     )
     cfg = RunConfig.from_dict(raw)
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    assert cfg.model == ModelParams(omega=1.5, mu=0.5, nu=0.2,
+                                    kappa=0.1 - 0.05j, dim=10, theta=0.3)
+    assert cfg.initial_state == raw["initial_state"]
+    assert cfg.times == (0.0, 0.5)
+    assert cfg.methods == ("exact", "factorized")
+    assert (cfg.n_steps, cfg.positivity, cfg.margin, cfg.output) == (
+        5, "permissive", 3, "out.csv")
+    assert cfg.sweep == raw["sweep"]
+    assert cfg.convergence == raw["convergence"]
+    local = RunConfig.from_dict(base_config(
+        convergence={"method": "alternative", "t_values": [0.1, 0.2]}))
+    assert local.convergence == {"method": "alternative",
+                                 "t_values": [0.1, 0.2]}
 
 
 @pytest.mark.parametrize("mutate, match", [
@@ -256,14 +273,27 @@ def test_sweep_permissive_runs_every_point(tmp_path, capsys):
     assert {r[1] for r in csv_rows(out)} == {"0.05", "0.4"}
 
 
-def test_sweep_singleton_matches_simulate(tmp_path, capsys):
-    model = {"omega": 1.0, "mu": 0.5, "nu": 0.2, "kappa_re": 0.1, "dim": 10}
-    sim = write_config(tmp_path, "sim.json", model=model, times=[0.7])
-    main(["simulate", "--config", sim])
+SWEPT_KAPPA = abs(0.1 + 0.05j) * np.exp(0.9j)
+
+
+@pytest.mark.parametrize("param, value, base, swept", [
+    ("omega", 1.0, {"kappa_re": 0.1}, {"kappa_re": 0.1}),
+    ("kappa_arg", 0.9, {"kappa_re": 0.1, "kappa_im": 0.05},
+     {"kappa_re": SWEPT_KAPPA.real, "kappa_im": SWEPT_KAPPA.imag}),
+    # a zero kappa has no phase to keep, so the swept kappa is real
+    ("kappa_abs", 0.1, {}, {"kappa_re": 0.1}),
+    ("nu", 0.3, {"kappa_re": 0.1}, {"kappa_re": 0.1, "nu": 0.3}),
+], ids=["omega", "kappa_arg", "kappa_abs_from_zero", "nu"])
+def test_sweep_singleton_matches_simulate(tmp_path, capsys, param, value,
+                                          base, swept):
+    model = {"omega": 1.0, "mu": 0.5, "nu": 0.2, "dim": 10}
+    sim = write_config(tmp_path, "sim.json", model={**model, **swept},
+                       times=[0.7])
+    assert main(["simulate", "--config", sim]) == EXIT_OK
     sim_rows = csv_rows(capsys.readouterr().out)
-    swp = write_config(tmp_path, "swp.json", model=model, times=[0.7],
-                       sweep={"param": "omega", "values": [1.0]})
-    main(["sweep", "--config", swp])
+    swp = write_config(tmp_path, "swp.json", model={**model, **base},
+                       times=[0.7], sweep={"param": param, "values": [value]})
+    assert main(["sweep", "--config", swp]) == EXIT_OK
     swp_rows = [r[2:] for r in csv_rows(capsys.readouterr().out)]
     assert swp_rows == sim_rows
 
@@ -322,6 +352,26 @@ def test_exit_code_for_strict_positivity_rejection(tmp_path, capsys):
     assert main(["simulate", "--config", path]) == EXIT_POSITIVITY
     assert "error:" in capsys.readouterr().err
     assert main(["simulate", "--config", path, "--permissive"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("sweep", {"sweep": {"param": "mu", "values": [-0.1]}}),
+    ("sweep", {"sweep": {"param": "t", "values": [-1.0]}}),
+    ("sweep", {"sweep": {"param": "omega", "values": [math.inf]}}),
+    ("sweep", {"sweep": {"param": "kappa_abs", "values": [-0.1]}}),
+    ("convergence", {"convergence": {"method": "factorized",
+                                     "t_values": [0.5]}}),
+    ("convergence", {"convergence": {"method": "factorized",
+                                     "n_steps_values": [0, 4]}}),
+], ids=["mu<0", "t<0", "omega=inf", "kappa_abs<0", "one_t_value",
+        "zero_steps"])
+def test_rejected_values_exit_with_one_error_line(tmp_path, capsys, command,
+                                                  overrides):
+    path = write_config(tmp_path, **overrides)
+    assert main([command, "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_exit_code_for_numerical_failure(tmp_path, capsys, monkeypatch):
