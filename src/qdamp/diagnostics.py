@@ -135,6 +135,8 @@ def convergence_study(params, rho0, method: str = "factorized", *,
     else:
         if t_final is None or float(t_final) <= 0:
             raise ValueError("n_steps mode needs a positive t_final")
+        if any(isinstance(n, (bool, np.bool_)) for n in n_steps_values):
+            raise ValueError(f"n_steps_values must be integers, got {list(n_steps_values)!r}")
         xs = [int(n) for n in n_steps_values]
         if len(xs) < 2 or any(n < 1 for n in xs):
             raise ValueError("n_steps_values needs at least two counts >= 1")

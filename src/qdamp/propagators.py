@@ -26,6 +26,13 @@ d - 1 the population the untruncated flow carries out of the block.
 alternative_superop reorders the splitting so the two-photon raising and
 lowering exponentials sit on the outside.
 
+The closed-form factors are summed and multiplied in scipy.sparse CSR,
+starting from the generators of algebra.build_generators (about three
+nonzeros per row), and densified once, at the public boundary: every
+builder here returns a dense ndarray.  The full products are exactly half
+dense, since every factor conserves the parity of n1 + n2, so the sparse
+products cost far less than d^2 x d^2 dense matmuls.
+
 operator_series_solution evaluates the same factorized map directly on the
 density matrix as nested finite sums of ladder sandwiches, never forming a
 d^2 x d^2 matrix; it must agree with factorized_superop to roundoff and
@@ -43,11 +50,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .algebra import build_generators
-from .coefficients import eval_coefficients
+from .algebra import SuperOpGenerators, build_generators
+from .coefficients import CoefficientSet, eval_coefficients
 from .diagnostics import DiagnosticsRecord, state_diagnostics
-from .linalg import as_complex_matrix, expm, kron
+from .linalg import as_complex_matrix, expm
 from .liouvillian import (ModelParams, build_liouvillian,
                           build_liouvillian_trace_exact)
 from .vectorize import unvec, vec
@@ -87,13 +95,26 @@ def _check_time(t) -> float:
     return t
 
 
-def _terminating_expm(m: np.ndarray, cap: int) -> np.ndarray:
-    """exp(m) for nilpotent m via its finite series (cap bounds the order)."""
-    out = np.eye(m.shape[0], dtype=np.complex128)
+def _terminating_expm(m, cap: int):
+    """exp(m) for nilpotent m via its finite series (cap bounds the order).
+
+    A scipy.sparse m, as for the d^2 x d^2 closed-form factors, is summed
+    in CSR and the CSR sum is returned; a dense m, as for the d x d
+    two-photon factors, is summed dense, since at that size sparse call
+    overhead would cost more than the products.  The sum stops at the
+    first term with no nonzeros; a sparse term is tested with
+    count_nonzero, since a sparse product can store explicit zeros.
+    """
+    sparse = sp.issparse(m)
+    if sparse:
+        m = m.tocsr()
+        out = sp.eye_array(m.shape[0], dtype=np.complex128, format="csr")
+    else:
+        out = np.eye(m.shape[0], dtype=np.complex128)
     term = out
     for k in range(1, cap + 1):
         term = (term @ m) / k
-        if not term.any():
+        if not (term.count_nonzero() if sparse else term.any()):
             break
         out = out + term
     return out
@@ -109,6 +130,22 @@ def _index_difference(dim: int) -> np.ndarray:
     """n1 - n2 per flat slot."""
     levels = np.arange(dim, dtype=np.float64)
     return np.subtract.outer(levels, levels).reshape(-1)
+
+
+def _jump_factor(c: CoefficientSet, g: SuperOpGenerators) -> sp.csr_array:
+    """su11_factor's product, in CSR."""
+    up = _terminating_expm(c.pump * sp.csr_array(g.jump_plus), g.dim)
+    down = _terminating_expm(c.decay * sp.csr_array(g.jump_minus), g.dim)
+    core = c.scale ** (-(_total_index(g.dim) + 1.0))
+    return up @ sp.diags_array(core) @ down
+
+
+def _squeeze_factor(c: CoefficientSet, g: SuperOpGenerators) -> sp.csr_array:
+    """l_factor's three-factor product, in CSR."""
+    up = _terminating_expm(c.squeeze_up * sp.csr_array(g.squeeze_plus), g.dim)
+    down = _terminating_expm(c.squeeze_down * sp.csr_array(g.squeeze_minus), g.dim)
+    phases = np.exp(0.5 * c.phase * _index_difference(g.dim))
+    return up @ sp.diags_array(phases) @ down
 
 
 def su11_factor(params: ModelParams, t: float) -> np.ndarray:
@@ -131,12 +168,7 @@ def su11_factor(params: ModelParams, t: float) -> np.ndarray:
     """
     t = _check_time(t)
     c = eval_coefficients(params, t)
-    g = build_generators(params.fock_ops())
-    d = params.dim
-    up = _terminating_expm(c.pump * g.jump_plus, d)
-    down = _terminating_expm(c.decay * g.jump_minus, d)
-    core = c.scale ** (-(_total_index(d) + 1.0))
-    return up @ (core[:, None] * down)
+    return _jump_factor(c, build_generators(params.fock_ops())).toarray()
 
 
 def l_factor(params: ModelParams, t: float, split: bool = False) -> np.ndarray:
@@ -157,18 +189,16 @@ def l_factor(params: ModelParams, t: float, split: bool = False) -> np.ndarray:
     c = eval_coefficients(params, t)
     ops = params.fock_ops()
     g = build_generators(ops)
+    if not split:
+        return _squeeze_factor(c, g).toarray()
     d = params.dim
     phases = np.exp(0.5 * c.phase * _index_difference(d))
-    if not split:
-        up = _terminating_expm(c.squeeze_up * g.squeeze_plus, d)
-        down = _terminating_expm(c.squeeze_down * g.squeeze_minus, d)
-        return up @ (phases[:, None] * down)
     s_up = _terminating_expm(-0.5 * c.squeeze_up * (ops.a_dag @ ops.a_dag), d)
     s_dn = _terminating_expm(-0.5 * c.squeeze_down * (ops.a @ ops.a), d)
-    pair_up = _terminating_expm(c.squeeze_up * g.pair_plus, d)
-    pair_dn = _terminating_expm(c.squeeze_down * g.pair_minus, d)
-    return (pair_up @ kron(s_up, s_up.T)
-            @ (phases[:, None] * (pair_dn @ kron(s_dn, s_dn.T))))
+    pair_up = _terminating_expm(c.squeeze_up * sp.csr_array(g.pair_plus), d)
+    pair_dn = _terminating_expm(c.squeeze_down * sp.csr_array(g.pair_minus), d)
+    return (pair_up @ sp.kron(s_up, s_up.T, format="csr") @ sp.diags_array(phases)
+            @ pair_dn @ sp.kron(s_dn, s_dn.T, format="csr")).toarray()
 
 
 def exact_superop(params: ModelParams, t: float, form: str = "cyclic") -> np.ndarray:
@@ -190,8 +220,10 @@ def exact_superop(params: ModelParams, t: float, form: str = "cyclic") -> np.nda
 def factorized_superop(params: ModelParams, t: float) -> np.ndarray:
     """Jump factor times phase factor, with the scalar prefactor attached."""
     t = _check_time(t)
+    c = eval_coefficients(params, t)
+    g = build_generators(params.fock_ops())
     pref = math.exp(0.5 * (params.mu - params.nu) * t)
-    return pref * (su11_factor(params, t) @ l_factor(params, t))
+    return pref * (_jump_factor(c, g) @ _squeeze_factor(c, g)).toarray()
 
 
 def alternative_superop(params: ModelParams, t: float) -> np.ndarray:
@@ -208,14 +240,16 @@ def alternative_superop(params: ModelParams, t: float) -> np.ndarray:
     to the factorized map exactly.
     """
     t = _check_time(t)
+    c = eval_coefficients(params, t)
     g = build_generators(params.fock_ops())
     d = params.dim
     pref = math.exp(0.5 * (params.mu - params.nu) * t)
-    outer_up = _terminating_expm(t * params.kappa.conjugate() * g.squeeze_plus, d)
-    outer_dn = _terminating_expm(t * params.kappa * g.squeeze_minus, d)
+    kappa = params.kappa
+    outer_up = _terminating_expm(t * kappa.conjugate() * sp.csr_array(g.squeeze_plus), d)
+    outer_dn = _terminating_expm(t * kappa * sp.csr_array(g.squeeze_minus), d)
     phases = np.exp(-1j * params.omega * t * _index_difference(d))
-    middle = phases[:, None] * su11_factor(params, t)
-    return pref * (outer_up @ middle @ outer_dn)
+    middle = sp.diags_array(phases) @ _jump_factor(c, g)
+    return pref * (outer_up @ middle @ outer_dn).toarray()
 
 
 def propagate_exact(params: ModelParams, rho0, t: float) -> PropagationResult:
@@ -279,7 +313,9 @@ def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
     For the exact method this is a semigroup identity check; for the
     splittings the global error shrinks like 1/n_steps.
     """
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+    # bool is an int subclass, but True is not a step count
+    if (isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer))
+            or n_steps < 1):
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     rho0 = _check_state(rho0, params.dim)
     t = _check_time(t)

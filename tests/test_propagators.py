@@ -4,11 +4,20 @@ Tolerances are pinned from measured headroom; structural identities
 (kappa independence, adjoint swap, semigroup) get roundoff-level bars.
 """
 
+import cmath
+import math
+
 import numpy as np
 import pytest
-from conftest import random_admissible_params
+import scipy.linalg
+from conftest import random_admissible_params, random_density
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdamp.fock import fock_state
+from qdamp.algebra import build_generators
+from qdamp.coefficients import eval_coefficients
+from qdamp.diagnostics import compare_states
+from qdamp.fock import coherent_state, fock_state
 from qdamp.linalg import NumericalError, expm
 from qdamp.liouvillian import ModelParams, build_liouvillian_trace_exact
 from qdamp.propagators import (
@@ -113,8 +122,6 @@ def test_l_factor_without_two_photon_is_pure_phase():
 
 
 def test_l_factor_generator_tangency():
-    from qdamp.algebra import build_generators
-
     p = ModelParams(omega=1.1, mu=0.0, nu=0.0, kappa=0.12 + 0.07j, dim=10)
     g = build_generators(p.fock_ops())
     gen = (-2j * p.omega * g.squeeze_z
@@ -148,8 +155,6 @@ def test_su11_factor_preserves_hermiticity_exactly(rng):
 
 def test_alternative_adjoint_swaps_outer_factors(rng):
     """(S x)^dag equals the outer-swapped product applied to x^dag."""
-    from qdamp.algebra import build_generators
-
     p = ModelParams(omega=0.8, mu=0.5, nu=0.25, kappa=0.1 + 0.05j, dim=8)
     t = 0.6
     g = build_generators(p.fock_ops())
@@ -194,6 +199,103 @@ def test_series_matches_factorized(rng):
             series = operator_series_solution(p, rho0, t).rho_t
             direct = unvec(factorized_superop(p, t) @ vec(rho0))
             assert np.linalg.norm(series - direct) <= 1e-13
+
+
+def test_closed_form_factors_match_expm_of_weighted_generators(rng):
+    """Each builder equals its product rebuilt from dense expm factors.
+
+    Every terminating series is replaced by scipy.linalg.expm of the
+    weighted dense generator it sums (each is nilpotent), so the sparse
+    assembly is checked against an independent dense one.
+    """
+    d, t = 10, 0.8
+    p = random_admissible_params(rng, dim=d, theta=0.3)
+    c = eval_coefficients(p, t)
+    g = build_generators(p.fock_ops())
+    ex = scipy.linalg.expm
+    levels = np.arange(d, dtype=float)
+    total = np.add.outer(levels, levels).reshape(-1)
+    diff = np.subtract.outer(levels, levels).reshape(-1)
+    phases = np.diag(np.exp(0.5 * c.phase * diff))
+    pref = np.exp(0.5 * (p.mu - p.nu) * t)
+    jump = (ex(c.pump * g.jump_plus) @ np.diag(c.scale ** -(total + 1.0))
+            @ ex(c.decay * g.jump_minus))
+    squeeze = (ex(c.squeeze_up * g.squeeze_plus) @ phases
+               @ ex(c.squeeze_down * g.squeeze_minus))
+    split = (ex(c.squeeze_up * g.pair_plus) @ ex(-c.squeeze_up * g.sym_plus)
+             @ phases @ ex(c.squeeze_down * g.pair_minus)
+             @ ex(-c.squeeze_down * g.sym_minus))
+    alternative = pref * (ex(t * np.conj(p.kappa) * g.squeeze_plus)
+                          @ np.diag(np.exp(-1j * p.omega * t * diff)) @ jump
+                          @ ex(t * p.kappa * g.squeeze_minus))
+    cases = {
+        "su11_factor": (su11_factor(p, t), jump),
+        "l_factor": (l_factor(p, t), squeeze),
+        "l_factor(split=True)": (l_factor(p, t, split=True), split),
+        "factorized_superop": (factorized_superop(p, t), pref * jump @ squeeze),
+        "alternative_superop": (alternative_superop(p, t), alternative),
+    }
+    for name, (got, want) in cases.items():
+        assert type(got) is np.ndarray and got.shape == (d * d, d * d), name
+        rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert rel <= 1e-13, f"{name}: {rel:.2e}"
+
+
+def test_superops_never_couple_slots_of_opposite_parity(rng):
+    """Every factor conserves the parity of n1 + n2, so those entries are 0."""
+    d = 10
+    p = random_admissible_params(rng, dim=d)
+    levels = np.arange(d)
+    parity = np.add.outer(levels, levels).reshape(-1) % 2
+    across = parity[:, None] != parity[None, :]
+    for build in (factorized_superop, alternative_superop):
+        s = build(p, 0.7)
+        assert np.count_nonzero(s[across]) == 0, build.__name__
+        assert np.count_nonzero(s[~across]) > 0, build.__name__
+
+
+def test_factorized_matches_series_on_the_readme_model_at_d32():
+    p = ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=32)
+    rho0 = coherent_state(32, 1.2)
+    direct = propagate(p, rho0, 2.0, method="factorized").rho_t
+    series = operator_series_solution(p, rho0, 2.0).rho_t
+    _, tdist = compare_states(direct, series)
+    assert tdist <= 1e-13
+
+
+_RATE = st.floats(0.05, 1.0)
+
+
+@st.composite
+def _boundary_models(draw):
+    """Admissible models at d = 8, drawn across the coefficient seams.
+
+    nu sits on the mu = nu seam, within the Taylor branch of the hyperbolic
+    weights, or anywhere; |kappa| on the mu nu = |kappa|^2 positivity edge
+    or inside it; omega at 0, small enough that omega t straddles the
+    phase kernel's Taylor switch, or anywhere.
+    """
+    mu = draw(_RATE)
+    nu = draw(st.one_of(st.just(mu), st.floats(-1e-5, 1e-5).map(lambda e: mu + e), _RATE))
+    reach = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    kappa = reach * math.sqrt(mu * nu) * cmath.exp(1j * phase)
+    omega = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-8), st.floats(0.1, 2.0)))
+    t = draw(st.floats(1e-3, 2.0))
+    return ModelParams(omega=omega, mu=mu, nu=nu, kappa=kappa, dim=8), t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(model=_boundary_models(), seed=st.integers(0, 2**32 - 1))
+def test_factorized_matches_series_across_coefficient_seams(model, seed):
+    # Strong pumping at the positivity edge grows the map's norm to ~3e4,
+    # so roundoff is judged against it (measured error / norm <= 1.3e-16).
+    p, t = model
+    rho0 = random_density(8, 3, np.random.default_rng(seed))
+    superop = factorized_superop(p, t)
+    direct = unvec(superop @ vec(rho0))
+    series = operator_series_solution(p, rho0, t).rho_t
+    assert np.linalg.norm(direct - series) <= 1e-14 * np.linalg.norm(superop)
 
 
 def test_stepped_single_step_matches_single_shot():
@@ -301,5 +403,7 @@ def test_stepped_validates_step_count():
         stepped_propagate(p, rho0, 1.0, n_steps=0)
     with pytest.raises(ValueError, match="n_steps"):
         stepped_propagate(p, rho0, 1.0, n_steps=2.5)
+    with pytest.raises(ValueError, match="n_steps"):
+        stepped_propagate(p, rho0, 1.0, True)
     with pytest.raises(ValueError, match="unknown method"):
         stepped_propagate(p, rho0, 1.0, n_steps=2, method="spectral")
