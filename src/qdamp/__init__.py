@@ -59,6 +59,7 @@ from .propagators import (
     operator_series_solution,
     propagate,
     propagate_exact,
+    propagate_grid,
     stepped_propagate,
     su11_factor,
 )
@@ -115,6 +116,7 @@ __all__ = [
     "projected_residual",
     "propagate",
     "propagate_exact",
+    "propagate_grid",
     "sandwich_superop",
     "state_diagnostics",
     "stepped_propagate",

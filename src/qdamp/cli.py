@@ -265,11 +265,13 @@ def load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _evolve(cfg: RunConfig, model: ModelParams, rho0: np.ndarray, t: float,
-            method: str) -> np.ndarray:
+def _evolve(cfg: RunConfig, model: ModelParams, rho0: np.ndarray,
+            times: Sequence[float], method: str) -> list:
+    """States of one method at every time, the grid evolved in one call."""
     if method == "stepped":
-        return propagators.stepped_propagate(model, rho0, t, cfg.n_steps).rho_t
-    return propagators.propagate(model, rho0, t, method=method).rho_t
+        return [propagators.stepped_propagate(model, rho0, t, cfg.n_steps).rho_t
+                for t in times]
+    return [r.rho_t for r in propagators.propagate_grid(model, rho0, times, method)]
 
 
 def _diag_cells(rho: np.ndarray, margin: int) -> list:
@@ -279,18 +281,19 @@ def _diag_cells(rho: np.ndarray, margin: int) -> list:
             _fmt(rec.purity), _fmt(rec.mean_n), _fmt(rec.tail_mass)]
 
 
-def _rows_at_time(cfg: RunConfig, model: ModelParams, rho0: np.ndarray,
-                  t: float) -> list:
-    """All simulate rows for one time point, methods in sorted order."""
-    states = {m: _evolve(cfg, model, rho0, t, m) for m in cfg.methods}
+def _rows(cfg: RunConfig, model: ModelParams, rho0: np.ndarray,
+          times: Sequence[float]) -> list:
+    """All simulate rows, time-major, methods in sorted order at each time."""
+    states = {m: _evolve(cfg, model, rho0, times, m) for m in sorted(cfg.methods)}
     exact = states.get("exact")
     rows = []
-    for m in sorted(states):
-        dist_f = dist_t = None
-        if exact is not None:
-            dist_f, dist_t = compare_states(states[m], exact)
-        rows.append([_fmt(t), m] + _diag_cells(states[m], cfg.margin)
-                    + [_fmt(dist_f), _fmt(dist_t)])
+    for k, t in enumerate(times):
+        for m, series in states.items():
+            dist_f = dist_t = None
+            if exact is not None:
+                dist_f, dist_t = compare_states(series[k], exact[k])
+            rows.append([_fmt(t), m] + _diag_cells(series[k], cfg.margin)
+                        + [_fmt(dist_f), _fmt(dist_t)])
     return rows
 
 
@@ -316,8 +319,7 @@ def cmd_simulate(cfg: RunConfig, out_flag: Optional[str]) -> int:
     if cfg.positivity == "strict":
         cfg.model.require_positivity()
     rho0 = cfg.initial_density_matrix()
-    rows = [row for t in cfg.times
-            for row in _rows_at_time(cfg, cfg.model, rho0, t)]
+    rows = _rows(cfg, cfg.model, rho0, cfg.times)
     with _open_out(cfg.output, out_flag) as stream:
         _write_csv(stream, SIMULATE_COLUMNS, rows)
     return EXIT_OK
@@ -374,7 +376,7 @@ def cmd_sweep(cfg: RunConfig, out_flag: Optional[str]) -> int:
                                                             value)
         if cfg.positivity == "strict" and not model.positivity_satisfied:
             return ("skip", value, None)
-        return ("rows", value, _rows_at_time(cfg, model, rho0, t))
+        return ("rows", value, _rows(cfg, model, rho0, (t,)))
 
     results = [one_point(v) for v in cfg.sweep["values"]]
     with _open_out(cfg.output, out_flag) as stream:

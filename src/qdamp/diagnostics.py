@@ -135,7 +135,10 @@ def convergence_study(params, rho0, method: str = "factorized", *,
     else:
         if t_final is None or float(t_final) <= 0:
             raise ValueError("n_steps mode needs a positive t_final")
-        if any(isinstance(n, (bool, np.bool_)) for n in n_steps_values):
+        # as in stepped_propagate: bool is an int subclass, and a float
+        # such as 2.7 is not a step count
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
+               for n in n_steps_values):
             raise ValueError(f"n_steps_values must be integers, got {list(n_steps_values)!r}")
         xs = [int(n) for n in n_steps_values]
         if len(xs) < 2 or any(n < 1 for n in xs):

@@ -38,6 +38,14 @@ density matrix as nested finite sums of ladder sandwiches, never forming a
 d^2 x d^2 matrix; it must agree with factorized_superop to roundoff and
 is kept as an independent implementation route for exactly that check.
 
+propagate_grid evolves one state over a whole time grid.  The exact route
+builds the generator once and chains the state through exp(dt L), one
+dense exponential per distinct gap dt, so a uniform grid costs a single
+exponential; the other routes are splittings, not semigroups, and are
+evaluated at each time from the initial state.  propagate is the
+one-point grid.  exact_superop, the full dense exp(t L), stays as the
+oracle for tests and as the exact stepped route's step map.
+
 Every map here multiplies a vectorized state by construction, so a state
 whose population stays away from the truncation edge preserves trace and
 Hermiticity to working precision; every result reports its diagnostics on
@@ -344,12 +352,53 @@ def _superop(params: ModelParams, t: float, method: str) -> np.ndarray:
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def _check_grid(times) -> list[float]:
+    times = [_check_time(t) for t in times]
+    if not times:
+        raise ValueError("times must be a nonempty sequence")
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError(f"times must be nondecreasing, got {times}")
+    return times
+
+
+def propagate_grid(params: ModelParams, rho0, times,
+                   method: str = "exact") -> list[PropagationResult]:
+    """Evolve rho0 over a time grid; one PropagationResult per time.
+
+    times must be finite, >= 0 and nondecreasing.  The exact route is the
+    semigroup exp(t L) of one generator: L is built once, and the state is
+    chained from t = 0 through v <- exp(dt L) v, with the step map formed
+    only when the gap dt differs from the previous one, so a uniform grid
+    costs one exponential and a repeated time none.  Only one step map is
+    alive at a time.  The splittings and the series route are not
+    semigroups (chaining them would make them the stepped route), so they
+    are evaluated at each time from rho0.
+    """
+    times = _check_grid(times)
+    if method == "series":
+        return [operator_series_solution(params, rho0, t) for t in times]
+    rho0 = _check_state(rho0, params.dim)
+    if method != "exact":
+        return [_result(unvec(_superop(params, t, method) @ vec(rho0)), method, t)
+                for t in times]
+    gen = build_liouvillian_trace_exact(params)
+    v, step, gap, prev = vec(rho0), None, None, 0.0
+    out = []
+    for t in times:
+        if t != prev:
+            if t - prev != gap:
+                step = None    # free the old step map before forming the next
+                gap = t - prev
+                step = expm(gap * gen)
+            v = step @ v
+            prev = t
+        out.append(_result(unvec(v), method, t))
+    return out
+
+
 def propagate(params: ModelParams, rho0, t: float, method: str = "exact") -> PropagationResult:
     """Evolve rho0 to time t by one of the routes named in METHODS."""
-    if method == "series":
-        return operator_series_solution(params, rho0, t)
-    rho0 = _check_state(rho0, params.dim)
-    return _result(unvec(_superop(params, t, method) @ vec(rho0)), method, t)
+    return propagate_grid(params, rho0, (t,), method)[0]
 
 
 def _result(rho_t: np.ndarray, method: str, t: float) -> PropagationResult:

@@ -1,8 +1,14 @@
-"""Shared fixtures: seeded RNG and random problem generators."""
+"""Shared fixtures: seeded RNG, random problem generators, hypothesis profile."""
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qdamp.liouvillian import ModelParams
+
+# Every property test is reproducible: a fixed example sequence, no example
+# database, and no per-example deadline (timings vary on a shared machine).
+settings.register_profile("qdamp", derandomize=True, database=None, deadline=None)
+settings.load_profile("qdamp")
 
 
 @pytest.fixture

@@ -363,8 +363,11 @@ def test_exit_code_for_strict_positivity_rejection(tmp_path, capsys):
                                      "t_values": [0.5]}}),
     ("convergence", {"convergence": {"method": "factorized",
                                      "n_steps_values": [0, 4]}}),
+    ("simulate", {"times": [math.nan]}),
+    ("simulate", {"times": [0.0, math.inf]}),
+    ("sweep", {"sweep": {"param": "t", "values": [0.5, math.nan]}}),
 ], ids=["mu<0", "t<0", "omega=inf", "kappa_abs<0", "one_t_value",
-        "zero_steps"])
+        "zero_steps", "t=nan", "t=inf", "sweep_t=nan"])
 def test_rejected_values_exit_with_one_error_line(tmp_path, capsys, command,
                                                   overrides):
     path = write_config(tmp_path, **overrides)
@@ -378,7 +381,7 @@ def test_exit_code_for_numerical_failure(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericalError("synthetic breakdown")
 
-    monkeypatch.setattr(propagators, "propagate", boom)
+    monkeypatch.setattr(propagators, "expm", boom)
     path = write_config(tmp_path, methods=["exact"])
     assert main(["simulate", "--config", path]) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err

@@ -123,3 +123,5 @@ def test_convergence_argument_validation():
         convergence_study(p, rho0, n_steps_values=(0, 4), t_final=1.0)
     with pytest.raises(ValueError, match="must be integers"):
         convergence_study(p, rho0, n_steps_values=[True, 2], t_final=1.0)
+    with pytest.raises(ValueError, match="must be integers"):
+        convergence_study(p, rho0, n_steps_values=[2.7, 4], t_final=1.0)

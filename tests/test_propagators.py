@@ -5,7 +5,9 @@ Tolerances are pinned from measured headroom; structural identities
 """
 
 import cmath
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from conftest import random_admissible_params, random_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdamp import propagators
 from qdamp.algebra import build_generators
 from qdamp.coefficients import eval_coefficients
 from qdamp.diagnostics import compare_states
@@ -29,6 +32,7 @@ from qdamp.propagators import (
     l_factor,
     operator_series_solution,
     propagate,
+    propagate_grid,
     stepped_propagate,
     su11_factor,
 )
@@ -285,7 +289,7 @@ def _boundary_models(draw):
     return ModelParams(omega=omega, mu=mu, nu=nu, kappa=kappa, dim=8), t
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(model=_boundary_models(), seed=st.integers(0, 2**32 - 1))
 def test_factorized_matches_series_across_coefficient_seams(model, seed):
     # Strong pumping at the positivity edge grows the map's norm to ~3e4,
@@ -296,6 +300,144 @@ def test_factorized_matches_series_across_coefficient_seams(model, seed):
     direct = unvec(superop @ vec(rho0))
     series = operator_series_solution(p, rho0, t).rho_t
     assert np.linalg.norm(direct - series) <= 1e-14 * np.linalg.norm(superop)
+
+
+# ---------------------------------------------------------------- time grids
+
+
+def _tracedist(a, b):
+    return compare_states(a, b)[1]
+
+
+@pytest.mark.parametrize("dim, times", [
+    (16, np.linspace(0.0, 2.0, 9)),
+    (12, [0.1, 0.35, 0.4, 1.3, 2.0]),
+    (12, [0.5, 1.0, 1.5, 2.5]),
+    (12, [0.0, 0.5, 0.5, 1.0, 1.0]),
+], ids=["uniform", "nonuniform", "late_start", "repeated"])
+def test_exact_grid_matches_per_time_expm(rng, dim, times):
+    p = random_admissible_params(rng, dim=dim)
+    rho0 = random_density(dim, 4, rng)
+    got = propagate_grid(p, rho0, times)
+    assert [r.t for r in got] == [float(t) for t in times]
+    for res in got:
+        want = unvec(exact_superop(p, res.t) @ vec(rho0))
+        assert res.method == "exact"
+        assert _tracedist(res.rho_t, want) <= 1e-12, res.t
+
+
+def test_single_time_exact_is_one_dense_exponential(rng):
+    p = random_admissible_params(rng, dim=10)
+    rho0 = random_density(10, 4, rng)
+    for t in (0.3, 1.7):
+        want = unvec(expm(t * build_liouvillian_trace_exact(p)) @ vec(rho0))
+        assert np.array_equal(propagate(p, rho0, t).rho_t, want)
+
+
+def test_grid_evaluates_splittings_and_series_at_each_time(rng):
+    """Not semigroups, so each grid point is the single-time map of rho0."""
+    p = random_admissible_params(rng, dim=8)
+    rho0 = random_density(8, 3, rng)
+    times = [0.0, 0.4, 0.4, 1.1]
+    single = {
+        "factorized": lambda t: unvec(factorized_superop(p, t) @ vec(rho0)),
+        "alternative": lambda t: unvec(alternative_superop(p, t) @ vec(rho0)),
+        "series": lambda t: operator_series_solution(p, rho0, t).rho_t,
+    }
+    for method, one in single.items():
+        got = propagate_grid(p, rho0, times, method)
+        assert [(r.method, r.t) for r in got] == [(method, t) for t in times]
+        for res in got:
+            assert np.array_equal(res.rho_t, one(res.t)), (method, res.t)
+
+
+def test_exact_grid_forms_one_exponential_per_distinct_gap(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(propagators, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("expm", "build_liouvillian_trace_exact"):
+        monkeypatch.setattr(propagators, name, counted(name))
+    p = ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=8)
+    rho0 = fock_state(8, 1)
+    propagate_grid(p, rho0, np.linspace(0.0, 2.0, 9))
+    assert calls == {"expm": 1, "build_liouvillian_trace_exact": 1}
+    calls.clear()
+    # gaps 0.5, 0.5, 0, 1.2 - 1.0 (not 0.2 in binary): two distinct gaps
+    propagate_grid(p, rho0, [0.5, 1.0, 1.0, 1.2])
+    assert calls == {"expm": 2, "build_liouvillian_trace_exact": 1}
+
+
+@pytest.mark.parametrize("times, match", [
+    ([], "nonempty"),
+    ([-0.1, 0.5], "finite and >= 0"),
+    ([0.0, math.nan], "finite and >= 0"),
+    ([0.0, math.inf], "finite and >= 0"),
+    ([0.5, 0.2], "nondecreasing"),
+], ids=["empty", "negative", "nan", "inf", "decreasing"])
+def test_propagate_grid_rejects_bad_grids(times, match):
+    p = ModelParams(omega=1.0, mu=0.5, nu=0.2, kappa=0.1, dim=6)
+    for method in METHODS:
+        with pytest.raises(ValueError, match=match):
+            propagate_grid(p, fock_state(6, 0), times, method)
+
+
+@st.composite
+def _grid_problems(draw):
+    """An admissible model at d <= 10, a state and a nondecreasing grid.
+
+    The grid starts at 0 or later and steps by one repeated gap or by
+    random gaps, zero gaps included.
+    """
+    d = draw(st.integers(2, 10))
+    mu, nu = draw(_RATE), draw(_RATE)
+    kappa = (draw(st.floats(0.0, 1.0)) * math.sqrt(mu * nu)
+             * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
+    p = ModelParams(omega=draw(st.floats(0.0, 2.0)), mu=mu, nu=nu,
+                    kappa=kappa, dim=d)
+    rho0 = random_density(d, draw(st.integers(0, d - 1)),
+                          np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    start = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    gap = st.floats(0.01, 0.6)
+    gaps = draw(st.one_of(
+        st.tuples(gap, st.integers(1, 6)).map(lambda g: [g[0]] * g[1]),
+        st.lists(st.one_of(st.just(0.0), gap), min_size=1, max_size=6)))
+    return p, rho0, list(itertools.accumulate(gaps, initial=start))
+
+
+@settings(max_examples=25)
+@given(problem=_grid_problems())
+def test_exact_grid_matches_dense_expm_property(problem):
+    p, rho0, times = problem
+    for res in propagate_grid(p, rho0, times):
+        want = unvec(exact_superop(p, res.t) @ vec(rho0))
+        assert _tracedist(res.rho_t, want) <= 1e-12, res.t
+
+
+@settings(max_examples=25)
+@given(problem=_grid_problems(), pick=st.tuples(st.integers(0), st.integers(0)))
+def test_exact_grid_is_a_semigroup_property(problem, pick):
+    """The grid state at s + t is the single-time map of t applied at s."""
+    p, rho0, times = problem
+    i, j = sorted(k % len(times) for k in pick)
+    states = propagate_grid(p, rho0, times)
+    s, later = states[i], states[j]
+    mapped = unvec(exact_superop(p, later.t - s.t) @ vec(s.rho_t))
+    assert _tracedist(later.rho_t, mapped) <= 1e-12
+
+
+@settings(max_examples=25)
+@given(problem=_grid_problems())
+def test_exact_grid_preserves_trace_property(problem):
+    p, rho0, times = problem
+    for res in propagate_grid(p, rho0, times):
+        assert abs(np.trace(res.rho_t) - 1.0) <= 1e-12, res.t
 
 
 def test_stepped_single_step_matches_single_shot():
