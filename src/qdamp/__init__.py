@@ -30,6 +30,7 @@ from .algebra import (
     commutator,
     interior_mask,
     projected_residual,
+    sparse_generators,
     theta_scaling_check,
     verify_algebra,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "propagate_exact",
     "propagate_grid",
     "sandwich_superop",
+    "sparse_generators",
     "state_diagnostics",
     "stepped_propagate",
     "su11_factor",

@@ -18,6 +18,11 @@ untruncated limit:
 pair_z, sym_z and squeeze_z are one and the same matrix: one array is
 stored, and each family reads it under its own name.
 
+sparse_generators builds the twelve as scipy.sparse CSR Kronecker
+products (about three nonzeros per row); the closed-form propagators read
+them.  build_generators is their dense view, the one formula densified,
+which verify_algebra and liouvillian's form III read.
+
 Truncation breaks a few of the relations at the highest Fock levels, in a
 completely localized way.  Every generator moves each of the two slot
 indices by at most 2, so restricting a residual to interior_mask at
@@ -27,9 +32,10 @@ projected residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fock import FockOperators, build_fock_ops
 from .linalg import frobenius_norm, kron
@@ -41,6 +47,8 @@ class SuperOpGenerators:
     """Twelve d^2 x d^2 generator matrices over one Fock truncation.
 
     theta is the ladder phase of the FockOperators they were built from.
+    sparse_generators fills the fields with scipy.sparse CSR arrays,
+    build_generators with their dense ndarray view.
     """
 
     dim: int
@@ -65,21 +73,46 @@ class SuperOpGenerators:
         return self.pair_z
 
 
-def build_generators(ops: FockOperators) -> SuperOpGenerators:
+_MATRIX_FIELDS = ("jump_z", "jump_plus", "jump_minus", "pair_z", "pair_plus",
+                  "pair_minus", "sym_plus", "sym_minus", "squeeze_plus",
+                  "squeeze_minus")
+
+
+def _kron(a, b) -> sp.csr_array:
+    """kron(a, b) in CSR, its nonzero products taken by np.kron itself.
+
+    Multiplying with the routine of the dense formula keeps the dense view
+    bit-identical to np.kron of the dense factors.  scipy.sparse.kron
+    broadcasts one-element operands through another numpy loop, which
+    rounds some complex products (theta != 0) differently.
+    """
+    a, b = sp.coo_array(a), sp.coo_array(b)
+    rows = np.add.outer(a.row * b.shape[0], b.row).ravel()
+    cols = np.add.outer(a.col * b.shape[1], b.col).ravel()
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return sp.csr_array((np.kron(a.data, b.data), (rows, cols)), shape=shape)
+
+
+def sparse_generators(ops: FockOperators) -> SuperOpGenerators:
+    """The twelve generators as CSR arrays (about three nonzeros per row).
+
+    Each is a Kronecker product or a sum of them, with the row-major
+    convention vec(A X B) = kron(A, B.T) vec(X) of vectorize.py.
+    """
     a, a_dag, n_op, one = ops.a, ops.a_dag, ops.n_op, ops.identity
     a2 = a @ a
     ad2 = a_dag @ a_dag
 
-    jump_z = 0.5 * (kron(n_op, one) + kron(one, n_op.T) + kron(one, one))
-    jump_plus = sandwich_superop(a_dag, a)
-    jump_minus = sandwich_superop(a, a_dag)
+    jump_z = 0.5 * (_kron(n_op, one) + _kron(one, n_op.T) + _kron(one, one))
+    jump_plus = _kron(a_dag, a.T)
+    jump_minus = _kron(a, a_dag.T)
 
-    pair_z = 0.5 * (kron(n_op, one) - kron(one, n_op.T))
-    pair_plus = sandwich_superop(a_dag, a_dag)
-    pair_minus = sandwich_superop(a, a)
+    pair_z = 0.5 * (_kron(n_op, one) - _kron(one, n_op.T))
+    pair_plus = _kron(a_dag, a_dag.T)
+    pair_minus = _kron(a, a.T)
 
-    sym_plus = 0.5 * (kron(ad2, one) + kron(one, ad2.T))
-    sym_minus = 0.5 * (kron(a2, one) + kron(one, a2.T))
+    sym_plus = 0.5 * (_kron(ad2, one) + _kron(one, ad2.T))
+    sym_minus = 0.5 * (_kron(a2, one) + _kron(one, a2.T))
 
     return SuperOpGenerators(
         dim=ops.dim, theta=ops.theta,
@@ -89,6 +122,12 @@ def build_generators(ops: FockOperators) -> SuperOpGenerators:
         squeeze_plus=pair_plus - sym_plus,
         squeeze_minus=pair_minus - sym_minus,
     )
+
+
+def build_generators(ops: FockOperators) -> SuperOpGenerators:
+    """Dense view of sparse_generators: the same twelve matrices as ndarrays."""
+    g = sparse_generators(ops)
+    return replace(g, **{f: getattr(g, f).toarray() for f in _MATRIX_FIELDS})
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

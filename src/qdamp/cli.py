@@ -283,18 +283,20 @@ def _diag_cells(rho: np.ndarray, margin: int) -> list:
 
 def _rows(cfg: RunConfig, model: ModelParams, rho0: np.ndarray,
           times: Sequence[float]) -> list:
-    """All simulate rows, time-major, methods in sorted order at each time."""
+    """Simulate rows per time: one list per time, methods in sorted order."""
     states = {m: _evolve(cfg, model, rho0, times, m) for m in sorted(cfg.methods)}
     exact = states.get("exact")
-    rows = []
+    out = []
     for k, t in enumerate(times):
+        rows = []
         for m, series in states.items():
             dist_f = dist_t = None
             if exact is not None:
                 dist_f, dist_t = compare_states(series[k], exact[k])
             rows.append([_fmt(t), m] + _diag_cells(series[k], cfg.margin)
                         + [_fmt(dist_f), _fmt(dist_t)])
-    return rows
+        out.append(rows)
+    return out
 
 
 def _open_out(cfg_output: Optional[str], out_flag: Optional[str]):
@@ -319,7 +321,7 @@ def cmd_simulate(cfg: RunConfig, out_flag: Optional[str]) -> int:
     if cfg.positivity == "strict":
         cfg.model.require_positivity()
     rho0 = cfg.initial_density_matrix()
-    rows = _rows(cfg, cfg.model, rho0, cfg.times)
+    rows = [row for at_t in _rows(cfg, cfg.model, rho0, cfg.times) for row in at_t]
     with _open_out(cfg.output, out_flag) as stream:
         _write_csv(stream, SIMULATE_COLUMNS, rows)
     return EXIT_OK
@@ -367,23 +369,30 @@ def cmd_sweep(cfg: RunConfig, out_flag: Optional[str]) -> int:
         raise ConfigError("sweep subcommand needs a 'sweep' section in the "
                           "config")
     param = cfg.sweep["param"]
-    t_final = cfg.times[-1]
+    values = cfg.sweep["values"]
     rho0 = cfg.initial_density_matrix()   # no sweep parameter changes dim
 
-    def one_point(value: float):
-        t = value if param == "t" else t_final
-        model = cfg.model if param == "t" else _swept_model(cfg.model, param,
-                                                            value)
-        if cfg.positivity == "strict" and not model.positivity_satisfied:
-            return ("skip", value, None)
-        return ("rows", value, _rows(cfg, model, rho0, (t,)))
+    def admissible(model: ModelParams) -> bool:
+        return cfg.positivity != "strict" or model.positivity_satisfied
 
-    results = [one_point(v) for v in cfg.sweep["values"]]
+    if param == "t":
+        # one model, evolved once over the sorted distinct swept times
+        grid = sorted(set(values))
+        at = (dict(zip(grid, _rows(cfg, cfg.model, rho0, grid)))
+              if admissible(cfg.model) else {})
+        results = [(v, at.get(v)) for v in values]
+    else:
+        results = []
+        for v in values:
+            model = _swept_model(cfg.model, param, v)
+            rows = (_rows(cfg, model, rho0, (cfg.times[-1],))[0]
+                    if admissible(model) else None)
+            results.append((v, rows))
     with _open_out(cfg.output, out_flag) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(("param", "value") + SIMULATE_COLUMNS)
-        for kind, value, rows in results:
-            if kind == "skip":
+        for value, rows in results:
+            if rows is None:
                 stream.write(f"# skipped {param}={_fmt(value)}: positivity "
                              "mu*nu >= |kappa|^2 violated\n")
                 continue

@@ -26,25 +26,35 @@ d - 1 the population the untruncated flow carries out of the block.
 alternative_superop reorders the splitting so the two-photon raising and
 lowering exponentials sit on the outside.
 
-The closed-form factors are summed and multiplied in scipy.sparse CSR,
-starting from the generators of algebra.build_generators (about three
-nonzeros per row), and densified once, at the public boundary: every
-builder here returns a dense ndarray.  The full products are exactly half
-dense, since every factor conserves the parity of n1 + n2, so the sparse
-products cost far less than d^2 x d^2 dense matmuls.
+Each closed-form map is written once, as stages in the order they act on
+a state (_closed_form): a weighted generator from
+algebra.sparse_generators (CSR, about three nonzeros per row) stands for
+its exponential, a 1-d array for a diagonal, and the scalar prefactor
+multiplies last.  propagate applies the stages to vec(rho0) one at a
+time: each exponential as its terminating series sum_k c^k G^k v / k!,
+one sparse matvec per term, each diagonal elementwise.  No d^2 x d^2
+matrix is formed, and a state costs O(d^3) instead of the O(d^5) or more
+of a product build.  factorized_superop and alternative_superop form the
+same stages as CSR factors, multiply them and densify once, at the
+public boundary; they, su11_factor and l_factor stay as the algebra-level
+oracles for tests at small d and as the stepped route's step map.  Both
+evaluations share one series helper (_series).
 
 operator_series_solution evaluates the same factorized map directly on the
 density matrix as nested finite sums of ladder sandwiches, never forming a
 d^2 x d^2 matrix; it must agree with factorized_superop to roundoff and
-is kept as an independent implementation route for exactly that check.
+is kept as an independent implementation route for exactly that check:
+it works with d x d ladder matrices, the other two with the twelve
+Kronecker generators.
 
 propagate_grid evolves one state over a whole time grid.  The exact route
-builds the generator once and chains the state through exp(dt L), one
-dense exponential per distinct gap dt, so a uniform grid costs a single
-exponential; the other routes are splittings, not semigroups, and are
-evaluated at each time from the initial state.  propagate is the
-one-point grid.  exact_superop, the full dense exp(t L), stays as the
-oracle for tests and as the exact stepped route's step map.
+builds the generator once and chains the state through exp(gap L), one
+dense exponential per change of gap, so a uniform grid costs a single
+exponential; the other routes are splittings, not semigroups, and each
+time is propagate's single-time map of the initial state.  For exact and
+series, propagate is the one-point grid.  exact_superop, the full dense
+exp(t L), stays as the oracle for tests and as the exact stepped route's
+step map.
 
 Every map here multiplies a vectorized state by construction, so a state
 whose population stays away from the truncation edge preserves trace and
@@ -54,23 +64,31 @@ access rather than asserting them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .algebra import SuperOpGenerators, build_generators
+# build_generators (the dense view) is not called here; perfbench's tracer
+# wraps it under this module's name, so the name stays importable.
+from .algebra import SuperOpGenerators, build_generators, sparse_generators  # noqa: F401
 from .coefficients import CoefficientSet, eval_coefficients
 from .diagnostics import DiagnosticsRecord, state_diagnostics
+from .fock import build_fock_ops
 from .linalg import as_complex_matrix, expm
 from .liouvillian import (ModelParams, build_liouvillian,
                           build_liouvillian_trace_exact)
 from .vectorize import unvec, vec
 
 STATE_TRACE_TOL = 1e-10
+# An exact-route grid time within this many ulps of one more step of the
+# current step map reuses that map.
+GAP_ULPS = 4
 
-SUPEROP_METHODS = ("exact", "factorized", "alternative")
+CLOSED_FORM_METHODS = ("factorized", "alternative")
+SUPEROP_METHODS = ("exact",) + CLOSED_FORM_METHODS
 METHODS = SUPEROP_METHODS + ("series",)
 
 
@@ -103,29 +121,35 @@ def _check_time(t) -> float:
     return t
 
 
-def _terminating_expm(m, cap: int):
-    """exp(m) for nilpotent m via its finite series (cap bounds the order).
+def _series(m, x, cap: int):
+    """exp(m) x for nilpotent m, as the finite sum of m^k x / k!.
 
-    A scipy.sparse m, as for the d^2 x d^2 closed-form factors, is summed
-    in CSR and the CSR sum is returned; a dense m, as for the d x d
-    two-photon factors, is summed dense, since at that size sparse call
-    overhead would cost more than the products.  The sum stops at the
-    first term with no nonzeros; a sparse term is tested with
-    count_nonzero, since a sparse product can store explicit zeros.
+    x is the identity to form exp(m) itself, or vec(rho) to apply it
+    with one matvec per term.  m is scipy.sparse CSR for the d^2 x d^2
+    generators, or a dense d x d matrix for the two-photon ladder
+    factors, where sparse call overhead would cost more than the
+    products.  The sum stops at the first term with no nonzeros (a
+    sparse term is tested with count_nonzero, since a sparse product
+    can store explicit zeros); cap bounds the order.
     """
-    sparse = sp.issparse(m)
-    if sparse:
-        m = m.tocsr()
-        out = sp.eye_array(m.shape[0], dtype=np.complex128, format="csr")
-    else:
-        out = np.eye(m.shape[0], dtype=np.complex128)
-    term = out
+    out = term = x
     for k in range(1, cap + 1):
-        term = (term @ m) / k
-        if not (term.count_nonzero() if sparse else term.any()):
+        term = (m @ term) / k
+        if not (term.count_nonzero() if sp.issparse(term) else term.any()):
             break
         out = out + term
     return out
+
+
+def _apply(stages, v: np.ndarray, cap: int) -> np.ndarray:
+    """Apply a closed-form factor product to vec(rho), first stage first.
+
+    A stage is either a weighted CSR generator m, standing for exp(m)
+    and applied by _series, or a 1-d array, standing for that diagonal.
+    """
+    for stage in stages:
+        v = _series(stage, v, cap) if sp.issparse(stage) else stage * v
+    return v
 
 
 def _total_index(dim: int) -> np.ndarray:
@@ -140,20 +164,60 @@ def _index_difference(dim: int) -> np.ndarray:
     return np.subtract.outer(levels, levels).reshape(-1)
 
 
-def _jump_factor(c: CoefficientSet, g: SuperOpGenerators) -> sp.csr_array:
-    """su11_factor's product, in CSR."""
-    up = _terminating_expm(c.pump * sp.csr_array(g.jump_plus), g.dim)
-    down = _terminating_expm(c.decay * sp.csr_array(g.jump_minus), g.dim)
+@functools.lru_cache(maxsize=8)
+def _generators(dim: int, theta: float) -> SuperOpGenerators:
+    """sparse_generators of one truncation, built once and then shared.
+
+    They depend on dim and theta alone, not on the rates or t, and every
+    use here scales them into new arrays; building them is most of the
+    cost of one matrix-free propagate call.
+    """
+    return sparse_generators(build_fock_ops(dim, theta))
+
+
+def _jump_stages(c: CoefficientSet, g: SuperOpGenerators) -> tuple:
+    """su11_factor's product: lowering exponential, core, raising exponential."""
     core = c.scale ** (-(_total_index(g.dim) + 1.0))
-    return up @ sp.diags_array(core) @ down
+    return (c.decay * g.jump_minus, core, c.pump * g.jump_plus)
 
 
-def _squeeze_factor(c: CoefficientSet, g: SuperOpGenerators) -> sp.csr_array:
-    """l_factor's three-factor product, in CSR."""
-    up = _terminating_expm(c.squeeze_up * sp.csr_array(g.squeeze_plus), g.dim)
-    down = _terminating_expm(c.squeeze_down * sp.csr_array(g.squeeze_minus), g.dim)
+def _squeeze_stages(c: CoefficientSet, g: SuperOpGenerators) -> tuple:
+    """l_factor's three-factor product: lowering, phases, raising."""
     phases = np.exp(0.5 * c.phase * _index_difference(g.dim))
-    return up @ sp.diags_array(phases) @ down
+    return (c.squeeze_down * g.squeeze_minus, phases, c.squeeze_up * g.squeeze_plus)
+
+
+def _closed_form(params: ModelParams, t: float, method: str):
+    """Scalar prefactor and stages of the factorized or alternative map."""
+    c = eval_coefficients(params, t)
+    g = _generators(params.dim, params.theta)
+    pref = math.exp(0.5 * (params.mu - params.nu) * t)
+    if method == "factorized":
+        return pref, _squeeze_stages(c, g) + _jump_stages(c, g)
+    kappa = params.kappa
+    phases = np.exp(-1j * params.omega * t * _index_difference(g.dim))
+    return pref, ((t * kappa * g.squeeze_minus,) + _jump_stages(c, g)
+                  + (phases, t * kappa.conjugate() * g.squeeze_plus))
+
+
+def _ladder_exp(m: np.ndarray) -> np.ndarray:
+    """exp(m) of a dense, nilpotent d x d ladder matrix."""
+    return _series(m, np.eye(m.shape[0], dtype=np.complex128), m.shape[0])
+
+
+def _form(stages, dim: int) -> np.ndarray:
+    """The dense d^2 x d^2 matrix of a stage product.
+
+    Each stage is formed as a CSR factor and multiplied onto the product
+    of those before it; applying the series to the growing product
+    instead measured about twice as slow.
+    """
+    eye = sp.eye_array(dim * dim, dtype=np.complex128, format="csr")
+    out = eye
+    for stage in stages:
+        out = (_series(stage, eye, dim) if sp.issparse(stage)
+               else sp.diags_array(stage)) @ out
+    return out.toarray()
 
 
 def su11_factor(params: ModelParams, t: float) -> np.ndarray:
@@ -176,7 +240,7 @@ def su11_factor(params: ModelParams, t: float) -> np.ndarray:
     """
     t = _check_time(t)
     c = eval_coefficients(params, t)
-    return _jump_factor(c, build_generators(params.fock_ops())).toarray()
+    return _form(_jump_stages(c, _generators(params.dim, params.theta)), params.dim)
 
 
 def l_factor(params: ModelParams, t: float, split: bool = False) -> np.ndarray:
@@ -196,15 +260,16 @@ def l_factor(params: ModelParams, t: float, split: bool = False) -> np.ndarray:
     t = _check_time(t)
     c = eval_coefficients(params, t)
     ops = params.fock_ops()
-    g = build_generators(ops)
-    if not split:
-        return _squeeze_factor(c, g).toarray()
+    g = _generators(params.dim, params.theta)
     d = params.dim
+    if not split:
+        return _form(_squeeze_stages(c, g), d)
     phases = np.exp(0.5 * c.phase * _index_difference(d))
-    s_up = _terminating_expm(-0.5 * c.squeeze_up * (ops.a_dag @ ops.a_dag), d)
-    s_dn = _terminating_expm(-0.5 * c.squeeze_down * (ops.a @ ops.a), d)
-    pair_up = _terminating_expm(c.squeeze_up * sp.csr_array(g.pair_plus), d)
-    pair_dn = _terminating_expm(c.squeeze_down * sp.csr_array(g.pair_minus), d)
+    s_up = _ladder_exp(-0.5 * c.squeeze_up * (ops.a_dag @ ops.a_dag))
+    s_dn = _ladder_exp(-0.5 * c.squeeze_down * (ops.a @ ops.a))
+    eye = sp.eye_array(d * d, dtype=np.complex128, format="csr")
+    pair_up = _series(c.squeeze_up * g.pair_plus, eye, d)
+    pair_dn = _series(c.squeeze_down * g.pair_minus, eye, d)
     return (pair_up @ sp.kron(s_up, s_up.T, format="csr") @ sp.diags_array(phases)
             @ pair_dn @ sp.kron(s_dn, s_dn.T, format="csr")).toarray()
 
@@ -228,10 +293,8 @@ def exact_superop(params: ModelParams, t: float, form: str = "cyclic") -> np.nda
 def factorized_superop(params: ModelParams, t: float) -> np.ndarray:
     """Jump factor times phase factor, with the scalar prefactor attached."""
     t = _check_time(t)
-    c = eval_coefficients(params, t)
-    g = build_generators(params.fock_ops())
-    pref = math.exp(0.5 * (params.mu - params.nu) * t)
-    return pref * (_jump_factor(c, g) @ _squeeze_factor(c, g)).toarray()
+    pref, stages = _closed_form(params, t, "factorized")
+    return pref * _form(stages, params.dim)
 
 
 def alternative_superop(params: ModelParams, t: float) -> np.ndarray:
@@ -248,16 +311,8 @@ def alternative_superop(params: ModelParams, t: float) -> np.ndarray:
     to the factorized map exactly.
     """
     t = _check_time(t)
-    c = eval_coefficients(params, t)
-    g = build_generators(params.fock_ops())
-    d = params.dim
-    pref = math.exp(0.5 * (params.mu - params.nu) * t)
-    kappa = params.kappa
-    outer_up = _terminating_expm(t * kappa.conjugate() * sp.csr_array(g.squeeze_plus), d)
-    outer_dn = _terminating_expm(t * kappa * sp.csr_array(g.squeeze_minus), d)
-    phases = np.exp(-1j * params.omega * t * _index_difference(d))
-    middle = sp.diags_array(phases) @ _jump_factor(c, g)
-    return pref * (outer_up @ middle @ outer_dn).toarray()
+    pref, stages = _closed_form(params, t, "alternative")
+    return pref * _form(stages, params.dim)
 
 
 def propagate_exact(params: ModelParams, rho0, t: float) -> PropagationResult:
@@ -282,12 +337,12 @@ def operator_series_solution(params: ModelParams, rho0, t: float) -> Propagation
     levels = np.arange(d)
 
     # phase part: lowering layer, phase diagonal, raising layer
-    s_dn = _terminating_expm(-0.5 * c.squeeze_down * (a @ a), d)
+    s_dn = _ladder_exp(-0.5 * c.squeeze_down * (a @ a))
     x = s_dn @ rho0 @ s_dn
     x = _sandwich_sum(x, a, a, c.squeeze_down, d)
     half_phase = np.exp(0.5 * c.phase * levels)
     x = half_phase[:, None] * x * (1.0 / half_phase)[None, :]
-    s_up = _terminating_expm(-0.5 * c.squeeze_up * (ad @ ad), d)
+    s_up = _ladder_exp(-0.5 * c.squeeze_up * (ad @ ad))
     x = s_up @ x @ s_up
     x = _sandwich_sum(x, ad, ad, c.squeeze_up, d)
 
@@ -367,38 +422,56 @@ def propagate_grid(params: ModelParams, rho0, times,
 
     times must be finite, >= 0 and nondecreasing.  The exact route is the
     semigroup exp(t L) of one generator: L is built once, and the state is
-    chained from t = 0 through v <- exp(dt L) v, with the step map formed
-    only when the gap dt differs from the previous one, so a uniform grid
-    costs one exponential and a repeated time none.  Only one step map is
-    alive at a time.  The splittings and the series route are not
-    semigroups (chaining them would make them the stepped route), so they
-    are evaluated at each time from rho0.
+    chained from t = 0 through v <- exp(gap L) v.  A step map is formed
+    only when a time is not one more step of the current map (within
+    GAP_ULPS ulps of that time), so a uniform grid, np.linspace ones
+    included, costs one exponential and a repeated time none.  Only one
+    step map is alive at a time.  The splittings and the series route
+    are not semigroups (chaining them would make them the stepped
+    route), so each time is propagate's single-time map of rho0.
     """
     times = _check_grid(times)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "series":
         return [operator_series_solution(params, rho0, t) for t in times]
-    rho0 = _check_state(rho0, params.dim)
     if method != "exact":
-        return [_result(unvec(_superop(params, t, method) @ vec(rho0)), method, t)
-                for t in times]
+        return [propagate(params, rho0, t, method) for t in times]
+    rho0 = _check_state(rho0, params.dim)
     gen = build_liouvillian_trace_exact(params)
-    v, step, gap, prev = vec(rho0), None, None, 0.0
+    # v is the state at start + n * gap, and step = exp(gap L)
+    v, step, start, gap, n = vec(rho0), None, 0.0, 0.0, 0
     out = []
     for t in times:
-        if t != prev:
-            if t - prev != gap:
+        tol = GAP_ULPS * np.spacing(t)
+        if abs(t - (start + n * gap)) > tol:
+            if step is None or abs(t - (start + (n + 1) * gap)) > tol:
+                start, n = start + n * gap, 0
+                gap = t - start
                 step = None    # free the old step map before forming the next
-                gap = t - prev
                 step = expm(gap * gen)
             v = step @ v
-            prev = t
+            n += 1
         out.append(_result(unvec(v), method, t))
     return out
 
 
 def propagate(params: ModelParams, rho0, t: float, method: str = "exact") -> PropagationResult:
-    """Evolve rho0 to time t by one of the routes named in METHODS."""
-    return propagate_grid(params, rho0, (t,), method)[0]
+    """Evolve rho0 to time t by one of the routes named in METHODS.
+
+    factorized and alternative apply their closed-form factors to
+    vec(rho0) one at a time, in the order their superop builders
+    multiply them: each exponential as its terminating series (one
+    sparse matvec per term), each diagonal elementwise, the scalar
+    prefactor last.  No d^2 x d^2 matrix is formed.  exact and series
+    are the one-point grid of propagate_grid.
+    """
+    if method not in CLOSED_FORM_METHODS:
+        return propagate_grid(params, rho0, (t,), method)[0]
+    rho0 = _check_state(rho0, params.dim)
+    t = _check_time(t)
+    pref, stages = _closed_form(params, t, method)
+    return _result(unvec(pref * _apply(stages, vec(rho0), params.dim)), method, t)
 
 
 def _result(rho_t: np.ndarray, method: str, t: float) -> PropagationResult:

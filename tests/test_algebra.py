@@ -3,9 +3,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import scipy.sparse as sp
+
 from qdamp.algebra import (build_generators, commutator, interior_mask,
-                           projected_residual, theta_scaling_check,
-                           verify_algebra)
+                           projected_residual, sparse_generators,
+                           theta_scaling_check, verify_algebra)
 from qdamp.fock import build_fock_ops
 
 TOL = 1e-12
@@ -108,6 +110,51 @@ def test_squeeze_is_pair_minus_sym():
     npt.assert_allclose(g.squeeze_plus, g.pair_plus - g.sym_plus, atol=1e-14)
     npt.assert_allclose(g.squeeze_minus, g.pair_minus - g.sym_minus,
                         atol=1e-14)
+
+
+def _dense_kron_generators(ops):
+    """The twelve generators by the dense np.kron formulas they replace."""
+    a, ad, n, one = ops.a, ops.a_dag, ops.n_op, ops.identity
+    a2, ad2 = a @ a, ad @ ad
+    k = np.kron
+    g = {
+        "jump_z": 0.5 * (k(n, one) + k(one, n.T) + k(one, one)),
+        "jump_plus": k(ad, a.T), "jump_minus": k(a, ad.T),
+        "pair_z": 0.5 * (k(n, one) - k(one, n.T)),
+        "pair_plus": k(ad, ad.T), "pair_minus": k(a, a.T),
+        "sym_plus": 0.5 * (k(ad2, one) + k(one, ad2.T)),
+        "sym_minus": 0.5 * (k(a2, one) + k(one, a2.T)),
+    }
+    g["squeeze_plus"] = g["pair_plus"] - g["sym_plus"]
+    g["squeeze_minus"] = g["pair_minus"] - g["sym_minus"]
+    g["sym_z"] = g["squeeze_z"] = g["pair_z"]
+    return g
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+@pytest.mark.parametrize("theta", [0.0, 0.37, -1.3])
+def test_dense_view_equals_the_kron_formulas_bitwise(dim, theta):
+    ops = build_fock_ops(dim, theta)
+    dense = build_generators(ops)
+    sparse = sparse_generators(ops)
+    for name, want in _dense_kron_generators(ops).items():
+        got = getattr(dense, name)
+        assert type(got) is np.ndarray and got.dtype == np.complex128, name
+        assert np.array_equal(got, want), name
+        assert sp.issparse(getattr(sparse, name)), name
+        assert np.array_equal(getattr(sparse, name).toarray(), want), name
+
+
+def test_sparse_generators_stay_sparse():
+    # each generator is one Kronecker product of single-diagonal factors, or
+    # a sum of at most three, so a row holds at most three nonzeros
+    g = sparse_generators(build_fock_ops(16, theta=0.4))
+    for name in ("jump_z", "jump_plus", "jump_minus", "pair_z", "pair_plus",
+                 "pair_minus", "sym_plus", "sym_minus", "squeeze_plus",
+                 "squeeze_minus"):
+        m = getattr(g, name)
+        assert m.format == "csr" and m.shape == (256, 256), name
+        assert np.diff(m.indptr).max() <= 3, name
 
 
 def test_commutator_helper(rng):

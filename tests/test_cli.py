@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -317,6 +318,55 @@ def test_sweep_over_final_time(tmp_path, capsys):
     main(["sweep", "--config", path])
     rows = csv_rows(capsys.readouterr().out)
     assert [(r[1], r[2]) for r in rows] == [("0.2", "0.2"), ("0.9", "0.9")]
+
+
+def test_t_sweep_evolves_one_grid_in_sweep_order(tmp_path, capsys,
+                                                monkeypatch):
+    methods = ["exact", "factorized", "series", "stepped"]
+    model = {"omega": 1.0, "mu": 0.5, "nu": 0.2, "kappa_re": 0.1, "dim": 10}
+    values = [1.0, 0.5, 2.0, 1.5]
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(propagators, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("expm", "build_liouvillian_trace_exact"):
+        monkeypatch.setattr(propagators, name, counted(name))
+    path = write_config(tmp_path, model=model, methods=methods,
+                        sweep={"param": "t", "values": values})
+    assert main(["sweep", "--config", path]) == EXIT_OK
+    rows = csv_rows(capsys.readouterr().out)
+    # the sorted times 0.5, 1, 1.5, 2 are one uniform grid from t = 0
+    assert calls == {"expm": 1, "build_liouvillian_trace_exact": 1}
+    assert [r[1] for r in rows] == [repr(v) for v in values for _ in methods]
+    for v in values:
+        one = write_config(tmp_path, "one.json", model=model, methods=methods,
+                           sweep={"param": "t", "values": [v]})
+        assert main(["sweep", "--config", one]) == EXIT_OK
+        want = csv_rows(capsys.readouterr().out)
+        got = [r for r in rows if r[1] == repr(v)]
+        assert [r[:4] for r in got] == [r[:4] for r in want]
+        np.testing.assert_allclose([[float(x) for x in r[4:]] for r in got],
+                                   [[float(x) for x in r[4:]] for r in want],
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("values", [[1.0, -0.5], [0.5, math.inf],
+                                    [math.nan, 0.5]],
+                         ids=["negative", "inf", "nan"])
+def test_t_sweep_rejects_bad_times_with_one_error_line(tmp_path, capsys,
+                                                       values):
+    path = write_config(tmp_path, methods=["alternative", "exact",
+                                           "factorized", "series", "stepped"],
+                        sweep={"param": "t", "values": values})
+    assert main(["sweep", "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_sweep_requires_its_section(tmp_path, capsys):

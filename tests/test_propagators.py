@@ -302,6 +302,67 @@ def test_factorized_matches_series_across_coefficient_seams(model, seed):
     assert np.linalg.norm(direct - series) <= 1e-14 * np.linalg.norm(superop)
 
 
+# ------------------------------------------------------- matrix-free route
+
+_BUILDERS = {"factorized": factorized_superop, "alternative": alternative_superop}
+
+
+@pytest.mark.parametrize("dim", [2, 5, 8, 12])
+def test_matrix_free_propagate_matches_the_superop_builders(rng, dim):
+    """The factors applied one at a time equal the formed product."""
+    p = random_admissible_params(rng, dim=dim, theta=0.3)
+    rho0 = random_density(dim, dim - 1, rng)
+    for t in (0.0, 0.3, 1.1, 2.5):
+        for method, build in _BUILDERS.items():
+            want = unvec(build(p, t) @ vec(rho0))
+            got = propagate(p, rho0, t, method).rho_t
+            gap = np.linalg.norm(got - want)
+            assert gap <= 1e-13 * np.linalg.norm(want), (method, t, gap)
+
+
+@settings(max_examples=40)
+@given(model=_boundary_models(), seed=st.integers(0, 2**32 - 1))
+def test_matrix_free_route_across_coefficient_seams(model, seed):
+    # the bar of test_factorized_matches_series_across_coefficient_seams,
+    # scaled by the norm of the map
+    p, t = model
+    rho0 = random_density(8, 3, np.random.default_rng(seed))
+    series = operator_series_solution(p, rho0, t).rho_t
+    for method, build in _BUILDERS.items():
+        superop = build(p, t)
+        bar = 1e-14 * np.linalg.norm(superop)
+        got = propagate(p, rho0, t, method).rho_t
+        assert np.linalg.norm(got - unvec(superop @ vec(rho0))) <= bar, method
+        if method == "factorized":
+            assert np.linalg.norm(got - series) <= bar
+
+
+def test_matrix_free_route_conserves_parity(rng):
+    """No factor couples slots of opposite n1 + n2 parity."""
+    d = 10
+    p = random_admissible_params(rng, dim=d, theta=0.2)
+    levels = np.arange(d)
+    odd = np.add.outer(levels, levels) % 2 == 1
+    rho0 = random_density(d, d - 1, rng)
+    even_part = np.where(odd, 0.0, rho0)   # the diagonal is even: trace 1
+    for method in _BUILDERS:
+        whole = propagate(p, rho0, 0.9, method).rho_t
+        even = propagate(p, even_part, 0.9, method).rho_t
+        assert np.count_nonzero(even[odd]) == 0, method
+        assert np.count_nonzero(whole[odd]) > 0, method
+        gap = np.linalg.norm(whole[~odd] - even[~odd])
+        assert gap <= 1e-14 * np.linalg.norm(even), method
+
+
+def test_matrix_free_alternative_equals_factorized_without_two_photon(rng):
+    p = ModelParams(omega=1.2, mu=0.6, nu=0.3, kappa=0.0, dim=12, theta=0.5)
+    rho0 = random_density(12, 11, rng)
+    for t in (0.4, 1.3, 3.0):
+        fac = propagate(p, rho0, t, "factorized").rho_t
+        alt = propagate(p, rho0, t, "alternative").rho_t
+        assert np.linalg.norm(alt - fac) <= 1e-13 * np.linalg.norm(fac), t
+
+
 # ---------------------------------------------------------------- time grids
 
 
@@ -335,7 +396,11 @@ def test_single_time_exact_is_one_dense_exponential(rng):
 
 
 def test_grid_evaluates_splittings_and_series_at_each_time(rng):
-    """Not semigroups, so each grid point is the single-time map of rho0."""
+    """Not semigroups, so each grid point is the single-time map of rho0.
+
+    The splittings apply their factors to vec(rho0) one at a time, not
+    the formed product, so they match the builders to roundoff only.
+    """
     p = random_admissible_params(rng, dim=8)
     rho0 = random_density(8, 3, rng)
     times = [0.0, 0.4, 0.4, 1.1]
@@ -348,10 +413,16 @@ def test_grid_evaluates_splittings_and_series_at_each_time(rng):
         got = propagate_grid(p, rho0, times, method)
         assert [(r.method, r.t) for r in got] == [(method, t) for t in times]
         for res in got:
-            assert np.array_equal(res.rho_t, one(res.t)), (method, res.t)
+            want = one(res.t)
+            if method == "series":
+                assert np.array_equal(res.rho_t, want), res.t
+            else:
+                gap = np.linalg.norm(res.rho_t - want)
+                assert gap <= 1e-14 * np.linalg.norm(want), (method, res.t, gap)
 
 
-def test_exact_grid_forms_one_exponential_per_distinct_gap(monkeypatch):
+def _count_calls(monkeypatch, *names):
+    """Counter of calls to the named propagators attributes, kept live."""
     calls = Counter()
 
     def counted(name):
@@ -362,8 +433,13 @@ def test_exact_grid_forms_one_exponential_per_distinct_gap(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("expm", "build_liouvillian_trace_exact"):
+    for name in names:
         monkeypatch.setattr(propagators, name, counted(name))
+    return calls
+
+
+def test_exact_grid_forms_one_exponential_per_distinct_gap(monkeypatch):
+    calls = _count_calls(monkeypatch, "expm", "build_liouvillian_trace_exact")
     p = ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=8)
     rho0 = fock_state(8, 1)
     propagate_grid(p, rho0, np.linspace(0.0, 2.0, 9))
@@ -372,6 +448,28 @@ def test_exact_grid_forms_one_exponential_per_distinct_gap(monkeypatch):
     # gaps 0.5, 0.5, 0, 1.2 - 1.0 (not 0.2 in binary): two distinct gaps
     propagate_grid(p, rho0, [0.5, 1.0, 1.0, 1.2])
     assert calls == {"expm": 2, "build_liouvillian_trace_exact": 1}
+
+
+@pytest.mark.parametrize("times", [
+    np.linspace(0.0, 1.0, 7),
+    np.linspace(0.0, 1.0, 11),
+    np.linspace(0.0, 2.0, 101),
+    [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+], ids=["linspace_7", "linspace_11", "linspace_101", "decimal_list"])
+def test_exact_grid_reuses_the_step_across_near_equal_gaps(monkeypatch, rng,
+                                                           times):
+    """Uniform grids off binary fractions have gaps that differ by an ulp or
+    so (0.3 is not 3 * 0.1 in binary); one step map serves them all."""
+    assert len(set(np.diff(times))) > 1
+    p = ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=8)
+    rho0 = random_density(8, 4, rng)
+    calls = _count_calls(monkeypatch, "expm", "build_liouvillian_trace_exact")
+    got = propagate_grid(p, rho0, times)
+    assert calls == {"expm": 1, "build_liouvillian_trace_exact": 1}
+    gen = build_liouvillian_trace_exact(p)
+    for res in got:
+        want = unvec(scipy.linalg.expm(res.t * gen) @ vec(rho0))
+        assert _tracedist(res.rho_t, want) <= 1e-12, res.t
 
 
 @pytest.mark.parametrize("times, match", [
