@@ -12,7 +12,6 @@ from .linalg import (
     expm,
     frobenius_norm,
     hermitian_eigenvalues,
-    kron,
 )
 from .fock import (
     FockOperators,
@@ -45,7 +44,6 @@ from .coefficients import (
 from .liouvillian import (
     ModelParams,
     PositivityError,
-    build_dissipator,
     build_liouvillian,
     build_liouvillian_trace_exact,
     phase_equivalence_check,
@@ -59,7 +57,6 @@ from .propagators import (
     l_factor,
     operator_series_solution,
     propagate,
-    propagate_exact,
     propagate_grid,
     stepped_propagate,
     su11_factor,
@@ -89,7 +86,6 @@ __all__ = [
     "SuperOpGenerators",
     "alternative_superop",
     "as_complex_matrix",
-    "build_dissipator",
     "build_fock_ops",
     "build_generators",
     "build_liouvillian",
@@ -108,7 +104,6 @@ __all__ = [
     "hyperbolic_weights",
     "hyperbolic_weights_limit",
     "interior_mask",
-    "kron",
     "l_factor",
     "operator_series_solution",
     "phase_equivalence_check",
@@ -116,7 +111,6 @@ __all__ = [
     "phase_kernel_limit",
     "projected_residual",
     "propagate",
-    "propagate_exact",
     "propagate_grid",
     "sandwich_superop",
     "sparse_generators",

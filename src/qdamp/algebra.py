@@ -19,27 +19,30 @@ pair_z, sym_z and squeeze_z are one and the same matrix: one array is
 stored, and each family reads it under its own name.
 
 sparse_generators builds the twelve as scipy.sparse CSR Kronecker
-products (about three nonzeros per row); the closed-form propagators read
-them.  build_generators is their dense view, the one formula densified,
-which verify_algebra and liouvillian's form III read.
+products (about three nonzeros per row); it is the program's one source of
+the generator's Kronecker products.  cached_generators holds them per
+(dim, theta), so liouvillian's form III and trace-exact generator, the
+closed-form propagators and verify_algebra share one build.
+build_generators is their dense view, the one formula densified, kept for
+tests at small d.
 
 Truncation breaks a few of the relations at the highest Fock levels, in a
 completely localized way.  Every generator moves each of the two slot
 indices by at most 2, so restricting a residual to interior_mask at
 margin 2 removes exactly the affected entries; verify_algebra reports the
-projected residuals.
+projected residuals, computed on the CSR generators.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fock import FockOperators, build_fock_ops
-from .linalg import frobenius_norm, kron
-from .vectorize import sandwich_superop
+from .linalg import frobenius_norm
 
 
 @dataclass(frozen=True)
@@ -124,15 +127,27 @@ def sparse_generators(ops: FockOperators) -> SuperOpGenerators:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def cached_generators(dim: int, theta: float) -> SuperOpGenerators:
+    """sparse_generators of build_fock_ops(dim, theta), built once, then shared.
+
+    They depend on dim and theta alone, not on the rates or t.  Every
+    caller receives the same arrays, so callers scale them into new
+    arrays and never modify them in place.
+    """
+    return sparse_generators(build_fock_ops(dim, theta))
+
+
 def build_generators(ops: FockOperators) -> SuperOpGenerators:
     """Dense view of sparse_generators: the same twelve matrices as ndarrays."""
     g = sparse_generators(ops)
     return replace(g, **{f: getattr(g, f).toarray() for f in _MATRIX_FIELDS})
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    b = np.asarray(b)
+def commutator(a, b):
+    """a @ b - b @ a of two equal square matrices, dense or scipy.sparse."""
+    a = a if sp.issparse(a) else np.asarray(a)
+    b = b if sp.issparse(b) else np.asarray(b)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"commutator needs equal square matrices, got {a.shape}, {b.shape}")
     return a @ b - b @ a
@@ -150,11 +165,21 @@ def interior_mask(dim: int, margin: int) -> np.ndarray:
     return np.kron(keep, keep).astype(bool)
 
 
-def projected_residual(delta: np.ndarray, dim: int, margin: int) -> float:
-    """Frobenius norm of P @ delta @ P without materializing P."""
+def projected_residual(delta, dim: int, margin: int) -> float:
+    """Frobenius norm of P @ delta @ P without materializing P.
+
+    delta is a dense ndarray or a scipy.sparse array.  A sparse one is
+    measured on its summed stored entries, which spares the program the
+    import of scipy.sparse.linalg (about 20 ms and 2 MB at startup).
+    """
     mask = interior_mask(dim, margin)
-    sub = np.asarray(delta)[np.ix_(mask, mask)]
-    return float(np.linalg.norm(sub)) if sub.size else 0.0
+    if not mask.any():
+        return 0.0
+    if sp.issparse(delta):
+        sub = sp.csr_array(delta[np.ix_(mask, mask)])
+        sub.sum_duplicates()
+        return float(np.linalg.norm(sub.data))
+    return float(np.linalg.norm(np.asarray(delta)[np.ix_(mask, mask)]))
 
 
 @dataclass(frozen=True)
@@ -195,20 +220,20 @@ def _identity_table(gen: SuperOpGenerators, ops: FockOperators):
     familiar signs; the two su(1,1) families close with [plus, minus] =
     -2 z, the su(2) pair family with +2 z, and the squeeze pair commutes.
     Cross-family brackets either vanish or land on explicit sandwich
-    combinations, listed last.
+    combinations, listed last; those are CSR Kronecker products whatever
+    the type of the generators.
     """
     g = gen
     a, a_dag, one = ops.a, ops.a_dag, ops.identity
     a2 = a @ a
     ad2 = a_dag @ a_dag
-    zero = np.zeros_like(g.jump_z)
 
-    ad_x_ad = sandwich_superop(a_dag, a_dag)   # X -> a+ X a+
-    a_x_a = sandwich_superop(a, a)             # X -> a X a
-    ad2_left = kron(ad2, one)                  # X -> (a+)^2 X
-    ad2_right = kron(one, ad2.T)               # X -> X (a+)^2
-    a2_left = kron(a2, one)                    # X -> a^2 X
-    a2_right = kron(one, a2.T)                 # X -> X a^2
+    ad_x_ad = _kron(a_dag, a_dag.T)            # X -> a+ X a+
+    a_x_a = _kron(a, a.T)                      # X -> a X a
+    ad2_left = _kron(ad2, one)                 # X -> (a+)^2 X
+    ad2_right = _kron(one, ad2.T)              # X -> X (a+)^2
+    a2_left = _kron(a2, one)                   # X -> a^2 X
+    a2_right = _kron(one, a2.T)                # X -> X a^2
 
     return [
         ("[jump_z, jump_plus] - jump_plus",
@@ -234,17 +259,17 @@ def _identity_table(gen: SuperOpGenerators, ops: FockOperators):
         ("[squeeze_z, squeeze_minus] + squeeze_minus",
          commutator(g.squeeze_z, g.squeeze_minus) + g.squeeze_minus),
         ("[squeeze_plus, squeeze_minus]",
-         commutator(g.squeeze_plus, g.squeeze_minus) - zero),
+         commutator(g.squeeze_plus, g.squeeze_minus)),
         ("[pair_plus, sym_plus]",
-         commutator(g.pair_plus, g.sym_plus) - zero),
+         commutator(g.pair_plus, g.sym_plus)),
         ("[pair_minus, sym_minus]",
-         commutator(g.pair_minus, g.sym_minus) - zero),
+         commutator(g.pair_minus, g.sym_minus)),
         ("[squeeze_z, jump_z]",
-         commutator(g.squeeze_z, g.jump_z) - zero),
+         commutator(g.squeeze_z, g.jump_z)),
         ("[squeeze_z, jump_plus]",
-         commutator(g.squeeze_z, g.jump_plus) - zero),
+         commutator(g.squeeze_z, g.jump_plus)),
         ("[squeeze_z, jump_minus]",
-         commutator(g.squeeze_z, g.jump_minus) - zero),
+         commutator(g.squeeze_z, g.jump_minus)),
         ("[jump_z, squeeze_plus] + (ad2_left - ad2_right)/2",
          commutator(g.jump_z, g.squeeze_plus) + 0.5 * (ad2_left - ad2_right)),
         ("[jump_z, squeeze_minus] - (a2_left - a2_right)/2",
@@ -263,9 +288,10 @@ def _identity_table(gen: SuperOpGenerators, ops: FockOperators):
 def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
     """Interior-projected residual for every commutation identity.
 
-    Accepts either FockOperators (generators are built on the fly) or an
-    existing SuperOpGenerators (the ladder operators for the right-hand
-    sides are rebuilt from its dim and theta).  The residual for each
+    Accepts either FockOperators, whose dim and theta select the CSR
+    generators of cached_generators, or an existing SuperOpGenerators,
+    CSR or dense (the ladder operators for the right-hand sides are then
+    rebuilt from its dim and theta).  The residual for each
     identity is the Frobenius norm of P (computed - expected) P with P the
     interior projector at the given margin; margin 2 is enough to remove
     every truncation artifact because no generator moves a slot index by
@@ -276,7 +302,7 @@ def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
         ops = build_fock_ops(gen.dim, gen.theta)
     else:
         ops = ops_or_gen
-        gen = build_generators(ops)
+        gen = cached_generators(ops.dim, ops.theta)
     d = gen.dim
     empty = margin >= d
     entries = [IdentityResidual(label, projected_residual(delta, d, margin))

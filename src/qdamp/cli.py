@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 config/parse error or a value the library
 rejects (also a failed verification verdict), 2 positivity rejection in
-strict mode, 3 numerical failure.
+strict mode, 3 numerical failure or an allocation that does not fit in
+memory.
 All CSV output is deterministic: identical config gives bit-identical
 bytes.
 """
@@ -460,6 +461,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_POSITIVITY
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

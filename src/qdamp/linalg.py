@@ -26,11 +26,6 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, row-major block convention."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix (scaling-and-squaring Pade)."""
     m = np.asarray(m, dtype=np.complex128)

@@ -26,10 +26,15 @@ inherit one known truncation artifact: the pumping channel enters through
 the identity "a a+ = n + 1", which fails at the highest Fock level, so the
 trace functional annihilates the generator on every slot except the corner
 (d-1, d-1), where the row picks up exactly -nu*d.  For states with no
-population at the truncation edge this is invisible; the companion
-assembly build_liouvillian_trace_exact keeps the operator products
-untouched instead, which restores exact trace annihilation at the price of
-differing from the literal forms by that same corner term.
+population at the truncation edge this is invisible.
+
+build_liouvillian_trace_exact, the generator of the exact route, keeps
+a a+ as the truncated product, which restores exact trace annihilation:
+it is form III plus the diagonal (nu d / 2)(1[n1 = d-1] + 1[n2 = d-1]).
+Both read one weighted sum (_weighted_sum) of algebra.cached_generators,
+the CSR generators built once per (dim, theta), and densify it once.
+Forms I and II, and the plain-matrix right-hand side in the tests, check
+it without those generators.
 """
 
 from __future__ import annotations
@@ -38,10 +43,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
-from .algebra import build_generators
+# build_generators (the dense view) is not called here; perfbench's tracer
+# wraps it under this module's name, so the name stays importable.
+from .algebra import build_generators, cached_generators  # noqa: F401
 from .fock import FockOperators, build_fock_ops
-from .linalg import frobenius_norm, kron
+from .linalg import frobenius_norm
 from .vectorize import sandwich_superop
 
 POSITIVITY_SLACK = 1e-12
@@ -98,59 +106,39 @@ class ModelParams:
         return build_fock_ops(self.dim, self.theta)
 
 
-def build_dissipator(jump_ops) -> np.ndarray:
-    """Vectorized dissipator for a list of jump operators.
-
-    Returns sum_j (A+A (x) 1 + 1 (x) (A+A)^T - 2 A (x) (A+)^T)/2; the caller
-    applies the overall minus sign of the master equation.  The trace
-    functional annihilates this matrix exactly (finite-dimensional trace
-    cyclicity), truncation or not.
-    """
-    ops = [np.asarray(a, dtype=np.complex128) for a in jump_ops]
-    if not ops:
-        raise ValueError("jump list must not be empty")
-    d = ops[0].shape[0]
-    for a in ops:
-        if a.ndim != 2 or a.shape != (d, d):
-            raise ValueError(f"jump operators must share one square shape, got {a.shape}")
-    one = np.eye(d, dtype=np.complex128)
-    out = np.zeros((d * d, d * d), dtype=np.complex128)
-    for a in ops:
-        ada = a.conj().T @ a
-        out += 0.5 * (kron(ada, one) + kron(one, ada.T)) - sandwich_superop(a, a.conj().T)
-    return out
-
-
-def _form_one(p: ModelParams, ops: FockOperators) -> np.ndarray:
+def _form_one(p: ModelParams) -> np.ndarray:
+    ops = p.fock_ops()
     a, ad, n, one = ops.a, ops.a_dag, ops.n_op, ops.identity
     a2, ad2 = a @ a, ad @ ad
     n1 = n + one
     k, kc = p.kappa, p.kappa.conjugate()
-    out = -1j * p.omega * (kron(n, one) - kron(one, n.T))
-    out -= 0.5 * p.mu * (kron(n, one) + kron(one, n.T) - 2.0 * sandwich_superop(a, ad))
-    out -= 0.5 * p.nu * (kron(n1, one) + kron(one, n1.T) - 2.0 * sandwich_superop(ad, a))
-    out -= 0.5 * k * (kron(a2, one) + kron(one, a2.T) - 2.0 * sandwich_superop(a, a))
-    out -= 0.5 * kc * (kron(ad2, one) + kron(one, ad2.T) - 2.0 * sandwich_superop(ad, ad))
+    out = -1j * p.omega * (np.kron(n, one) - np.kron(one, n.T))
+    out -= 0.5 * p.mu * (np.kron(n, one) + np.kron(one, n.T) - 2.0 * sandwich_superop(a, ad))
+    out -= 0.5 * p.nu * (np.kron(n1, one) + np.kron(one, n1.T) - 2.0 * sandwich_superop(ad, a))
+    out -= 0.5 * k * (np.kron(a2, one) + np.kron(one, a2.T) - 2.0 * sandwich_superop(a, a))
+    out -= 0.5 * kc * (np.kron(ad2, one) + np.kron(one, ad2.T) - 2.0 * sandwich_superop(ad, ad))
     return out
 
 
-def _form_two(p: ModelParams, ops: FockOperators) -> np.ndarray:
+def _form_two(p: ModelParams) -> np.ndarray:
+    ops = p.fock_ops()
     a, ad, n, one = ops.a, ops.a_dag, ops.n_op, ops.identity
     a2, ad2 = a @ a, ad @ ad
     k, kc = p.kappa, p.kappa.conjugate()
-    eye2 = kron(one, one)
+    eye2 = np.kron(one, one)
     out = 0.5 * (p.mu - p.nu) * eye2
-    out -= 0.5 * (p.mu + p.nu) * (kron(n, one) + kron(one, n.T) + eye2)
+    out -= 0.5 * (p.mu + p.nu) * (np.kron(n, one) + np.kron(one, n.T) + eye2)
     out += p.nu * sandwich_superop(ad, a) + p.mu * sandwich_superop(a, ad)
-    out -= 1j * p.omega * (kron(n, one) - kron(one, n.T))
-    out += kc * (sandwich_superop(ad, ad) - 0.5 * (kron(ad2, one) + kron(one, ad2.T)))
-    out += k * (sandwich_superop(a, a) - 0.5 * (kron(a2, one) + kron(one, a2.T)))
+    out -= 1j * p.omega * (np.kron(n, one) - np.kron(one, n.T))
+    out += kc * (sandwich_superop(ad, ad) - 0.5 * (np.kron(ad2, one) + np.kron(one, ad2.T)))
+    out += k * (sandwich_superop(a, a) - 0.5 * (np.kron(a2, one) + np.kron(one, a2.T)))
     return out
 
 
-def _form_three(p: ModelParams, ops: FockOperators) -> np.ndarray:
-    g = build_generators(ops)
-    eye2 = np.eye(p.dim * p.dim, dtype=np.complex128)
+def _weighted_sum(p: ModelParams) -> sp.csr_array:
+    """Form III in CSR: the rates times the generator families."""
+    g = cached_generators(p.dim, p.theta)
+    eye2 = sp.eye_array(p.dim * p.dim, dtype=np.complex128, format="csr")
     return (0.5 * (p.mu - p.nu) * eye2
             - (p.mu + p.nu) * g.jump_z
             + p.nu * g.jump_plus
@@ -158,6 +146,10 @@ def _form_three(p: ModelParams, ops: FockOperators) -> np.ndarray:
             - 2j * p.omega * g.squeeze_z
             + p.kappa.conjugate() * g.squeeze_plus
             + p.kappa * g.squeeze_minus)
+
+
+def _form_three(p: ModelParams) -> np.ndarray:
+    return _weighted_sum(p).toarray()
 
 
 _FORMS = {"I": _form_one, "II": _form_two, "III": _form_three}
@@ -169,26 +161,20 @@ def build_liouvillian(params: ModelParams, form: str = "III") -> np.ndarray:
         builder = _FORMS[form]
     except KeyError:
         raise ValueError(f"form must be one of {sorted(_FORMS)}, got {form!r}") from None
-    return builder(params, params.fock_ops())
+    return builder(params)
 
 
 def build_liouvillian_trace_exact(params: ModelParams) -> np.ndarray:
-    """Generator assembled from raw jump-operator products.
+    """The dense generator with the pumping channel's a a+ kept truncated.
 
-    Identical to the literal forms except at the truncation corner: the
-    pumping channel keeps a a+ as the actual truncated product instead of
-    n + 1, so vec(identity) annihilates every column exactly.
+    Form III plus the diagonal (nu d / 2)(1[n1 = d-1] + 1[n2 = d-1]):
+    a a+ equals n + 1 - d on the top level, which the literal forms
+    drop.  With it, vec(identity) annihilates every column exactly.
     """
-    ops = params.fock_ops()
-    a, ad, n, one = ops.a, ops.a_dag, ops.n_op, ops.identity
-    a2 = a @ a
-    ad2 = ad @ ad
-    k, kc = params.kappa, params.kappa.conjugate()
-    out = -1j * params.omega * (kron(n, one) - kron(one, n.T))
-    out -= build_dissipator([np.sqrt(params.mu) * a, np.sqrt(params.nu) * ad])
-    out -= 0.5 * k * (kron(a2, one) + kron(one, a2.T) - 2.0 * sandwich_superop(a, a))
-    out -= 0.5 * kc * (kron(ad2, one) + kron(one, ad2.T) - 2.0 * sandwich_superop(ad, ad))
-    return out
+    d = params.dim
+    top = (np.arange(d) == d - 1).astype(np.float64)
+    edge = 0.5 * params.nu * d * np.add.outer(top, top).reshape(-1)
+    return (_weighted_sum(params) + sp.diags_array(edge)).toarray()
 
 
 def phase_equivalence_check(params: ModelParams) -> float:

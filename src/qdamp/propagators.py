@@ -28,8 +28,9 @@ lowering exponentials sit on the outside.
 
 Each closed-form map is written once, as stages in the order they act on
 a state (_closed_form): a weighted generator from
-algebra.sparse_generators (CSR, about three nonzeros per row) stands for
-its exponential, a 1-d array for a diagonal, and the scalar prefactor
+algebra.cached_generators (CSR, about three nonzeros per row, built once
+per dim and theta and shared with liouvillian and verify_algebra) stands
+for its exponential, a 1-d array for a diagonal, and the scalar prefactor
 multiplies last.  propagate applies the stages to vec(rho0) one at a
 time: each exponential as its terminating series sum_k c^k G^k v / k!,
 one sparse matvec per term, each diagonal elementwise.  No d^2 x d^2
@@ -48,9 +49,10 @@ it works with d x d ladder matrices, the other two with the twelve
 Kronecker generators.
 
 propagate_grid evolves one state over a whole time grid.  The exact route
-builds the generator once and chains the state through exp(gap L), one
-dense exponential per change of gap, so a uniform grid costs a single
-exponential; the other routes are splittings, not semigroups, and each
+builds the generator once (liouvillian's trace-exact generator, a
+weighted sum of the same cached generators, densified) and chains the
+state through exp(gap L), one dense exponential per change of gap, so a
+uniform grid costs a single exponential; the other routes are splittings, not semigroups, and each
 time is propagate's single-time map of the initial state.  For exact and
 series, propagate is the one-point grid.  exact_superop, the full dense
 exp(t L), stays as the oracle for tests and as the exact stepped route's
@@ -64,7 +66,6 @@ access rather than asserting them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -73,10 +74,9 @@ import scipy.sparse as sp
 
 # build_generators (the dense view) is not called here; perfbench's tracer
 # wraps it under this module's name, so the name stays importable.
-from .algebra import SuperOpGenerators, build_generators, sparse_generators  # noqa: F401
+from .algebra import SuperOpGenerators, build_generators, cached_generators  # noqa: F401
 from .coefficients import CoefficientSet, eval_coefficients
 from .diagnostics import DiagnosticsRecord, state_diagnostics
-from .fock import build_fock_ops
 from .linalg import as_complex_matrix, expm
 from .liouvillian import (ModelParams, build_liouvillian,
                           build_liouvillian_trace_exact)
@@ -164,17 +164,6 @@ def _index_difference(dim: int) -> np.ndarray:
     return np.subtract.outer(levels, levels).reshape(-1)
 
 
-@functools.lru_cache(maxsize=8)
-def _generators(dim: int, theta: float) -> SuperOpGenerators:
-    """sparse_generators of one truncation, built once and then shared.
-
-    They depend on dim and theta alone, not on the rates or t, and every
-    use here scales them into new arrays; building them is most of the
-    cost of one matrix-free propagate call.
-    """
-    return sparse_generators(build_fock_ops(dim, theta))
-
-
 def _jump_stages(c: CoefficientSet, g: SuperOpGenerators) -> tuple:
     """su11_factor's product: lowering exponential, core, raising exponential."""
     core = c.scale ** (-(_total_index(g.dim) + 1.0))
@@ -190,7 +179,7 @@ def _squeeze_stages(c: CoefficientSet, g: SuperOpGenerators) -> tuple:
 def _closed_form(params: ModelParams, t: float, method: str):
     """Scalar prefactor and stages, first acting first, of a closed-form map."""
     c = eval_coefficients(params, t)
-    g = _generators(params.dim, params.theta)
+    g = cached_generators(params.dim, params.theta)
     pref = math.exp(0.5 * (params.mu - params.nu) * t)
     if method == "factorized":
         return pref, _squeeze_stages(c, g) + _jump_stages(c, g)
@@ -240,7 +229,7 @@ def su11_factor(params: ModelParams, t: float) -> np.ndarray:
     """
     t = _check_time(t)
     c = eval_coefficients(params, t)
-    return _form(_jump_stages(c, _generators(params.dim, params.theta)), params.dim)
+    return _form(_jump_stages(c, cached_generators(params.dim, params.theta)), params.dim)
 
 
 def l_factor(params: ModelParams, t: float, split: bool = False) -> np.ndarray:
@@ -260,7 +249,7 @@ def l_factor(params: ModelParams, t: float, split: bool = False) -> np.ndarray:
     t = _check_time(t)
     c = eval_coefficients(params, t)
     ops = params.fock_ops()
-    g = _generators(params.dim, params.theta)
+    g = cached_generators(params.dim, params.theta)
     d = params.dim
     if not split:
         return _form(_squeeze_stages(c, g), d)
@@ -313,11 +302,6 @@ def alternative_superop(params: ModelParams, t: float) -> np.ndarray:
     t = _check_time(t)
     pref, stages = _closed_form(params, t, "alternative")
     return pref * _form(stages, params.dim)
-
-
-def propagate_exact(params: ModelParams, rho0, t: float) -> PropagationResult:
-    """The dense-exponential reference route; propagate(..., "exact")."""
-    return propagate(params, rho0, t, "exact")
 
 
 def operator_series_solution(params: ModelParams, rho0, t: float) -> PropagationResult:

@@ -15,8 +15,6 @@ import math
 
 import numpy as np
 
-from .linalg import kron
-
 
 def vec(x: np.ndarray) -> np.ndarray:
     """Flatten a matrix into a vector by stacking rows."""
@@ -42,7 +40,7 @@ def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != a.shape[1] \
             or b.shape[0] != b.shape[1] or a.shape != b.shape:
         raise ValueError(f"sandwich needs equal square factors, got {a.shape}, {b.shape}")
-    return kron(a, b.T)
+    return np.kron(a, b.T)
 
 
 def trace_functional(dim: int) -> np.ndarray:

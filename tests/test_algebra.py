@@ -31,6 +31,17 @@ def test_verify_accepts_prebuilt_generators():
     report = verify_algebra(gen, margin=2)
     assert report.all_within(TOL)
     assert report.dim == 6
+    # dense generators and the CSR ones behind FockOperators input give the
+    # same table, edge artifacts (margin 0) included
+    for theta in (0.0, 0.3):
+        ops = build_fock_ops(8, theta=theta)
+        for margin in (0, 2):
+            dense = verify_algebra(build_generators(ops), margin=margin)
+            csr = verify_algebra(ops, margin=margin)
+            assert [e.label for e in dense.entries] == [e.label for e in csr.entries]
+            for d_entry, c_entry in zip(dense.entries, csr.entries):
+                assert abs(d_entry.residual - c_entry.residual) <= 1e-13, (
+                    theta, margin, d_entry.label)
 
 
 def test_margin_zero_exposes_edge_artifacts():
@@ -78,6 +89,14 @@ def test_zero_margin_residual_is_plain_norm(rng):
     delta = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     assert projected_residual(delta, 3, 0) == pytest.approx(
         np.linalg.norm(delta))
+
+
+def test_projected_residual_reads_sparse_input(rng):
+    delta = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    delta[rng.random(size=(16, 16)) < 0.7] = 0.0
+    for margin in (0, 1, 3, 4):
+        assert projected_residual(sp.csr_array(delta), 4, margin) == pytest.approx(
+            projected_residual(delta, 4, margin), rel=1e-14, abs=0.0)
 
 
 def test_z_generators_coincide():
@@ -161,6 +180,9 @@ def test_commutator_helper(rng):
     a = rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3))
     npt.assert_allclose(commutator(a, b), a @ b - b @ a, atol=1e-14)
+    sparse = commutator(sp.csr_array(a), sp.csr_array(b))
+    assert sp.issparse(sparse)
+    npt.assert_allclose(sparse.toarray(), a @ b - b @ a, atol=1e-14)
 
 
 def test_theta_scaling_laws():

@@ -437,6 +437,19 @@ def test_exit_code_for_numerical_failure(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_exit_code_for_memory_error(tmp_path, capsys, monkeypatch):
+    # a dense generator too large to allocate: one error line, no traceback
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 381. GiB")
+
+    monkeypatch.setattr(propagators, "build_liouvillian_trace_exact", too_large)
+    path = write_config(tmp_path, methods=["exact"])
+    assert main(["simulate", "--config", path]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------- determinism
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from qdamp.linalg import (NumericalError, as_complex_matrix, expm,
-                          frobenius_norm, hermitian_eigenvalues, kron)
+                          frobenius_norm, hermitian_eigenvalues)
 
 ATOL = 1e-13
 
@@ -26,12 +26,6 @@ def test_as_complex_matrix_rejects_bad_shapes_and_values():
         as_complex_matrix(np.array([[np.nan, 0], [0, 1]]), "nan")
     with pytest.raises(NumericalError):
         as_complex_matrix(np.array([[np.inf, 0], [0, 1]]), "inf")
-
-
-def test_kron_matches_numpy(rng):
-    a = rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3))
-    npt.assert_allclose(kron(a, b), np.kron(a, b), atol=ATOL)
 
 
 def test_expm_nilpotent_closed_form():
