@@ -50,13 +50,18 @@ Kronecker generators.
 
 propagate_grid evolves one state over a whole time grid.  The exact route
 builds the generator once (liouvillian's trace-exact generator, a
-weighted sum of the same cached generators, densified) and chains the
-state through exp(gap L), one dense exponential per change of gap, so a
-uniform grid costs a single exponential; the other routes are splittings, not semigroups, and each
-time is propagate's single-time map of the initial state.  For exact and
-series, propagate is the one-point grid.  exact_superop, the full dense
-exp(t L), stays as the oracle for tests and as the exact stepped route's
-step map.
+weighted sum of the same cached generators, densified).  Every generator
+moves n1 + n2 by 0 or +-2, so L couples no slot of even n1 + n2 to one
+of odd n1 + n2 (the weak-symmetry reduction of Buca and Prosen, NJP 14
+073007, 2012): the route cuts L into its even and odd diagonal blocks,
+of size about d^2 / 2 each, and chains the state through exp(gap L_even)
+and exp(gap L_odd), two dense half-size exponentials per change of gap
+(a quarter of the full exponential's flops together), so a uniform grid
+costs a single pair.  The other routes are splittings, not semigroups,
+and each time is propagate's single-time map of the initial state.  For
+exact and series, propagate is the one-point grid.  exact_superop, the
+full dense exp(t L) without the parity split, stays as the oracle for
+tests and as the exact stepped route's step map.
 
 Every map here multiplies a vectorized state by construction, so a state
 whose population stays away from the truncation edge preserves trace and
@@ -67,6 +72,7 @@ access rather than asserting them.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +92,11 @@ STATE_TRACE_TOL = 1e-10
 # An exact-route grid time within this many ulps of one more step of the
 # current step map reuses that map.
 GAP_ULPS = 4
+# Peak memory of the exact grid route beyond its dense generator, in units
+# of its larger parity block: the blocks, the step maps and scipy's expm
+# workspace.  Measured with ru_maxrss over the README grid: 8.1 at d = 32,
+# 8.4 at d = 48.
+EXPM_WORKSPACE = 9
 
 CLOSED_FORM_METHODS = ("factorized", "alternative")
 SUPEROP_METHODS = ("exact",) + CLOSED_FORM_METHODS
@@ -162,6 +173,17 @@ def _index_difference(dim: int) -> np.ndarray:
     """n1 - n2 per flat slot."""
     levels = np.arange(dim, dtype=np.float64)
     return np.subtract.outer(levels, levels).reshape(-1)
+
+
+def _parity_classes(dim: int) -> list[np.ndarray]:
+    """Flat slots with n1 + n2 even, then those with it odd.
+
+    Every generator moves n1 + n2 by 0 or +-2, so the trace-exact
+    generator couples no slot of one class to a slot of the other and
+    exp(t L) is the exponential of each diagonal block on its own.
+    """
+    parity = _total_index(dim) % 2
+    return [np.flatnonzero(parity == k) for k in (0, 1)]
 
 
 def _jump_stages(c: CoefficientSet, g: SuperOpGenerators) -> tuple:
@@ -391,6 +413,26 @@ def _superop(params: ModelParams, t: float, method: str) -> np.ndarray:
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def _available_memory() -> int:
+    """Bytes of physical memory the system reports free."""
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_exact_memory(dim: int) -> None:
+    """Raise MemoryError if the exact grid route would not fit in memory.
+
+    The estimate is the dense generator (16 d^4 bytes) plus
+    EXPM_WORKSPACE times the larger parity block (16 ceil(d^2/2)^2
+    bytes).
+    """
+    block = 16 * ((dim * dim + 1) // 2) ** 2
+    need = 16 * dim ** 4 + EXPM_WORKSPACE * block
+    avail = _available_memory()
+    if need > avail:
+        raise MemoryError(f"the exact route at dim {dim} needs about "
+                          f"{need / 1e6:.3g} MB; {avail / 1e6:.3g} MB are free")
+
+
 def _check_grid(times) -> list[float]:
     times = [_check_time(t) for t in times]
     if not times:
@@ -405,14 +447,18 @@ def propagate_grid(params: ModelParams, rho0, times,
     """Evolve rho0 over a time grid; one PropagationResult per time.
 
     times must be finite, >= 0 and nondecreasing.  The exact route is the
-    semigroup exp(t L) of one generator: L is built once, and the state is
-    chained from t = 0 through v <- exp(gap L) v.  A step map is formed
-    only when a time is not one more step of the current map (within
-    GAP_ULPS ulps of that time), so a uniform grid, np.linspace ones
-    included, costs one exponential and a repeated time none.  Only one
-    step map is alive at a time.  The splittings and the series route
-    are not semigroups (chaining them would make them the stepped
-    route), so each time is propagate's single-time map of rho0.
+    semigroup exp(t L) of one generator: L is built once and cut into its
+    even and odd n1 + n2 parity blocks, which it does not couple, and the
+    state is chained from t = 0 through v_k <- exp(gap L_k) v_k on each
+    block k.  A step map (the two block exponentials) is formed only when
+    a time is not one more step of the current map (within GAP_ULPS ulps
+    of that time), so a uniform grid, np.linspace ones included, costs
+    one pair of exponentials and a repeated time none.  Only one step map
+    is alive at a time.  Before building anything the route estimates its
+    memory and raises MemoryError if that exceeds the free memory.  The
+    splittings and the series route are not semigroups (chaining them
+    would make them the stepped route), so each time is propagate's
+    single-time map of rho0.
     """
     times = _check_grid(times)
     if method not in METHODS:
@@ -422,19 +468,26 @@ def propagate_grid(params: ModelParams, rho0, times,
     if method != "exact":
         return [propagate(params, rho0, t, method) for t in times]
     rho0 = _check_state(rho0, params.dim)
+    _check_exact_memory(params.dim)
+    classes = _parity_classes(params.dim)
     gen = build_liouvillian_trace_exact(params)
-    # v is the state at start + n * gap, and step = exp(gap L)
-    v, step, start, gap, n = vec(rho0), None, 0.0, 0.0, 0
+    blocks = [gen[np.ix_(cls, cls)] for cls in classes]
+    del gen        # free the full generator before the exponentials
+    # v is the state at start + n * gap, and steps[k] = exp(gap L_k).  v is
+    # updated in place block by block, and vec(rho0) can be a view of the
+    # caller's rho0, so the chain starts from a copy.
+    v, steps, start, gap, n = vec(rho0).copy(), None, 0.0, 0.0, 0
     out = []
     for t in times:
         tol = GAP_ULPS * np.spacing(t)
         if abs(t - (start + n * gap)) > tol:
-            if step is None or abs(t - (start + (n + 1) * gap)) > tol:
+            if steps is None or abs(t - (start + (n + 1) * gap)) > tol:
                 start, n = start + n * gap, 0
                 gap = t - start
-                step = None    # free the old step map before forming the next
-                step = expm(gap * gen)
-            v = step @ v
+                steps = None   # free the old step map before forming the next
+                steps = [expm(gap * block) for block in blocks]
+            for cls, step in zip(classes, steps):
+                v[cls] = step @ v[cls]
             n += 1
         out.append(_result(unvec(v), method, t))
     return out

@@ -1,7 +1,11 @@
 """Shared fixtures: seeded RNG, random problem generators, hypothesis profile."""
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from qdamp.liouvillian import ModelParams
 
@@ -32,3 +36,15 @@ def random_admissible_params(rng, dim: int, theta: float = 0.0) -> ModelParams:
     return ModelParams(omega=float(rng.uniform(0.2, 2.0)), mu=float(mu),
                        nu=float(nu), kappa=complex(kappa), dim=dim,
                        theta=theta)
+
+
+@st.composite
+def stiff_models(draw, max_dim=10):
+    """A model at d <= max_dim with theta != 0 and rates up to 1e3."""
+    d = draw(st.integers(2, max_dim))
+    scale = draw(st.sampled_from([1.0, 1e2, 1e3]))
+    mu, nu = scale * draw(st.floats(0.05, 1.0)), scale * draw(st.floats(0.0, 1.0))
+    kappa = (draw(st.floats(0.0, 1.0)) * math.sqrt(mu * nu)
+             * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
+    return ModelParams(omega=scale * draw(st.floats(0.0, 2.0)), mu=mu, nu=nu,
+                       kappa=kappa, dim=d, theta=draw(st.floats(0.1, 3.0)))

@@ -341,8 +341,9 @@ def test_t_sweep_evolves_one_grid_in_sweep_order(tmp_path, capsys,
                         sweep={"param": "t", "values": values})
     assert main(["sweep", "--config", path]) == EXIT_OK
     rows = csv_rows(capsys.readouterr().out)
-    # the sorted times 0.5, 1, 1.5, 2 are one uniform grid from t = 0
-    assert calls == {"expm": 1, "build_liouvillian_trace_exact": 1}
+    # the sorted times 0.5, 1, 1.5, 2 are one uniform grid from t = 0: one
+    # step map, which is one expm per parity block
+    assert calls == {"expm": 2, "build_liouvillian_trace_exact": 1}
     assert [r[1] for r in rows] == [repr(v) for v in values for _ in methods]
     for v in values:
         one = write_config(tmp_path, "one.json", model=model, methods=methods,
@@ -448,6 +449,17 @@ def test_exit_code_for_memory_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_exit_code_when_the_memory_estimate_exceeds_free_memory(
+        tmp_path, capsys, monkeypatch):
+    # the exact route refuses before it builds anything
+    monkeypatch.setattr(propagators, "_available_memory", lambda: 1024)
+    path = write_config(tmp_path, methods=["exact"])
+    assert main(["simulate", "--config", path]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: the exact route at dim 10")
+    assert err.count("\n") == 1
 
 
 # ----------------------------------------------------------- determinism

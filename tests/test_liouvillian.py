@@ -1,6 +1,4 @@
 """Generator assembly: parameter validation, form agreement, trace rows."""
-import cmath
-import math
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_admissible_params, random_density
+from conftest import random_admissible_params, random_density, stiff_models
 from qdamp.liouvillian import (ModelParams, PositivityError,
                                build_liouvillian,
                                build_liouvillian_trace_exact,
@@ -107,20 +105,8 @@ def test_generator_matches_direct_rhs_away_from_corner(rng):
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@st.composite
-def _stiff_models(draw):
-    """A model at d <= 10 with theta != 0 and rates up to 1e3."""
-    d = draw(st.integers(2, 10))
-    scale = draw(st.sampled_from([1.0, 1e2, 1e3]))
-    mu, nu = scale * draw(st.floats(0.05, 1.0)), scale * draw(st.floats(0.0, 1.0))
-    kappa = (draw(st.floats(0.0, 1.0)) * math.sqrt(mu * nu)
-             * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
-    return ModelParams(omega=scale * draw(st.floats(0.0, 2.0)), mu=mu, nu=nu,
-                       kappa=kappa, dim=d, theta=draw(st.floats(0.1, 3.0)))
-
-
 @settings(max_examples=40)
-@given(p=_stiff_models(), top=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+@given(p=stiff_models(), top=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
 def test_trace_exact_generator_matches_direct_rhs_property(p, top, seed):
     # both sides keep a a+ as the truncated product, so they agree on
     # every state, top-level population included
@@ -129,6 +115,19 @@ def test_trace_exact_generator_matches_direct_rhs_property(p, top, seed):
     got = unvec(build_liouvillian_trace_exact(p) @ vec(rho))
     err = np.max(np.abs(got - _direct_rhs(p, rho)))
     assert err <= 1e-13 * rate * p.dim, err
+
+
+@settings(max_examples=40)
+@given(p=stiff_models(max_dim=12))
+def test_trace_exact_generator_never_couples_opposite_parities_property(p):
+    """Every term moves n1 + n2 by 0 or +-2, so the exact route may
+    exponentiate the even and odd blocks on their own."""
+    levels = np.arange(p.dim)
+    parity = np.add.outer(levels, levels).reshape(-1) % 2
+    across = parity[:, None] != parity[None, :]
+    gen = build_liouvillian_trace_exact(p)
+    assert np.count_nonzero(gen[across]) == 0
+    assert np.count_nonzero(gen[~across]) > 0
 
 
 def test_cyclic_assembly_annihilates_trace(rng):

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import random_admissible_params, random_density
+from conftest import random_admissible_params, random_density, stiff_models
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -387,12 +387,14 @@ def test_exact_grid_matches_per_time_expm(rng, dim, times):
         assert _tracedist(res.rho_t, want) <= 1e-12, res.t
 
 
-def test_single_time_exact_is_one_dense_exponential(rng):
+def test_single_time_exact_matches_one_full_dense_exponential(rng):
+    # the parity blocks sum in another order than the full exponential,
+    # so the bar is the grid tests' trace distance, not bitwise equality
     p = random_admissible_params(rng, dim=10)
     rho0 = random_density(10, 4, rng)
     for t in (0.3, 1.7):
         want = unvec(expm(t * build_liouvillian_trace_exact(p)) @ vec(rho0))
-        assert np.array_equal(propagate(p, rho0, t).rho_t, want)
+        assert _tracedist(propagate(p, rho0, t).rho_t, want) <= 1e-12, t
 
 
 def test_grid_evaluates_splittings_and_series_at_each_time(rng):
@@ -439,15 +441,16 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_exact_grid_forms_one_exponential_per_distinct_gap(monkeypatch):
+    # a step map is two expm calls, one per parity block
     calls = _count_calls(monkeypatch, "expm", "build_liouvillian_trace_exact")
     p = ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=8)
     rho0 = fock_state(8, 1)
     propagate_grid(p, rho0, np.linspace(0.0, 2.0, 9))
-    assert calls == {"expm": 1, "build_liouvillian_trace_exact": 1}
+    assert calls == {"expm": 2, "build_liouvillian_trace_exact": 1}
     calls.clear()
     # gaps 0.5, 0.5, 0, 1.2 - 1.0 (not 0.2 in binary): two distinct gaps
     propagate_grid(p, rho0, [0.5, 1.0, 1.0, 1.2])
-    assert calls == {"expm": 2, "build_liouvillian_trace_exact": 1}
+    assert calls == {"expm": 4, "build_liouvillian_trace_exact": 1}
 
 
 @pytest.mark.parametrize("times", [
@@ -465,11 +468,43 @@ def test_exact_grid_reuses_the_step_across_near_equal_gaps(monkeypatch, rng,
     rho0 = random_density(8, 4, rng)
     calls = _count_calls(monkeypatch, "expm", "build_liouvillian_trace_exact")
     got = propagate_grid(p, rho0, times)
-    assert calls == {"expm": 1, "build_liouvillian_trace_exact": 1}
+    # one step map: one expm per parity block
+    assert calls == {"expm": 2, "build_liouvillian_trace_exact": 1}
     gen = build_liouvillian_trace_exact(p)
     for res in got:
         want = unvec(scipy.linalg.expm(res.t * gen) @ vec(rho0))
         assert _tracedist(res.rho_t, want) <= 1e-12, res.t
+
+
+def test_exact_grid_leaves_the_callers_state_and_earlier_results_alone(rng):
+    """The chain updates its state block by block in place; a contiguous
+    complex128 rho0 must not be that state."""
+    p = random_admissible_params(rng, dim=8, theta=0.4)
+    rho0 = random_density(8, 7, rng)
+    assert rho0.flags.c_contiguous and rho0.dtype == np.complex128
+    keep = rho0.copy()
+    times = [0.0, 0.5, 1.0, 1.0, 1.7]
+    got = propagate_grid(p, rho0, times)
+    assert np.array_equal(rho0, keep)
+    # a Fortran-ordered copy is copied on entry, so its grid is the reference
+    want = propagate_grid(p, np.asfortranarray(keep), times)
+    for res, ref in zip(got, want):
+        assert np.array_equal(res.rho_t, ref.rho_t), res.t
+    assert np.array_equal(got[0].rho_t, keep)
+
+
+def test_exact_grid_fails_fast_when_memory_is_short(monkeypatch):
+    calls = _count_calls(monkeypatch, "expm", "build_liouvillian_trace_exact")
+    monkeypatch.setattr(propagators, "_available_memory", lambda: 1024)
+    p = ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=4)
+    with pytest.raises(MemoryError, match="dim 4 needs about"):
+        propagate_grid(p, fock_state(4, 1), [0.0, 0.5])
+    with pytest.raises(MemoryError, match="dim 4"):
+        propagate(p, fock_state(4, 1), 0.5)
+    assert not calls
+    # the other routes form no d^2 x d^2 exponential and are not guarded
+    for method in ("factorized", "alternative", "series"):
+        propagate_grid(p, fock_state(4, 1), [0.0, 0.5], method)
 
 
 @pytest.mark.parametrize("times, match", [
@@ -512,6 +547,30 @@ def _grid_problems(draw):
 @settings(max_examples=25)
 @given(problem=_grid_problems())
 def test_exact_grid_matches_dense_expm_property(problem):
+    p, rho0, times = problem
+    for res in propagate_grid(p, rho0, times):
+        want = unvec(exact_superop(p, res.t) @ vec(rho0))
+        assert _tracedist(res.rho_t, want) <= 1e-12, res.t
+
+
+@st.composite
+def _stiff_edge_grid_problems(draw):
+    """A model at d <= 10 with rates up to 1e3 and theta != 0, a state
+    with population in one of the top two levels, and a short grid."""
+    p = draw(stiff_models())
+    d = p.dim
+    rho0 = random_density(d, draw(st.sampled_from([d - 2, d - 1])),
+                          np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    gaps = draw(st.lists(st.floats(0.0, 1.0) | st.floats(1e-4, 1e-2),
+                         min_size=1, max_size=4))
+    return p, rho0, list(itertools.accumulate(gaps, initial=0.0))
+
+
+@settings(max_examples=30)
+@given(problem=_stiff_edge_grid_problems())
+def test_exact_grid_matches_full_dense_expm_at_stiff_rates_and_the_edge(problem):
+    """The parity-block chain against exact_superop, which exponentiates
+    the whole generator."""
     p, rho0, times = problem
     for res in propagate_grid(p, rho0, times):
         want = unvec(exact_superop(p, res.t) @ vec(rho0))
