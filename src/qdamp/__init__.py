@@ -10,7 +10,6 @@ from .linalg import (
     NumericalError,
     as_complex_matrix,
     expm,
-    frobenius_norm,
     hermitian_eigenvalues,
 )
 from .fock import (
@@ -20,7 +19,7 @@ from .fock import (
     fock_state,
     thermal_state,
 )
-from .vectorize import sandwich_superop, trace_functional, unvec, vec
+from .vectorize import unvec, vec
 from .algebra import (
     AlgebraReport,
     IdentityResidual,
@@ -30,7 +29,6 @@ from .algebra import (
     interior_mask,
     projected_residual,
     sparse_generators,
-    theta_scaling_check,
     verify_algebra,
 )
 from .coefficients import (
@@ -46,7 +44,6 @@ from .liouvillian import (
     PositivityError,
     build_liouvillian,
     build_liouvillian_trace_exact,
-    phase_equivalence_check,
 )
 from .propagators import (
     METHODS,
@@ -99,27 +96,22 @@ __all__ = [
     "expm",
     "factorized_superop",
     "fock_state",
-    "frobenius_norm",
     "hermitian_eigenvalues",
     "hyperbolic_weights",
     "hyperbolic_weights_limit",
     "interior_mask",
     "l_factor",
     "operator_series_solution",
-    "phase_equivalence_check",
     "phase_kernel",
     "phase_kernel_limit",
     "projected_residual",
     "propagate",
     "propagate_grid",
-    "sandwich_superop",
     "sparse_generators",
     "state_diagnostics",
     "stepped_propagate",
     "su11_factor",
     "thermal_state",
-    "theta_scaling_check",
-    "trace_functional",
     "unvec",
     "vec",
     "verify_algebra",

@@ -24,7 +24,9 @@ the generator's Kronecker products.  cached_generators holds them per
 (dim, theta), so liouvillian's form III and trace-exact generator, the
 closed-form propagators and verify_algebra share one build.
 build_generators is their dense view, the one formula densified, kept for
-tests at small d.
+tests at small d.  The ladder phase theta enters only through a and a+:
+jump_plus is phase-free, and pair_plus and sym_plus pick up exp(-2i theta),
+which the tests check.
 
 Truncation breaks a few of the relations at the highest Fock levels, in a
 completely localized way.  Every generator moves each of the two slot
@@ -42,7 +44,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import FockOperators, build_fock_ops
-from .linalg import frobenius_norm
 
 
 @dataclass(frozen=True)
@@ -309,20 +310,3 @@ def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
                for label, delta in _identity_table(gen, ops)]
     return AlgebraReport(dim=d, margin=int(margin), empty_interior=empty,
                          entries=entries)
-
-
-def theta_scaling_check(dim: int, theta: float) -> dict[str, float]:
-    """How each raising generator transforms under the ladder phase.
-
-    jump_plus is phase-free; pair_plus and sym_plus pick up exp(-2i theta).
-    Returns the Frobenius deviations from those laws (useful as a seeded
-    sanity check; all values should be at roundoff).
-    """
-    g0 = build_generators(build_fock_ops(dim, 0.0))
-    gt = build_generators(build_fock_ops(dim, theta))
-    ph = np.exp(-2j * theta)
-    return {
-        "jump_plus": frobenius_norm(gt.jump_plus - g0.jump_plus),
-        "pair_plus": frobenius_norm(gt.pair_plus - ph * g0.pair_plus),
-        "sym_plus": frobenius_norm(gt.sym_plus - ph * g0.sym_plus),
-    }

@@ -52,7 +52,3 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"hermitian eigensolve failed: {exc}") from exc
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a)))

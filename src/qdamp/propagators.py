@@ -38,8 +38,9 @@ matrix is formed, and a state costs O(d^3) instead of the O(d^5) or more
 of a product build.  factorized_superop and alternative_superop form the
 same stages as CSR factors, multiply them and densify once, at the
 public boundary; they, su11_factor and l_factor stay as the algebra-level
-oracles for tests at small d and as the stepped route's step map.  Both
-evaluations share one series helper (_series).
+oracles for tests at small d, and the first two as the stepped
+splittings' step maps.  Both evaluations share one series helper
+(_series).
 
 operator_series_solution evaluates the same factorized map directly on the
 density matrix as nested finite sums of ladder sandwiches, never forming a
@@ -59,9 +60,10 @@ and exp(gap L_odd), two dense half-size exponentials per change of gap
 (a quarter of the full exponential's flops together), so a uniform grid
 costs a single pair.  The other routes are splittings, not semigroups,
 and each time is propagate's single-time map of the initial state.  For
-exact and series, propagate is the one-point grid.  exact_superop, the
-full dense exp(t L) without the parity split, stays as the oracle for
-tests and as the exact stepped route's step map.
+exact and series, propagate is the one-point grid, and stepped exact is
+the grid of its n step times, which forms one pair of block step maps
+and applies it n times.  exact_superop, the full dense exp(t L) without
+the parity split, is the test oracle only: no route calls it.
 
 Every map here multiplies a vectorized state by construction, so a state
 whose population stays away from the truncation edge preserves trace and
@@ -84,7 +86,8 @@ from .algebra import SuperOpGenerators, build_generators, cached_generators  # n
 from .coefficients import CoefficientSet, eval_coefficients
 from .diagnostics import DiagnosticsRecord, state_diagnostics
 from .linalg import as_complex_matrix, expm
-from .liouvillian import (ModelParams, build_liouvillian,
+# build_liouvillian is not called here either; the tracer wraps it too.
+from .liouvillian import (ModelParams, build_liouvillian,  # noqa: F401
                           build_liouvillian_trace_exact)
 from .vectorize import unvec, vec
 
@@ -97,6 +100,8 @@ GAP_ULPS = 4
 # workspace.  Measured with ru_maxrss over the README grid: 8.1 at d = 32,
 # 8.4 at d = 48.
 EXPM_WORKSPACE = 9
+# The kernel's memory report, read for the exact route's memory estimate.
+MEMINFO = "/proc/meminfo"
 
 CLOSED_FORM_METHODS = ("factorized", "alternative")
 SUPEROP_METHODS = ("exact",) + CLOSED_FORM_METHODS
@@ -254,51 +259,31 @@ def su11_factor(params: ModelParams, t: float) -> np.ndarray:
     return _form(_jump_stages(c, cached_generators(params.dim, params.theta)), params.dim)
 
 
-def l_factor(params: ModelParams, t: float, split: bool = False) -> np.ndarray:
+def l_factor(params: ModelParams, t: float) -> np.ndarray:
     """Closed-form exponential of the phase/two-photon part.
 
     Returns exp(t (-2i omega squeeze_z + conj(kappa) squeeze_plus
-    + kappa squeeze_minus)).  With split=False the three-factor product over
-    the squeeze family is used.  split=True expands each squeeze exponential
-    into its pair and sym halves (they commute), giving the six-factor form
-
-        exp(f pair_plus) . (S_up (x) S_up^T) . diag phases .
-        exp(l pair_minus) . (S_dn (x) S_dn^T)
-
-    with S_up = exp(-f/2 (a+)^2), S_dn = exp(-l/2 a^2); both routes agree to
-    roundoff and are tested against each other and against expm.
+    + kappa squeeze_minus)) as the three-factor product over the squeeze
+    family: raising exponential, phase diagonal, lowering exponential.
+    The tests check it against expm and against the six-factor product
+    that splits each squeeze exponential into its commuting pair and sym
+    halves.
     """
     t = _check_time(t)
     c = eval_coefficients(params, t)
-    ops = params.fock_ops()
     g = cached_generators(params.dim, params.theta)
-    d = params.dim
-    if not split:
-        return _form(_squeeze_stages(c, g), d)
-    phases = np.exp(0.5 * c.phase * _index_difference(d))
-    s_up = _ladder_exp(-0.5 * c.squeeze_up * (ops.a_dag @ ops.a_dag))
-    s_dn = _ladder_exp(-0.5 * c.squeeze_down * (ops.a @ ops.a))
-    eye = sp.eye_array(d * d, dtype=np.complex128, format="csr")
-    pair_up = _series(c.squeeze_up * g.pair_plus, eye, d)
-    pair_dn = _series(c.squeeze_down * g.pair_minus, eye, d)
-    return (pair_up @ sp.kron(s_up, s_up.T, format="csr") @ sp.diags_array(phases)
-            @ pair_dn @ sp.kron(s_dn, s_dn.T, format="csr")).toarray()
+    return _form(_squeeze_stages(c, g), params.dim)
 
 
-def exact_superop(params: ModelParams, t: float, form: str = "cyclic") -> np.ndarray:
-    """Reference propagator exp(t L) by dense matrix exponential.
+def exact_superop(params: ModelParams, t: float) -> np.ndarray:
+    """Reference propagator exp(t L) by one dense matrix exponential.
 
-    The default generator is the cyclic-trace assembly, which is
-    annihilated by the trace functional exactly; pass form="I"/"II"/"III"
-    to exponentiate one of the regrouped literal forms instead (those
-    carry a trace defect confined to the top corner slot).
+    L is the trace-exact generator, exponentiated whole, without the
+    parity split of the exact grid route; the tests check that route
+    against it at small d.
     """
     t = _check_time(t)
-    if form == "cyclic":
-        gen = build_liouvillian_trace_exact(params)
-    else:
-        gen = build_liouvillian(params, form)
-    return expm(t * gen)
+    return expm(t * build_liouvillian_trace_exact(params))
 
 
 def factorized_superop(params: ModelParams, t: float) -> np.ndarray:
@@ -379,9 +364,12 @@ def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
                       method: str = "factorized") -> PropagationResult:
     """Apply the single-step map for t/n_steps repeatedly.
 
-    For the exact method this is a semigroup identity check; for the
+    For the exact method this is the exact grid route over the step
+    times dt, 2 dt, ..., n dt, a semigroup identity check; for the
     splittings the global error shrinks like 1/n_steps.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     # bool is an int subclass, but True is not a step count
     if (isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer))
             or n_steps < 1):
@@ -389,32 +377,38 @@ def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
     rho0 = _check_state(rho0, params.dim)
     t = _check_time(t)
     dt = t / n_steps
+    if method == "exact":
+        steps = [dt * k for k in range(1, n_steps + 1)]
+        return _result(propagate_grid(params, rho0, steps)[-1].rho_t, method, t)
     if method == "series":
         rho = rho0
         for _ in range(n_steps):
             rho = operator_series_solution(params, rho, dt).rho_t
         return _result(rho, "series", t)
-    step = _superop(params, dt, method)
+    # the builders are looked up as module attributes at call time, so a
+    # caller that rebinds one (a tracer, a test) is seen
+    build = factorized_superop if method == "factorized" else alternative_superop
+    step = build(params, dt)
     v = vec(rho0)
     for _ in range(n_steps):
         v = step @ v
     return _result(unvec(v), method, t)
 
 
-def _superop(params: ModelParams, t: float, method: str) -> np.ndarray:
-    # Builders are looked up as module attributes at call time, not captured
-    # in a table, so a caller that rebinds one (a tracer, a test) is seen.
-    if method == "exact":
-        return exact_superop(params, t)
-    if method == "factorized":
-        return factorized_superop(params, t)
-    if method == "alternative":
-        return alternative_superop(params, t)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
 def _available_memory() -> int:
-    """Bytes of physical memory the system reports free."""
+    """Bytes of memory the kernel reports available for new allocations.
+
+    MemAvailable in MEMINFO counts the page cache the kernel would
+    reclaim.  Where the file or the field is missing, the free physical
+    pages from sysconf stand in; they leave that cache out.
+    """
+    try:
+        with open(MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024     # reported in kB
+    except OSError:
+        pass
     return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
@@ -430,7 +424,7 @@ def _check_exact_memory(dim: int) -> None:
     avail = _available_memory()
     if need > avail:
         raise MemoryError(f"the exact route at dim {dim} needs about "
-                          f"{need / 1e6:.3g} MB; {avail / 1e6:.3g} MB are free")
+                          f"{need / 1e6:.3g} MB; {avail / 1e6:.3g} MB are available")
 
 
 def _check_grid(times) -> list[float]:
@@ -455,8 +449,8 @@ def propagate_grid(params: ModelParams, rho0, times,
     of that time), so a uniform grid, np.linspace ones included, costs
     one pair of exponentials and a repeated time none.  Only one step map
     is alive at a time.  Before building anything the route estimates its
-    memory and raises MemoryError if that exceeds the free memory.  The
-    splittings and the series route are not semigroups (chaining them
+    memory and raises MemoryError if that exceeds the available memory.
+    The splittings and the series route are not semigroups (chaining them
     would make them the stepped route), so each time is propagate's
     single-time map of rho0.
     """

@@ -1,12 +1,14 @@
-"""Row-major vectorization of matrices and the sandwich-superoperator map.
+"""Row-major vectorization of matrices.
 
 vec stacks matrix rows, so for a d x d matrix X the slot (n1, n2) lands at
 flat index n1*d + n2.  With that ordering the two-sided product obeys
 
-    vec(A @ X @ B) == kron(A, B.T) @ vec(X)
+    vec(A @ X @ B) == np.kron(A, B.T) @ vec(X)
 
 with a plain transpose on B, no conjugation.  Every superoperator in this
-package is built through that identity, so the convention must never drift.
+package is built through that identity (algebra's Kronecker products), so
+the convention must never drift.  The trace is the inner product with
+vec of the identity: vec(np.eye(d)).conj() @ vec(X) == trace(X).
 """
 
 from __future__ import annotations
@@ -31,20 +33,3 @@ def unvec(v: np.ndarray) -> np.ndarray:
     if d * d != v.size:
         raise ValueError(f"cannot unvec length {v.size}: not a perfect square")
     return v.reshape(d, d).copy()
-
-
-def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of the map X -> A @ X @ B acting on row-major vec(X)."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != a.shape[1] \
-            or b.shape[0] != b.shape[1] or a.shape != b.shape:
-        raise ValueError(f"sandwich needs equal square factors, got {a.shape}, {b.shape}")
-    return np.kron(a, b.T)
-
-
-def trace_functional(dim: int) -> np.ndarray:
-    """Row vector w such that w @ vec(X) == trace(X)."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return vec(np.eye(dim, dtype=np.complex128)).conj()

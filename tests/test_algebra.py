@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from qdamp.algebra import (build_generators, commutator, interior_mask,
                            projected_residual, sparse_generators,
-                           theta_scaling_check, verify_algebra)
+                           verify_algebra)
 from qdamp.fock import build_fock_ops
 
 TOL = 1e-12
@@ -186,9 +186,14 @@ def test_commutator_helper(rng):
 
 
 def test_theta_scaling_laws():
-    devs = theta_scaling_check(7, 0.9)
-    assert max(devs.values()) <= 1e-13
-    assert set(devs) == {"jump_plus", "pair_plus", "sym_plus"}
+    # jump_plus is phase-free; pair_plus and sym_plus pick up exp(-2i theta)
+    theta = 0.9
+    g0 = build_generators(build_fock_ops(7, 0.0))
+    gt = build_generators(build_fock_ops(7, theta))
+    ph = np.exp(-2j * theta)
+    assert np.linalg.norm(gt.jump_plus - g0.jump_plus) <= 1e-13
+    assert np.linalg.norm(gt.pair_plus - ph * g0.pair_plus) <= 1e-13
+    assert np.linalg.norm(gt.sym_plus - ph * g0.sym_plus) <= 1e-13
 
 
 def test_report_text_contains_verdict_and_labels():

@@ -462,6 +462,20 @@ def test_exit_code_when_the_memory_estimate_exceeds_free_memory(
     assert err.count("\n") == 1
 
 
+def test_stepped_exact_convergence_is_memory_guarded(tmp_path, capsys,
+                                                      monkeypatch):
+    # stepped exact runs on the exact grid route, behind the same estimate
+    monkeypatch.setattr(propagators, "_available_memory", lambda: 1024)
+    path = write_config(
+        tmp_path,
+        convergence={"method": "exact", "n_steps_values": [2, 4],
+                     "t_final": 1.0})
+    assert main(["convergence", "--config", path]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: the exact route at dim 10")
+    assert err.count("\n") == 1
+
+
 # ----------------------------------------------------------- determinism
 
 

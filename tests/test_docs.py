@@ -1,4 +1,4 @@
-"""The README quick start and the demos run as published."""
+"""The README quick start and the demos run as published; the exports resolve."""
 import os
 import re
 import subprocess
@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import qdamp
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -27,3 +29,9 @@ def test_demo_exits_zero(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_every_export_resolves_once():
+    missing = [name for name in qdamp.__all__ if not hasattr(qdamp, name)]
+    assert not missing
+    assert len(set(qdamp.__all__)) == len(qdamp.__all__)

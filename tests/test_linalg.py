@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from qdamp.linalg import (NumericalError, as_complex_matrix, expm,
-                          frobenius_norm, hermitian_eigenvalues)
+                          hermitian_eigenvalues)
 
 ATOL = 1e-13
 
@@ -63,8 +63,3 @@ def test_hermitian_eigenvalues_uses_hermitian_part(rng):
     herm = 0.5 * (m + m.conj().T)
     npt.assert_allclose(hermitian_eigenvalues(m),
                         np.linalg.eigvalsh(herm), atol=1e-12)
-
-
-def test_frobenius_norm(rng):
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    npt.assert_allclose(frobenius_norm(a), np.linalg.norm(a), atol=ATOL)

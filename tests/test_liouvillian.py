@@ -1,5 +1,7 @@
 """Generator assembly: parameter validation, form agreement, trace rows."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,13 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_admissible_params, random_density, stiff_models
+from oracles import form_one, form_two
 from qdamp.liouvillian import (ModelParams, PositivityError,
                                build_liouvillian,
-                               build_liouvillian_trace_exact,
-                               phase_equivalence_check)
-from qdamp.vectorize import trace_functional, unvec, vec
+                               build_liouvillian_trace_exact)
+from qdamp.vectorize import unvec, vec
 
 FORM_TOL = 1e-12
+
+
+def _three_forms(p: ModelParams) -> list:
+    """Forms I and II (tests/oracles.py) and the program's form III."""
+    return [form_one(p), form_two(p), build_liouvillian(p)]
+
+
+def _trace_row(d: int) -> np.ndarray:
+    """w with w @ vec(X) == trace(X)."""
+    return vec(np.eye(d)).conj()
 
 
 class TestModelParams:
@@ -73,18 +85,10 @@ def _direct_rhs(p: ModelParams, rho: np.ndarray) -> np.ndarray:
 def test_forms_agree_pairwise(rng):
     for _ in range(10):
         p = random_admissible_params(rng, dim=6)
-        h1 = build_liouvillian(p, "I")
-        h2 = build_liouvillian(p, "II")
-        h3 = build_liouvillian(p, "III")
+        h1, h2, h3 = _three_forms(p)
         assert np.linalg.norm(h1 - h2) <= FORM_TOL
         assert np.linalg.norm(h2 - h3) <= FORM_TOL
         assert np.linalg.norm(h1 - h3) <= FORM_TOL
-
-
-def test_unknown_form_rejected():
-    p = ModelParams(omega=1.0, mu=0.4, nu=0.2, kappa=0.0, dim=4)
-    with pytest.raises(ValueError):
-        build_liouvillian(p, "IV")
 
 
 def test_generator_matches_direct_rhs_away_from_corner(rng):
@@ -98,8 +102,8 @@ def test_generator_matches_direct_rhs_away_from_corner(rng):
         rho[-1, :] = 0.0
         rho[:, -1] = 0.0
         want = _direct_rhs(p, rho)
-        for form in ("I", "II", "III"):
-            got = unvec(build_liouvillian(p, form) @ vec(rho))
+        for h in _three_forms(p):
+            got = unvec(h @ vec(rho))
             npt.assert_allclose(got, want, rtol=0, atol=1e-12)
         got = unvec(build_liouvillian_trace_exact(p) @ vec(rho))
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -134,7 +138,7 @@ def test_cyclic_assembly_annihilates_trace(rng):
     for _ in range(5):
         p = random_admissible_params(rng, dim=6)
         h = build_liouvillian_trace_exact(p)
-        row = trace_functional(6) @ h
+        row = _trace_row(6) @ h
         assert np.max(np.abs(row)) <= 1e-13 * np.linalg.norm(h)
 
 
@@ -143,9 +147,8 @@ def test_literal_form_trace_defect_is_nu_d_at_corner():
     # slot, at exactly -nu*d
     p = ModelParams(omega=0.7, mu=0.5, nu=0.2, kappa=0.1 + 0.05j, dim=6)
     d = p.dim
-    for form in ("I", "II", "III"):
-        h = build_liouvillian(p, form)
-        row = trace_functional(d) @ h
+    for h in _three_forms(p):
+        row = _trace_row(d) @ h
         corner = d * d - 1
         npt.assert_allclose(row[corner], -p.nu * d, atol=1e-12)
         off = np.delete(row, corner)
@@ -164,11 +167,14 @@ def test_cyclic_and_literal_difference_is_an_edge_diagonal():
     edge = (np.arange(d) == d - 1).astype(float)
     want = -0.5 * p.nu * d * np.diag(np.add.outer(edge, edge).reshape(-1))
     cyclic = build_liouvillian_trace_exact(p)
-    for form in ("I", "II"):
-        npt.assert_allclose(build_liouvillian(p, form) - cyclic, want, atol=1e-13)
+    for literal in (form_one(p), form_two(p)):
+        npt.assert_allclose(literal - cyclic, want, atol=1e-13)
 
 
 def test_phase_absorbs_into_kappa():
+    # rotating the ladder phase is the same as rotating kappa by exp(2i theta)
     p = ModelParams(omega=0.9, mu=0.5, nu=0.2, kappa=0.2 + 0.1j, dim=6,
                     theta=0.8)
-    assert phase_equivalence_check(p) <= 1e-12
+    rotated = replace(p, theta=0.0, kappa=p.kappa * np.exp(2j * p.theta))
+    gap = np.linalg.norm(build_liouvillian(p) - build_liouvillian(rotated))
+    assert gap <= 1e-12

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import random_admissible_params, random_density, stiff_models
+from oracles import form_one, form_two, l_factor_six
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,8 @@ from qdamp.coefficients import eval_coefficients
 from qdamp.diagnostics import compare_states
 from qdamp.fock import coherent_state, fock_state
 from qdamp.linalg import NumericalError, expm
-from qdamp.liouvillian import ModelParams, build_liouvillian_trace_exact
+from qdamp.liouvillian import (ModelParams, build_liouvillian,
+                               build_liouvillian_trace_exact)
 from qdamp.propagators import (
     METHODS,
     PropagationResult,
@@ -107,11 +109,13 @@ def test_vacuum_is_fixed_point_of_pure_damping():
 
 
 def test_l_factor_split_routes_agree(rng):
+    # the three-factor product against the six-factor oracle, whose pair
+    # and sym halves are exponentiated densely
     for theta in (0.0, 0.4):
         p = random_admissible_params(rng, dim=9, theta=theta)
         for t in (0.3, 0.9):
             three = l_factor(p, t)
-            six = l_factor(p, t, split=True)
+            six = l_factor_six(p, t)
             scale = max(np.linalg.norm(three), 1.0)
             assert np.linalg.norm(three - six) <= 1e-12 * scale
 
@@ -226,16 +230,12 @@ def test_closed_form_factors_match_expm_of_weighted_generators(rng):
             @ ex(c.decay * g.jump_minus))
     squeeze = (ex(c.squeeze_up * g.squeeze_plus) @ phases
                @ ex(c.squeeze_down * g.squeeze_minus))
-    split = (ex(c.squeeze_up * g.pair_plus) @ ex(-c.squeeze_up * g.sym_plus)
-             @ phases @ ex(c.squeeze_down * g.pair_minus)
-             @ ex(-c.squeeze_down * g.sym_minus))
     alternative = pref * (ex(t * np.conj(p.kappa) * g.squeeze_plus)
                           @ np.diag(np.exp(-1j * p.omega * t * diff)) @ jump
                           @ ex(t * p.kappa * g.squeeze_minus))
     cases = {
         "su11_factor": (su11_factor(p, t), jump),
         "l_factor": (l_factor(p, t), squeeze),
-        "l_factor(split=True)": (l_factor(p, t, split=True), split),
         "factorized_superop": (factorized_superop(p, t), pref * jump @ squeeze),
         "alternative_superop": (alternative_superop(p, t), alternative),
     }
@@ -501,10 +501,34 @@ def test_exact_grid_fails_fast_when_memory_is_short(monkeypatch):
         propagate_grid(p, fock_state(4, 1), [0.0, 0.5])
     with pytest.raises(MemoryError, match="dim 4"):
         propagate(p, fock_state(4, 1), 0.5)
+    with pytest.raises(MemoryError, match="dim 4"):
+        stepped_propagate(p, fock_state(4, 1), 0.5, 3, method="exact")
     assert not calls
     # the other routes form no d^2 x d^2 exponential and are not guarded
     for method in ("factorized", "alternative", "series"):
         propagate_grid(p, fock_state(4, 1), [0.0, 0.5], method)
+
+
+def test_available_memory_reads_mem_available(monkeypatch, tmp_path):
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:        8000000 kB\n"
+                       "MemFree:         6000000 kB\n"
+                       "MemAvailable:    7000000 kB\n")
+    monkeypatch.setattr(propagators, "MEMINFO", str(meminfo))
+    assert propagators._available_memory() == 7000000 * 1024
+
+
+@pytest.mark.parametrize("content", [None, "MemTotal:        8000000 kB\n"],
+                         ids=["no_file", "no_field"])
+def test_available_memory_falls_back_to_free_pages(monkeypatch, tmp_path,
+                                                   content):
+    meminfo = tmp_path / "meminfo"
+    if content is not None:
+        meminfo.write_text(content)
+    monkeypatch.setattr(propagators, "MEMINFO", str(meminfo))
+    sysconf = {"SC_AVPHYS_PAGES": 3, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(propagators.os, "sysconf", sysconf.__getitem__)
+    assert propagators._available_memory() == 3 * 4096
 
 
 @pytest.mark.parametrize("times, match", [
@@ -554,13 +578,19 @@ def test_exact_grid_matches_dense_expm_property(problem):
 
 
 @st.composite
-def _stiff_edge_grid_problems(draw):
-    """A model at d <= 10 with rates up to 1e3 and theta != 0, a state
-    with population in one of the top two levels, and a short grid."""
+def _stiff_edge_states(draw):
+    """A model at d <= 10 with rates up to 1e3 and theta != 0, and a state
+    with population in one of the top two levels."""
     p = draw(stiff_models())
-    d = p.dim
-    rho0 = random_density(d, draw(st.sampled_from([d - 2, d - 1])),
+    rho0 = random_density(p.dim, draw(st.sampled_from([p.dim - 2, p.dim - 1])),
                           np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return p, rho0
+
+
+@st.composite
+def _stiff_edge_grid_problems(draw):
+    """A stiff edge state (_stiff_edge_states) and a short grid."""
+    p, rho0 = draw(_stiff_edge_states())
     gaps = draw(st.lists(st.floats(0.0, 1.0) | st.floats(1e-4, 1e-2),
                          min_size=1, max_size=4))
     return p, rho0, list(itertools.accumulate(gaps, initial=0.0))
@@ -606,6 +636,36 @@ def test_stepped_single_step_matches_single_shot():
         np.testing.assert_allclose(one, shot, atol=1e-13)
 
 
+@settings(max_examples=30)
+@given(problem=_stiff_edge_states(), t=st.floats(0.0, 1.0), n=st.integers(1, 8))
+def test_stepped_exact_is_n_full_dense_steps_property(problem, t, n):
+    """Stepped exact runs on the parity-block grid route; n applications of
+    the full dense exp(t/n L) are its reference."""
+    p, rho0 = problem
+    step = exact_superop(p, t / n)
+    v = vec(rho0)
+    for _ in range(n):
+        v = step @ v
+    got = stepped_propagate(p, rho0, t, n, method="exact")
+    assert (got.method, got.t) == ("exact", t)
+    assert _tracedist(got.rho_t, unvec(v)) <= 1e-12
+
+
+@settings(max_examples=30)
+@given(problem=_stiff_edge_states(), tau=st.floats(0.0, 2.0))
+def test_single_stepped_splitting_is_the_matrix_free_route_property(problem, tau):
+    """One step of the formed step map equals the factors applied one at a
+    time.  t is at most two time constants of the fastest rate: far beyond
+    that the closed-form products lose digits to cancellation (1e-8 apart
+    at rate * t ~ 600), and the splitting is no longer an approximation."""
+    p, rho0 = problem
+    t = tau / max(p.omega, p.mu, p.nu, abs(p.kappa))
+    for method in _BUILDERS:
+        one = stepped_propagate(p, rho0, t, n_steps=1, method=method).rho_t
+        want = propagate(p, rho0, t, method).rho_t
+        assert np.linalg.norm(one - want) <= 1e-13 * np.linalg.norm(want), method
+
+
 def test_stepped_without_two_photon_ignores_step_count():
     # kappa == 0 makes the two closed-form parts commute, so the splitting
     # is exact and slicing the horizon must not change the answer
@@ -631,8 +691,8 @@ def test_exact_forms_agree_away_from_corner():
     p = ModelParams(omega=0.8, mu=0.5, nu=0.2, kappa=0.2 + 0.1j, dim=16)
     rho0 = fock_state(16, 1)
     cyclic = propagate(p, rho0, 0.5, method="exact").rho_t
-    for form in ("I", "II", "III"):
-        literal = unvec(exact_superop(p, 0.5, form=form) @ vec(rho0))
+    for form in (form_one(p), form_two(p), build_liouvillian(p)):
+        literal = unvec(scipy.linalg.expm(0.5 * form) @ vec(rho0))
         assert np.linalg.norm(cyclic - literal) <= 1e-8
 
 

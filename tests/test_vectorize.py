@@ -1,9 +1,9 @@
-"""Row-major vectorization and the sandwich superoperator identity."""
+"""Row-major vectorization, the sandwich identity and the trace row."""
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qdamp.vectorize import sandwich_superop, trace_functional, unvec, vec
+from qdamp.vectorize import unvec, vec
 
 
 def test_vec_is_row_major():
@@ -29,28 +29,13 @@ def test_sandwich_identity_random_triples(rng):
         b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         lhs = vec(a @ x @ b)
-        rhs = sandwich_superop(a, b) @ vec(x)
+        rhs = np.kron(a, b.T) @ vec(x)
         scale = (np.linalg.norm(a) * np.linalg.norm(x) * np.linalg.norm(b))
         assert np.linalg.norm(lhs - rhs) <= 1e-13 * scale
 
 
-def test_sandwich_structure_small_case():
-    a = np.array([[0, 1], [0, 0]], dtype=complex)
-    b = np.array([[1, 0], [2, 1]], dtype=complex)
-    npt.assert_array_equal(sandwich_superop(a, b), np.kron(a, b.T))
-
-
-def test_sandwich_rejects_mismatched_shapes():
-    with pytest.raises(ValueError):
-        sandwich_superop(np.zeros((2, 2)), np.zeros((3, 3)))
-
-
 def test_trace_functional(rng):
     d = 4
-    tau = trace_functional(d)
+    tau = vec(np.eye(d)).conj()
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     npt.assert_allclose(tau @ vec(x), np.trace(x), atol=1e-13)
-
-
-def test_trace_functional_is_vec_of_identity():
-    npt.assert_array_equal(trace_functional(3), vec(np.eye(3, dtype=complex)))
