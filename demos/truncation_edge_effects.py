@@ -3,14 +3,14 @@
 Everything in this package is exact up to the truncation edge, and the
 edge is not a uniform blur: it enters through specific, measurable
 channels.  This script makes one of them visible: the edge error of the
-truncated dense exponential.
+exponential of the truncated generator.
 
 At kappa = 0 the closed-form product on d levels is exactly the d x d
 block of the untruncated flow: it lowers, scales and raises, and never
-passes through a level above the block.  The dense exponential of the
+passes through a level above the block.  The exponential of the
 truncated generator is not: it conserves trace by reflecting at the top
 level the population that should leave the block.  So the gap between
-the two, measured below, is the dense exponential's edge error, and it
+the two, measured below, is that exponential's edge error, and it
 grows by roughly a factor of ten per level of initial support as the
 state's pumped tail climbs into the top levels.
 
@@ -39,7 +39,7 @@ def distance_for(dim: int, n: int) -> tuple:
 def run() -> bool:
     print(f"factorized vs exact at t = {T}, dim = 20, pure loss/pump rates "
           f"mu = {MU}, nu = {NU}")
-    print("the gap is the truncated dense exponential's edge error; the "
+    print("the gap is the truncated generator's exponential's edge error; the "
           "factorized product is the untruncated flow's block")
     print(f"{'start level':>12} {'trace distance':>15} {'evolved tail':>13}")
     dists = []

@@ -5,7 +5,7 @@ Three effects worth knowing before trusting a run with kappa != 0:
   1. admissibility: the stationary regime needs mu nu >= |kappa|^2, and
      ModelParams.require_positivity enforces exactly that in strict mode;
   2. the factorized propagator stops being exact, with an error that
-     grows with |kappa| (measured against the dense exponential);
+     grows with |kappa| (measured against the exact route);
   3. the alternative ordering trades accuracy for convenience: it loses
      Hermiticity at O(t^2 |kappa|^2), so its output needs the diagnostics
      checked rather than assumed.

@@ -1,4 +1,11 @@
-"""Dense complex linear-algebra kernel used by every other module.
+"""Dense complex linear-algebra helpers and the NumericalError they raise.
+
+Input coercion (fock, diagnostics, propagators), the dense matrix
+exponential (the exact route's step map for parity blocks of at most
+propagators.DENSE_BLOCK_ROWS rows, and the test oracle exact_superop)
+and Hermitian eigensolves (diagnostics).  The exact route's sparse
+kernel, scipy's expm_multiply, is called from propagators, which raises
+NumericalError on a non-finite result as expm does here.
 
 Everything here operates on plain numpy arrays with dtype complex128 in
 C (row-major) order.  That layout choice is load-bearing: the vectorization

@@ -26,7 +26,10 @@ a a+ as the truncated product, which restores exact trace annihilation:
 it is build_liouvillian plus the diagonal
 (nu d / 2)(1[n1 = d-1] + 1[n2 = d-1]).  Both read one weighted sum
 (_weighted_sum) of algebra.cached_generators, the CSR generators built
-once per (dim, theta), and densify it once.  The tests check them
+once per (dim, theta).  build_liouvillian densifies it; the trace-exact
+generator stays CSR (about 9 nonzeros per row), since the exact route
+slices its parity blocks and applies them sparse, and callers that need
+a dense matrix call .toarray() on it.  The tests check them
 against the literal forms I and II, built from Kronecker products of the
 ladder matrices without those generators (tests/oracles.py), and against
 the master equation's right-hand side by plain matrix products.
@@ -117,8 +120,8 @@ def build_liouvillian(params: ModelParams) -> np.ndarray:
     return _weighted_sum(params).toarray()
 
 
-def build_liouvillian_trace_exact(params: ModelParams) -> np.ndarray:
-    """The dense generator with the pumping channel's a a+ kept truncated.
+def build_liouvillian_trace_exact(params: ModelParams) -> sp.csr_array:
+    """The CSR generator with the pumping channel's a a+ kept truncated.
 
     build_liouvillian plus the diagonal (nu d / 2)(1[n1 = d-1] + 1[n2 = d-1]):
     a a+ equals n + 1 - d on the top level, which build_liouvillian
@@ -127,4 +130,4 @@ def build_liouvillian_trace_exact(params: ModelParams) -> np.ndarray:
     d = params.dim
     top = (np.arange(d) == d - 1).astype(np.float64)
     edge = 0.5 * params.nu * d * np.add.outer(top, top).reshape(-1)
-    return (_weighted_sum(params) + sp.diags_array(edge)).toarray()
+    return _weighted_sum(params) + sp.diags_array(edge)

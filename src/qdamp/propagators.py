@@ -51,19 +51,26 @@ Kronecker generators.
 
 propagate_grid evolves one state over a whole time grid.  The exact route
 builds the generator once (liouvillian's trace-exact generator, a
-weighted sum of the same cached generators, densified).  Every generator
-moves n1 + n2 by 0 or +-2, so L couples no slot of even n1 + n2 to one
-of odd n1 + n2 (the weak-symmetry reduction of Buca and Prosen, NJP 14
-073007, 2012): the route cuts L into its even and odd diagonal blocks,
-of size about d^2 / 2 each, and chains the state through exp(gap L_even)
-and exp(gap L_odd), two dense half-size exponentials per change of gap
-(a quarter of the full exponential's flops together), so a uniform grid
-costs a single pair.  The other routes are splittings, not semigroups,
-and each time is propagate's single-time map of the initial state.  For
-exact and series, propagate is the one-point grid, and stepped exact is
-the grid of its n step times, which forms one pair of block step maps
-and applies it n times.  exact_superop, the full dense exp(t L) without
-the parity split, is the test oracle only: no route calls it.
+weighted sum of the same cached generators, kept in CSR with about 9
+nonzeros per row).  Every generator moves n1 + n2 by 0 or +-2, so L
+couples no slot of even n1 + n2 to one of odd n1 + n2 (the weak-symmetry
+reduction of Buca and Prosen, NJP 14 073007, 2012): the route cuts L
+into its even and odd diagonal blocks in CSR, of about d^2 / 2 rows
+each, and chains the state through exp(gap L_even) and exp(gap L_odd).
+Above DENSE_BLOCK_ROWS rows (d > 10) each block is scaled by the gap
+once and applied to its half of the state by scipy's expm_multiply (Al-
+Mohy and Higham, SIAM J. Sci. Comput. 33:488, 2011), which takes sparse
+matvecs only, so no d^2 x d^2 or half-size dense matrix is formed and
+the route holds O(d^2) memory.  At or below it the blocks are densified
+and each change of gap forms the two dense block exponentials, which is
+faster at that size.  A uniform grid costs one scaled pair or one pair
+of exponentials.  The other routes
+are splittings, not semigroups, and each time is propagate's
+single-time map of the initial state.  For exact and series, propagate
+is the one-point grid, and stepped exact is the grid of its n step
+times, which applies one step map n times.  exact_superop, the full
+dense exp(t L) without the parity split, is the test oracle only: no
+route calls it.
 
 Every map here multiplies a vectorized state by construction, so a state
 whose population stays away from the truncation edge preserves trace and
@@ -85,7 +92,7 @@ import scipy.sparse as sp
 from .algebra import SuperOpGenerators, build_generators, cached_generators  # noqa: F401
 from .coefficients import CoefficientSet, eval_coefficients
 from .diagnostics import DiagnosticsRecord, state_diagnostics
-from .linalg import as_complex_matrix, expm
+from .linalg import NumericalError, as_complex_matrix, expm
 # build_liouvillian is not called here either; the tracer wraps it too.
 from .liouvillian import (ModelParams, build_liouvillian,  # noqa: F401
                           build_liouvillian_trace_exact)
@@ -95,12 +102,23 @@ STATE_TRACE_TOL = 1e-10
 # An exact-route grid time within this many ulps of one more step of the
 # current step map reuses that map.
 GAP_ULPS = 4
-# Peak memory of the exact grid route beyond its dense generator, in units
-# of its larger parity block: the blocks, the step maps and scipy's expm
-# workspace.  Measured with ru_maxrss over the README grid: 8.1 at d = 32,
-# 8.4 at d = 48.
+# Parity blocks of at most this many rows (d <= 10) keep the dense expm
+# step map; larger ones are applied by scipy's expm_multiply.  One dense
+# expm against one expm_multiply of the README model's block at gap 0.25,
+# single-threaded BLAS: 0.08 against 0.99 ms at 18 rows, 0.65 against
+# 1.1 ms at 50, 1.6 against 1.2 ms at 72, 7.1 against 1.6 ms at 128.
+# expm's cost grows with log ||t L||_1 (its squarings), expm_multiply's
+# about linearly, which counts at stiff rates.
+# perfbench's traced test of a d = 6 kappa-sweep requires a linalg.expm
+# span; once that test names its spans by role, the dense branch can go.
+DENSE_BLOCK_ROWS = 50
+# Peak memory of the exact grid route, in units of its CSR generator
+# (184 bytes per slot of vec(rho)): the generator, its two blocks, the
+# scaled block pair, expm_multiply's shifted copy, the cached generators
+# and the grid's states.  Measured with ru_maxrss over the
+# README grid: 8.6 at d = 32, 6.8 at d = 64, 6.3 at d = 128.
 EXPM_WORKSPACE = 9
-# The kernel's memory report, read for the exact route's memory estimate.
+# The kernel's memory report, read for the memory estimates.
 MEMINFO = "/proc/meminfo"
 
 CLOSED_FORM_METHODS = ("factorized", "alternative")
@@ -283,7 +301,7 @@ def exact_superop(params: ModelParams, t: float) -> np.ndarray:
     against it at small d.
     """
     t = _check_time(t)
-    return expm(t * build_liouvillian_trace_exact(params))
+    return expm(t * build_liouvillian_trace_exact(params).toarray())
 
 
 def factorized_superop(params: ModelParams, t: float) -> np.ndarray:
@@ -366,7 +384,10 @@ def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
 
     For the exact method this is the exact grid route over the step
     times dt, 2 dt, ..., n dt, a semigroup identity check; for the
-    splittings the global error shrinks like 1/n_steps.
+    splittings the global error shrinks like 1/n_steps.  A splitting
+    forms its dense d^2 x d^2 step map, so it first estimates that
+    map's memory and raises MemoryError if it exceeds the available
+    memory.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -385,6 +406,10 @@ def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
         for _ in range(n_steps):
             rho = operator_series_solution(params, rho, dt).rho_t
         return _result(rho, "series", t)
+    # The dense step map: three d^2 x d^2 complex matrices cover the CSR
+    # product and its dense copy, measured with ru_maxrss at 1.9-2.8 of
+    # one at d = 16..48.
+    _require_memory(f"stepped {method}", params.dim, 3 * 16 * params.dim ** 4)
     # the builders are looked up as module attributes at call time, so a
     # caller that rebinds one (a tracer, a test) is seen
     build = factorized_superop if method == "factorized" else alternative_superop
@@ -415,15 +440,26 @@ def _available_memory() -> int:
 def _check_exact_memory(dim: int) -> None:
     """Raise MemoryError if the exact grid route would not fit in memory.
 
-    The estimate is the dense generator (16 d^4 bytes) plus
-    EXPM_WORKSPACE times the larger parity block (16 ceil(d^2/2)^2
-    bytes).
+    The estimate is EXPM_WORKSPACE times the CSR generator, taken as 184
+    bytes per slot of vec(rho) (at most 9 nonzeros per row at 16 + 4
+    bytes each, and the row pointer).  For blocks of at most
+    DENSE_BLOCK_ROWS rows it adds 9 dense copies of the larger parity
+    block (16 ceil(d^2/2)^2 bytes each): the dense blocks, the step maps
+    and scipy's expm workspace, measured at 8.1-8.4 copies at d = 32 and
+    48 with dense blocks.
     """
-    block = 16 * ((dim * dim + 1) // 2) ** 2
-    need = 16 * dim ** 4 + EXPM_WORKSPACE * block
+    rows = (dim * dim + 1) // 2
+    need = EXPM_WORKSPACE * 184 * dim * dim
+    if rows <= DENSE_BLOCK_ROWS:
+        need += 9 * 16 * rows * rows
+    _require_memory("exact", dim, need)
+
+
+def _require_memory(route: str, dim: int, need: int) -> None:
+    """Raise MemoryError if need bytes exceed the available memory."""
     avail = _available_memory()
     if need > avail:
-        raise MemoryError(f"the exact route at dim {dim} needs about "
+        raise MemoryError(f"the {route} route at dim {dim} needs about "
                           f"{need / 1e6:.3g} MB; {avail / 1e6:.3g} MB are available")
 
 
@@ -441,15 +477,19 @@ def propagate_grid(params: ModelParams, rho0, times,
     """Evolve rho0 over a time grid; one PropagationResult per time.
 
     times must be finite, >= 0 and nondecreasing.  The exact route is the
-    semigroup exp(t L) of one generator: L is built once and cut into its
-    even and odd n1 + n2 parity blocks, which it does not couple, and the
-    state is chained from t = 0 through v_k <- exp(gap L_k) v_k on each
-    block k.  A step map (the two block exponentials) is formed only when
-    a time is not one more step of the current map (within GAP_ULPS ulps
-    of that time), so a uniform grid, np.linspace ones included, costs
-    one pair of exponentials and a repeated time none.  Only one step map
-    is alive at a time.  Before building anything the route estimates its
-    memory and raises MemoryError if that exceeds the available memory.
+    semigroup exp(t L) of one generator: L is built once in CSR and cut
+    into its even and odd n1 + n2 parity blocks, which it does not
+    couple, and the state is chained from t = 0 through
+    v_k <- exp(gap L_k) v_k on each block k, by expm_multiply of the
+    scaled CSR block, or by the dense block exponential for blocks of at
+    most DENSE_BLOCK_ROWS rows.  A step map (the scaled pair or the two
+    exponentials) is formed only when a time is not one more step of the
+    current map (within GAP_ULPS ulps of that time), so a uniform grid,
+    np.linspace ones included, forms one and a repeated time none.  Only
+    one step map is alive at a time.  A non-finite expm_multiply result
+    raises NumericalError.  Before building anything the route estimates
+    its memory and raises MemoryError if that exceeds the available
+    memory.
     The splittings and the series route are not semigroups (chaining them
     would make them the stepped route), so each time is propagate's
     single-time map of rho0.
@@ -467,9 +507,17 @@ def propagate_grid(params: ModelParams, rho0, times,
     gen = build_liouvillian_trace_exact(params)
     blocks = [gen[np.ix_(cls, cls)] for cls in classes]
     del gen        # free the full generator before the exponentials
-    # v is the state at start + n * gap, and steps[k] = exp(gap L_k).  v is
-    # updated in place block by block, and vec(rho0) can be a view of the
-    # caller's rho0, so the chain starts from a copy.
+    dense = len(classes[0]) <= DENSE_BLOCK_ROWS
+    if dense:
+        blocks = [block.toarray() for block in blocks]
+    else:
+        # imported here, not at module level: scipy.sparse.linalg adds
+        # about 2 MB and 15 ms to the start-up of every command
+        from scipy.sparse.linalg import expm_multiply
+    # v is the state at start + n * gap, and steps[k] is exp(gap L_k)
+    # (dense) or gap L_k (CSR, applied by expm_multiply).  v is updated in
+    # place block by block, and vec(rho0) can be a view of the caller's
+    # rho0, so the chain starts from a copy.
     v, steps, start, gap, n = vec(rho0).copy(), None, 0.0, 0.0, 0
     out = []
     for t in times:
@@ -479,9 +527,17 @@ def propagate_grid(params: ModelParams, rho0, times,
                 start, n = start + n * gap, 0
                 gap = t - start
                 steps = None   # free the old step map before forming the next
-                steps = [expm(gap * block) for block in blocks]
+                steps = [expm(gap * block) if dense else gap * block
+                         for block in blocks]
             for cls, step in zip(classes, steps):
-                v[cls] = step @ v[cls]
+                if dense:
+                    v[cls] = step @ v[cls]
+                else:
+                    w = expm_multiply(step, v[cls])
+                    if not np.all(np.isfinite(w)):
+                        raise NumericalError("expm_multiply produced non-finite "
+                                             "entries (overflow?)")
+                    v[cls] = w
             n += 1
         out.append(_result(unvec(v), method, t))
     return out

@@ -223,7 +223,7 @@ def test_criterion_03_generator_form_equivalence():
             for j in range(i + 1, 3):
                 worst_pair = max(worst_pair,
                                  float(np.linalg.norm(forms[i] - forms[j])))
-        cyc = build_liouvillian_trace_exact(model)
+        cyc = build_liouvillian_trace_exact(model).toarray()
         scale = np.linalg.norm(cyc)
         worst_trace = max(worst_trace, float(np.linalg.norm(w @ cyc)) / scale)
         # the literal assembly leaks trace only through the corner column,

@@ -438,6 +438,20 @@ def test_exit_code_for_numerical_failure(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_exit_code_for_non_finite_sparse_exponential(tmp_path, capsys,
+                                                     monkeypatch):
+    # d = 12 has parity blocks of 72 rows, so exact runs on expm_multiply
+    import scipy.sparse.linalg
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
+                        lambda a, b: np.full_like(b, np.nan))
+    path = write_config(tmp_path, methods=["exact"],
+                        model={"omega": 1.0, "mu": 0.5, "nu": 0.2, "dim": 12})
+    assert main(["simulate", "--config", path]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: expm_multiply")
+    assert err.count("\n") == 1
+
+
 def test_exit_code_for_memory_error(tmp_path, capsys, monkeypatch):
     # a dense generator too large to allocate: one error line, no traceback
     def too_large(*args, **kwargs):
@@ -460,6 +474,30 @@ def test_exit_code_when_the_memory_estimate_exceeds_free_memory(
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: the exact route at dim 10")
     assert err.count("\n") == 1
+
+
+def test_stepped_splitting_is_memory_guarded(tmp_path, capsys, monkeypatch):
+    # the CLI's stepped method forms factorized_superop's dense step map
+    monkeypatch.setattr(propagators, "_available_memory", lambda: 1024)
+    path = write_config(tmp_path, methods=["stepped"])
+    assert main(["simulate", "--config", path]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: out of memory: the stepped factorized route at dim 10")
+    assert err.count("\n") == 1
+
+
+def test_exact_simulate_runs_at_dim_64(tmp_path, capsys):
+    path = write_config(
+        tmp_path, methods=["exact"], times={"t_max": 2.0, "n_points": 3},
+        model={"omega": 1.0, "mu": 0.4, "nu": 0.1, "kappa_re": 0.1,
+               "kappa_im": 0.05, "dim": 64},
+        initial_state={"kind": "coherent", "alpha_re": 1.2})
+    assert main(["simulate", "--config", path]) == EXIT_OK
+    rows = csv_rows(capsys.readouterr().out)
+    assert [r[:2] for r in rows] == [["0.0", "exact"], ["1.0", "exact"],
+                                     ["2.0", "exact"]]
+    assert all(abs(float(r[2]) - 1.0) <= 1e-12 for r in rows)
 
 
 def test_stepped_exact_convergence_is_memory_guarded(tmp_path, capsys,
@@ -486,6 +524,25 @@ def test_repeated_runs_are_bit_identical(tmp_path):
     main(["sweep", "--config", path, "--out", str(a)])
     main(["sweep", "--config", path, "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sparse_exact_runs_are_bit_identical(tmp_path):
+    """One gap of 40 at d = 12 puts ||gap L_k||_1 far above 63, where
+    expm_multiply picks its step count from a norm estimate that starts
+    from numpy's global random state."""
+    path = write_config(tmp_path, methods=["exact"], times=[0.0, 40.0],
+                        model={"omega": 1.0, "mu": 0.5, "nu": 0.2,
+                               "kappa_re": 0.3, "dim": 12})
+    outs, state = [], np.random.get_state()
+    try:
+        for seed in (1, 2):
+            np.random.seed(seed)
+            out = tmp_path / f"{seed}.csv"
+            assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
+            outs.append(out.read_bytes())
+    finally:
+        np.random.set_state(state)
+    assert outs[0] == outs[1]
 
 
 def test_output_flag_beats_config_output(tmp_path):

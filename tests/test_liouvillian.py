@@ -137,7 +137,7 @@ def test_trace_exact_generator_never_couples_opposite_parities_property(p):
 def test_cyclic_assembly_annihilates_trace(rng):
     for _ in range(5):
         p = random_admissible_params(rng, dim=6)
-        h = build_liouvillian_trace_exact(p)
+        h = build_liouvillian_trace_exact(p).toarray()
         row = _trace_row(6) @ h
         assert np.max(np.abs(row)) <= 1e-13 * np.linalg.norm(h)
 

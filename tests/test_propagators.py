@@ -94,7 +94,8 @@ def test_su11_factor_matches_enlarged_reference():
         rho_big = np.zeros((big, big), dtype=complex)
         rho_big[:d, :d] = rho_small
         out_small = unvec(factorized_superop(small, t) @ vec(rho_small))
-        ref = unvec(expm(t * build_liouvillian_trace_exact(large)) @ vec(rho_big))
+        ref = unvec(expm(t * build_liouvillian_trace_exact(large).toarray())
+                    @ vec(rho_big))
         gap = np.linalg.norm(out_small[:keep, :keep] - ref[:keep, :keep])
         assert gap <= 1e-12, f"t={t}: interior gap {gap:.3e}"
 
@@ -393,7 +394,8 @@ def test_single_time_exact_matches_one_full_dense_exponential(rng):
     p = random_admissible_params(rng, dim=10)
     rho0 = random_density(10, 4, rng)
     for t in (0.3, 1.7):
-        want = unvec(expm(t * build_liouvillian_trace_exact(p)) @ vec(rho0))
+        want = unvec(expm(t * build_liouvillian_trace_exact(p).toarray())
+                     @ vec(rho0))
         assert _tracedist(propagate(p, rho0, t).rho_t, want) <= 1e-12, t
 
 
@@ -470,7 +472,7 @@ def test_exact_grid_reuses_the_step_across_near_equal_gaps(monkeypatch, rng,
     got = propagate_grid(p, rho0, times)
     # one step map: one expm per parity block
     assert calls == {"expm": 2, "build_liouvillian_trace_exact": 1}
-    gen = build_liouvillian_trace_exact(p)
+    gen = build_liouvillian_trace_exact(p).toarray()
     for res in got:
         want = unvec(scipy.linalg.expm(res.t * gen) @ vec(rho0))
         assert _tracedist(res.rho_t, want) <= 1e-12, res.t
@@ -493,6 +495,71 @@ def test_exact_grid_leaves_the_callers_state_and_earlier_results_alone(rng):
     assert np.array_equal(got[0].rho_t, keep)
 
 
+# ------------------------------------------------------ exact kernel rule
+
+
+def _readme_model(dim):
+    return ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=dim)
+
+
+@pytest.mark.parametrize("dim", [12, 16, 24, 32])
+def test_sparse_exact_kernel_matches_the_full_dense_exponential(rng, dim):
+    """The chain over two gaps, checked at its end: one d^2 x d^2 oracle
+    exponential per model keeps d = 32 affordable."""
+    assert (dim * dim + 1) // 2 > propagators.DENSE_BLOCK_ROWS
+    times = [0.0, 0.7, 1.4, 2.0]
+    drawn = random_admissible_params(rng, dim, theta=0.37)
+    for p, rho0 in ((_readme_model(dim), coherent_state(dim, 1.2)),
+                    (drawn, random_density(dim, 6, rng))):
+        got = propagate_grid(p, rho0, times)[-1].rho_t
+        want = unvec(exact_superop(p, times[-1]) @ vec(rho0))
+        assert _tracedist(got, want) <= 1e-12, p
+
+
+@pytest.mark.parametrize("dim, expm_calls", [(10, 2), (11, 0)],
+                         ids=["dense_50_rows", "sparse_61_rows"])
+def test_exact_kernels_meet_one_bar_on_either_side_of_the_rule(
+        monkeypatch, rng, dim, expm_calls):
+    times = [0.0, 0.7, 1.4]
+    drawn = random_admissible_params(rng, dim, theta=-1.3)
+    for p, rho0 in ((_readme_model(dim), coherent_state(dim, 1.2)),
+                    (drawn, random_density(dim, dim - 1, rng))):
+        with monkeypatch.context() as mp:
+            calls = _count_calls(mp, "expm")
+            got = propagate_grid(p, rho0, times)
+        # one step map: two block exponentials on the dense side, none on
+        # the sparse side
+        assert calls["expm"] == expm_calls
+        for res in got:
+            want = unvec(exact_superop(p, res.t) @ vec(rho0))
+            assert _tracedist(res.rho_t, want) <= 1e-12, (p, res.t)
+
+
+def test_sparse_exact_grid_forms_one_scaled_pair_per_distinct_gap(monkeypatch):
+    import scipy.sparse.linalg
+    applied = []
+    real = scipy.sparse.linalg.expm_multiply
+
+    def recording(a, b):
+        applied.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", recording)
+    calls = _count_calls(monkeypatch, "expm", "build_liouvillian_trace_exact")
+    p = _readme_model(12)
+    rho0 = fock_state(12, 1)
+    propagate_grid(p, rho0, np.linspace(0.0, 2.0, 9))
+    # 8 steps, each applying the one scaled block pair
+    assert calls == {"build_liouvillian_trace_exact": 1}
+    assert len(applied) == 16 and len({id(a) for a in applied}) == 2
+    calls.clear()
+    applied.clear()
+    # gaps 0.5, 0.5, 0, 1.2 - 1.0 (not 0.2 in binary): two distinct gaps
+    propagate_grid(p, rho0, [0.5, 1.0, 1.0, 1.2])
+    assert calls == {"build_liouvillian_trace_exact": 1}
+    assert len(applied) == 6 and len({id(a) for a in applied}) == 4
+
+
 def test_exact_grid_fails_fast_when_memory_is_short(monkeypatch):
     calls = _count_calls(monkeypatch, "expm", "build_liouvillian_trace_exact")
     monkeypatch.setattr(propagators, "_available_memory", lambda: 1024)
@@ -507,6 +574,17 @@ def test_exact_grid_fails_fast_when_memory_is_short(monkeypatch):
     # the other routes form no d^2 x d^2 exponential and are not guarded
     for method in ("factorized", "alternative", "series"):
         propagate_grid(p, fock_state(4, 1), [0.0, 0.5], method)
+
+
+def test_stepped_splittings_fail_fast_when_memory_is_short(monkeypatch):
+    calls = _count_calls(monkeypatch, "factorized_superop", "alternative_superop")
+    monkeypatch.setattr(propagators, "_available_memory", lambda: 1024)
+    p = _readme_model(12)
+    for method in _BUILDERS:
+        with pytest.raises(MemoryError,
+                           match=f"stepped {method} route at dim 12 needs"):
+            stepped_propagate(p, fock_state(12, 1), 1.0, 4, method=method)
+    assert not calls
 
 
 def test_available_memory_reads_mem_available(monkeypatch, tmp_path):
@@ -605,6 +683,32 @@ def test_exact_grid_matches_full_dense_expm_at_stiff_rates_and_the_edge(problem)
     for res in propagate_grid(p, rho0, times):
         want = unvec(exact_superop(p, res.t) @ vec(rho0))
         assert _tracedist(res.rho_t, want) <= 1e-12, res.t
+
+
+@settings(max_examples=10)
+@given(problem=_stiff_edge_grid_problems())
+def test_sparse_exact_kernel_at_stiff_rates_and_the_edge(problem):
+    """The same problems through expm_multiply, forced by a rule of 0
+    rows, against the same oracle and bar."""
+    p, rho0, times = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagators, "DENSE_BLOCK_ROWS", 0)
+        got = propagate_grid(p, rho0, times)
+    for res in got:
+        want = unvec(exact_superop(p, res.t) @ vec(rho0))
+        assert _tracedist(res.rho_t, want) <= 1e-12, res.t
+
+
+@settings(max_examples=10)
+@given(model=_boundary_models(), seed=st.integers(0, 2**32 - 1))
+def test_sparse_exact_kernel_across_coefficient_seams(model, seed):
+    p, t = model
+    rho0 = random_density(8, 3, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagators, "DENSE_BLOCK_ROWS", 0)
+        got = propagate(p, rho0, t).rho_t
+    want = unvec(exact_superop(p, t) @ vec(rho0))
+    assert _tracedist(got, want) <= 1e-12
 
 
 @settings(max_examples=25)
