@@ -39,8 +39,9 @@ of a product build.  factorized_superop and alternative_superop form the
 same stages as CSR factors, multiply them and densify once, at the
 public boundary; they, su11_factor and l_factor stay as the algebra-level
 oracles for tests at small d, and the first two as the stepped
-splittings' step maps.  Both evaluations share one series helper
-(_series).
+splittings' step maps at d <= 10 (above that a stepped splitting applies
+the stages n times, as propagate does once).  Both evaluations share one
+series helper (_series).
 
 operator_series_solution evaluates the same factorized map directly on the
 density matrix as nested finite sums of ladder sandwiches, never forming a
@@ -102,15 +103,20 @@ STATE_TRACE_TOL = 1e-10
 # An exact-route grid time within this many ulps of one more step of the
 # current step map reuses that map.
 GAP_ULPS = 4
-# Parity blocks of at most this many rows (d <= 10) keep the dense expm
-# step map; larger ones are applied by scipy's expm_multiply.  One dense
+# Parity blocks of at most this many rows (d <= 10) keep the dense step
+# maps: the exact route's expm of each block, and the stepped splittings'
+# d^2 x d^2 factorized_superop or alternative_superop.  Above it the exact
+# blocks are applied by scipy's expm_multiply and the splittings' stages
+# one at a time (_dense_blocks reads the rule at call time).  One dense
 # expm against one expm_multiply of the README model's block at gap 0.25,
 # single-threaded BLAS: 0.08 against 0.99 ms at 18 rows, 0.65 against
 # 1.1 ms at 50, 1.6 against 1.2 ms at 72, 7.1 against 1.6 ms at 128.
 # expm's cost grows with log ||t L||_1 (its squarings), expm_multiply's
 # about linearly, which counts at stiff rates.
-# perfbench's traced test of a d = 6 kappa-sweep requires a linalg.expm
-# span; once that test names its spans by role, the dense branch can go.
+# perfbench's traced test of a d = 6 kappa-sweep pins both dense branches:
+# it requires a linalg.expm and a propagators.factor_build span and a
+# 16 d^4 propagators.superop_bytes.  Once that test names its spans by
+# role (ROADMAP item 1), both branches and this rule can go.
 DENSE_BLOCK_ROWS = 50
 # Peak memory of the exact grid route, in units of its CSR generator
 # (184 bytes per slot of vec(rho)): the generator, its two blocks, the
@@ -207,6 +213,12 @@ def _parity_classes(dim: int) -> list[np.ndarray]:
     """
     parity = _total_index(dim) % 2
     return [np.flatnonzero(parity == k) for k in (0, 1)]
+
+
+def _dense_blocks(dim: int) -> bool:
+    """Whether the parity blocks at dim, of ceil(d^2/2) rows at most,
+    are within DENSE_BLOCK_ROWS, so the routes keep their dense step maps."""
+    return (dim * dim + 1) // 2 <= DENSE_BLOCK_ROWS
 
 
 def _jump_stages(c: CoefficientSet, g: SuperOpGenerators) -> tuple:
@@ -384,10 +396,14 @@ def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
 
     For the exact method this is the exact grid route over the step
     times dt, 2 dt, ..., n dt, a semigroup identity check; for the
-    splittings the global error shrinks like 1/n_steps.  A splitting
-    forms its dense d^2 x d^2 step map, so it first estimates that
-    map's memory and raises MemoryError if it exceeds the available
-    memory.
+    splittings the global error shrinks like 1/n_steps.  Above
+    DENSE_BLOCK_ROWS block rows (d > 10) a splitting applies the
+    closed-form stages of one step (_closed_form, the stages propagate
+    applies once) to vec(rho0) n_steps times, forming no d^2 x d^2
+    matrix.  At or below it the splitting forms its dense d^2 x d^2 step
+    map, factorized_superop or alternative_superop, after estimating
+    that map's memory; it raises MemoryError if the estimate exceeds
+    the available memory.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -406,6 +422,12 @@ def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
         for _ in range(n_steps):
             rho = operator_series_solution(params, rho, dt).rho_t
         return _result(rho, "series", t)
+    if not _dense_blocks(params.dim):
+        pref, stages = _closed_form(params, dt, method)
+        v = vec(rho0)
+        for _ in range(n_steps):
+            v = pref * _apply(stages, v, params.dim)
+        return _result(unvec(v), method, t)
     # The dense step map: three d^2 x d^2 complex matrices cover the CSR
     # product and its dense copy, measured with ru_maxrss at 1.9-2.8 of
     # one at d = 16..48.
@@ -448,9 +470,9 @@ def _check_exact_memory(dim: int) -> None:
     and scipy's expm workspace, measured at 8.1-8.4 copies at d = 32 and
     48 with dense blocks.
     """
-    rows = (dim * dim + 1) // 2
     need = EXPM_WORKSPACE * 184 * dim * dim
-    if rows <= DENSE_BLOCK_ROWS:
+    if _dense_blocks(dim):
+        rows = (dim * dim + 1) // 2
         need += 9 * 16 * rows * rows
     _require_memory("exact", dim, need)
 
@@ -507,7 +529,7 @@ def propagate_grid(params: ModelParams, rho0, times,
     gen = build_liouvillian_trace_exact(params)
     blocks = [gen[np.ix_(cls, cls)] for cls in classes]
     del gen        # free the full generator before the exponentials
-    dense = len(classes[0]) <= DENSE_BLOCK_ROWS
+    dense = _dense_blocks(params.dim)
     if dense:
         blocks = [block.toarray() for block in blocks]
     else:
@@ -533,7 +555,12 @@ def propagate_grid(params: ModelParams, rho0, times,
                 if dense:
                     v[cls] = step @ v[cls]
                 else:
-                    w = expm_multiply(step, v[cls])
+                    # onenormest, which expm_multiply calls on blocks of
+                    # 1-norm above 63, divides by subnormal entries and
+                    # warns of overflow; the result stays usable, and a
+                    # non-finite one is caught below.
+                    with np.errstate(all="ignore"):
+                        w = expm_multiply(step, v[cls])
                     if not np.all(np.isfinite(w)):
                         raise NumericalError("expm_multiply produced non-finite "
                                              "entries (overflow?)")

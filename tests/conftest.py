@@ -39,9 +39,9 @@ def random_admissible_params(rng, dim: int, theta: float = 0.0) -> ModelParams:
 
 
 @st.composite
-def stiff_models(draw, max_dim=10):
-    """A model at d <= max_dim with theta != 0 and rates up to 1e3."""
-    d = draw(st.integers(2, max_dim))
+def stiff_models(draw, max_dim=10, min_dim=2):
+    """A model at min_dim <= d <= max_dim with theta != 0 and rates up to 1e3."""
+    d = draw(st.integers(min_dim, max_dim))
     scale = draw(st.sampled_from([1.0, 1e2, 1e3]))
     mu, nu = scale * draw(st.floats(0.05, 1.0)), scale * draw(st.floats(0.0, 1.0))
     kappa = (draw(st.floats(0.0, 1.0)) * math.sqrt(mu * nu)

@@ -500,6 +500,22 @@ def test_exact_simulate_runs_at_dim_64(tmp_path, capsys):
     assert all(abs(float(r[2]) - 1.0) <= 1e-12 for r in rows)
 
 
+def test_stepped_simulate_runs_at_dim_64(tmp_path, capsys):
+    # above dim 10 the stepped splitting applies its stages n_steps times
+    # and forms no d^2 x d^2 step map
+    path = write_config(
+        tmp_path, methods=["stepped"], times={"t_max": 2.0, "n_points": 3},
+        model={"omega": 1.0, "mu": 0.4, "nu": 0.1, "kappa_re": 0.1,
+               "kappa_im": 0.05, "dim": 64},
+        initial_state={"kind": "coherent", "alpha_re": 1.2})
+    assert main(["simulate", "--config", path]) == EXIT_OK
+    rows = csv_rows(capsys.readouterr().out)
+    assert [r[:2] for r in rows] == [["0.0", "stepped"], ["1.0", "stepped"],
+                                     ["2.0", "stepped"]]
+    assert all(abs(complex(float(r[2]), float(r[3])) - 1.0) <= 1e-12
+               for r in rows)
+
+
 def test_stepped_exact_convergence_is_memory_guarded(tmp_path, capsys,
                                                       monkeypatch):
     # stepped exact runs on the exact grid route, behind the same estimate

@@ -579,11 +579,18 @@ def test_exact_grid_fails_fast_when_memory_is_short(monkeypatch):
 def test_stepped_splittings_fail_fast_when_memory_is_short(monkeypatch):
     calls = _count_calls(monkeypatch, "factorized_superop", "alternative_superop")
     monkeypatch.setattr(propagators, "_available_memory", lambda: 1024)
-    p = _readme_model(12)
+    # at d <= 10 the step map is the dense d^2 x d^2 product, estimated first
+    p = _readme_model(10)
     for method in _BUILDERS:
         with pytest.raises(MemoryError,
-                           match=f"stepped {method} route at dim 12 needs"):
-            stepped_propagate(p, fock_state(12, 1), 1.0, 4, method=method)
+                           match=f"stepped {method} route at dim 10 needs"):
+            stepped_propagate(p, fock_state(10, 1), 1.0, 4, method=method)
+    assert not calls
+    # above it the stages are applied n times, forming no d^2 x d^2 matrix,
+    # and the route is not guarded
+    p = _readme_model(12)
+    for method in _BUILDERS:
+        stepped_propagate(p, fock_state(12, 1), 1.0, 4, method=method)
     assert not calls
 
 
@@ -656,10 +663,10 @@ def test_exact_grid_matches_dense_expm_property(problem):
 
 
 @st.composite
-def _stiff_edge_states(draw):
-    """A model at d <= 10 with rates up to 1e3 and theta != 0, and a state
-    with population in one of the top two levels."""
-    p = draw(stiff_models())
+def _stiff_edge_states(draw, max_dim=10, min_dim=2):
+    """A model at min_dim <= d <= max_dim with rates up to 1e3 and
+    theta != 0, and a state with population in one of the top two levels."""
+    p = draw(stiff_models(max_dim, min_dim))
     rho0 = random_density(p.dim, draw(st.sampled_from([p.dim - 2, p.dim - 1])),
                           np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     return p, rho0
@@ -708,6 +715,19 @@ def test_sparse_exact_kernel_across_coefficient_seams(model, seed):
         mp.setattr(propagators, "DENSE_BLOCK_ROWS", 0)
         got = propagate(p, rho0, t).rho_t
     want = unvec(exact_superop(p, t) @ vec(rho0))
+    assert _tracedist(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("level", [0, 5, 11])
+def test_sparse_exact_kernel_ignores_subnormal_entries(level):
+    """A kappa of 1e-320 leaves subnormal entries in the blocks, on which
+    expm_multiply's norm estimate warns of overflow (an error under the
+    test suite's warning filter); the state is still the exponential's."""
+    p = ModelParams(omega=1.0, mu=100.0, nu=100.0, kappa=1e-320, dim=12,
+                    theta=2.0)
+    rho0 = fock_state(12, level)
+    got = propagate_grid(p, rho0, [0.0, 1.0])[-1].rho_t
+    want = unvec(exact_superop(p, 1.0) @ vec(rho0))
     assert _tracedist(got, want) <= 1e-12
 
 
@@ -768,6 +788,42 @@ def test_single_stepped_splitting_is_the_matrix_free_route_property(problem, tau
         one = stepped_propagate(p, rho0, t, n_steps=1, method=method).rho_t
         want = propagate(p, rho0, t, method).rho_t
         assert np.linalg.norm(one - want) <= 1e-13 * np.linalg.norm(want), method
+
+
+@settings(max_examples=20)
+@given(problem=_stiff_edge_states(max_dim=14, min_dim=11),
+       tau=st.floats(0.0, 2.0), n=st.integers(1, 8))
+def test_matrix_free_stepped_splitting_is_n_dense_steps_property(problem, tau, n):
+    """Above the dense-block rule a stepped splitting applies its stages n
+    times; n applications of the formed step map are its oracle.  t is at
+    most two time constants, as in the single-step property above."""
+    p, rho0 = problem
+    assert not propagators._dense_blocks(p.dim)
+    t = tau / max(p.omega, p.mu, p.nu, abs(p.kappa))
+    for method, build in _BUILDERS.items():
+        step = build(p, t / n)
+        v = vec(rho0)
+        for _ in range(n):
+            v = step @ v
+        want = unvec(v)
+        got = stepped_propagate(p, rho0, t, n, method=method)
+        assert (got.method, got.t) == (method, t)
+        assert np.linalg.norm(got.rho_t - want) <= 1e-13 * np.linalg.norm(want), method
+
+
+@pytest.mark.parametrize("dim, builds", [(10, 1), (11, 0)],
+                         ids=["dense_50_rows", "matrix_free_61_rows"])
+def test_stepped_splitting_forms_a_step_map_only_at_or_below_the_rule(
+        monkeypatch, dim, builds):
+    calls = _count_calls(monkeypatch, "factorized_superop",
+                         "alternative_superop", "_form")
+    p = _readme_model(dim)
+    for method in _BUILDERS:
+        calls.clear()
+        stepped_propagate(p, fock_state(dim, 1), 1.0, 4, method=method)
+        assert calls[f"{method}_superop"] == builds
+        assert calls["_form"] == builds
+        assert sum(calls.values()) == 2 * builds
 
 
 def test_stepped_without_two_photon_ignores_step_count():
