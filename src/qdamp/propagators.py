@@ -39,9 +39,9 @@ of a product build.  factorized_superop and alternative_superop form the
 same stages as CSR factors, multiply them and densify once, at the
 public boundary; they, su11_factor and l_factor stay as the algebra-level
 oracles for tests at small d, and the first two as the stepped
-splittings' step maps at d <= 10 (above that a stepped splitting applies
-the stages n times, as propagate does once).  Both evaluations share one
-series helper (_series).
+splittings' step maps at d <= 10 and for long step chains (otherwise a
+stepped splitting applies the stages n times, as propagate does once).
+Both evaluations share one series helper (_series).
 
 operator_series_solution evaluates the same factorized map directly on the
 density matrix as nested finite sums of ladder sandwiches, never forming a
@@ -106,8 +106,9 @@ GAP_ULPS = 4
 # Parity blocks of at most this many rows (d <= 10) keep the dense step
 # maps: the exact route's expm of each block, and the stepped splittings'
 # d^2 x d^2 factorized_superop or alternative_superop.  Above it the exact
-# blocks are applied by scipy's expm_multiply and the splittings' stages
-# one at a time (_dense_blocks reads the rule at call time).  One dense
+# blocks are applied by scipy's expm_multiply and, over short step chains
+# (_stepped_matrix_free), the splittings' stages one at a time
+# (_dense_blocks reads the rule at call time).  One dense
 # expm against one expm_multiply of the README model's block at gap 0.25,
 # single-threaded BLAS: 0.08 against 0.99 ms at 18 rows, 0.65 against
 # 1.1 ms at 50, 1.6 against 1.2 ms at 72, 7.1 against 1.6 ms at 128.
@@ -118,6 +119,14 @@ GAP_ULPS = 4
 # 16 d^4 propagators.superop_bytes.  Once that test names its spans by
 # role (ROADMAP item 1), both branches and this rule can go.
 DENSE_BLOCK_ROWS = 50
+# Above DENSE_BLOCK_ROWS a stepped splitting applies its stages matrix-free
+# while n_steps <= d^2 / SLOTS_PER_MATRIX_FREE_STEP and forms its dense
+# step map once for longer chains.  The two routes cost the same at n*
+# steps, where the map's build equals n* matrix-free steps less n* dense
+# matvecs.  README model, one or two BLAS threads: d^2 / n* measured at 5
+# to 13 for d = 11..40 (2 to 6 at d = 48), so every chain the rule sends
+# matrix-free is faster there than on the step map.
+SLOTS_PER_MATRIX_FREE_STEP = 16
 # Peak memory of the exact grid route, in units of its CSR generator
 # (184 bytes per slot of vec(rho)): the generator, its two blocks, the
 # scaled block pair, expm_multiply's shifted copy, the cached generators
@@ -219,6 +228,13 @@ def _dense_blocks(dim: int) -> bool:
     """Whether the parity blocks at dim, of ceil(d^2/2) rows at most,
     are within DENSE_BLOCK_ROWS, so the routes keep their dense step maps."""
     return (dim * dim + 1) // 2 <= DENSE_BLOCK_ROWS
+
+
+def _stepped_matrix_free(dim: int, n_steps: int) -> bool:
+    """Whether a stepped splitting applies its stages n_steps times
+    rather than forming its dense step map."""
+    return (not _dense_blocks(dim)
+            and n_steps * SLOTS_PER_MATRIX_FREE_STEP <= dim * dim)
 
 
 def _jump_stages(c: CoefficientSet, g: SuperOpGenerators) -> tuple:
@@ -397,11 +413,12 @@ def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
     For the exact method this is the exact grid route over the step
     times dt, 2 dt, ..., n dt, a semigroup identity check; for the
     splittings the global error shrinks like 1/n_steps.  Above
-    DENSE_BLOCK_ROWS block rows (d > 10) a splitting applies the
+    DENSE_BLOCK_ROWS block rows (d > 10) and for at most
+    d^2 / SLOTS_PER_MATRIX_FREE_STEP steps a splitting applies the
     closed-form stages of one step (_closed_form, the stages propagate
     applies once) to vec(rho0) n_steps times, forming no d^2 x d^2
-    matrix.  At or below it the splitting forms its dense d^2 x d^2 step
-    map, factorized_superop or alternative_superop, after estimating
+    matrix.  Otherwise it forms its dense d^2 x d^2 step map,
+    factorized_superop or alternative_superop, once, after estimating
     that map's memory; it raises MemoryError if the estimate exceeds
     the available memory.
     """
@@ -422,7 +439,7 @@ def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
         for _ in range(n_steps):
             rho = operator_series_solution(params, rho, dt).rho_t
         return _result(rho, "series", t)
-    if not _dense_blocks(params.dim):
+    if _stepped_matrix_free(params.dim, n_steps):
         pref, stages = _closed_form(params, dt, method)
         v = vec(rho0)
         for _ in range(n_steps):
@@ -494,6 +511,26 @@ def _check_grid(times) -> list[float]:
     return times
 
 
+def _drop_negligible(m):
+    """Zero, in place, the entries of a CSR matrix below eps^2 times its
+    largest one, and return it.
+
+    expm_multiply picks its step count from onenormest's estimates of
+    ||m^p||_1 for p <= 9.  Products of such small entries underflow to
+    subnormals, which onenormest's sign vectors turn into inf and NaN:
+    it warns of overflow and can return too low an estimate (d = 12,
+    rates 1e3, kappa 1e-320: one call in 20 landed 1.1e-12 from
+    exact_superop, the others 1.6e-13).  onenormest runs only where m,
+    shifted by its mean diagonal, has a 1-norm above 63; with at most 9
+    nonzeros per column m's largest entry is then above 3.5, so nine
+    kept entries multiply to a normal number.  The zeroed entries move
+    exp(m) v by about eps^2 relative.
+    """
+    size = np.abs(m.data)
+    m.data[size < np.finfo(np.float64).eps ** 2 * size.max(initial=0.0)] = 0
+    return m
+
+
 def propagate_grid(params: ModelParams, rho0, times,
                    method: str = "exact") -> list[PropagationResult]:
     """Evolve rho0 over a time grid; one PropagationResult per time.
@@ -537,9 +574,10 @@ def propagate_grid(params: ModelParams, rho0, times,
         # about 2 MB and 15 ms to the start-up of every command
         from scipy.sparse.linalg import expm_multiply
     # v is the state at start + n * gap, and steps[k] is exp(gap L_k)
-    # (dense) or gap L_k (CSR, applied by expm_multiply).  v is updated in
-    # place block by block, and vec(rho0) can be a view of the caller's
-    # rho0, so the chain starts from a copy.
+    # (dense) or gap L_k (CSR, negligible entries dropped, applied by
+    # expm_multiply).  v is updated in place block by block, and
+    # vec(rho0) can be a view of the caller's rho0, so the chain starts
+    # from a copy.
     v, steps, start, gap, n = vec(rho0).copy(), None, 0.0, 0.0, 0
     out = []
     for t in times:
@@ -549,18 +587,13 @@ def propagate_grid(params: ModelParams, rho0, times,
                 start, n = start + n * gap, 0
                 gap = t - start
                 steps = None   # free the old step map before forming the next
-                steps = [expm(gap * block) if dense else gap * block
-                         for block in blocks]
+                steps = [expm(gap * block) if dense
+                         else _drop_negligible(gap * block) for block in blocks]
             for cls, step in zip(classes, steps):
                 if dense:
                     v[cls] = step @ v[cls]
                 else:
-                    # onenormest, which expm_multiply calls on blocks of
-                    # 1-norm above 63, divides by subnormal entries and
-                    # warns of overflow; the result stays usable, and a
-                    # non-finite one is caught below.
-                    with np.errstate(all="ignore"):
-                        w = expm_multiply(step, v[cls])
+                    w = expm_multiply(step, v[cls])
                     if not np.all(np.isfinite(w)):
                         raise NumericalError("expm_multiply produced non-finite "
                                              "entries (overflow?)")

@@ -718,12 +718,17 @@ def test_sparse_exact_kernel_across_coefficient_seams(model, seed):
     assert _tracedist(got, want) <= 1e-12
 
 
-@pytest.mark.parametrize("level", [0, 5, 11])
-def test_sparse_exact_kernel_ignores_subnormal_entries(level):
-    """A kappa of 1e-320 leaves subnormal entries in the blocks, on which
-    expm_multiply's norm estimate warns of overflow (an error under the
-    test suite's warning filter); the state is still the exponential's."""
-    p = ModelParams(omega=1.0, mu=100.0, nu=100.0, kappa=1e-320, dim=12,
+@pytest.mark.parametrize("rate, kappa, level", [
+    (100.0, 1e-320, 0), (100.0, 1e-320, 5), (100.0, 1e-320, 11),
+    (100.0, 1e-160, 5), (1e3, 1e-320, 5)])
+def test_sparse_exact_kernel_ignores_subnormal_entries(rate, kappa, level):
+    """A kappa of 1e-320 leaves subnormal entries in the blocks, and one
+    of 1e-160 leaves them in the block's square.  On them expm_multiply's
+    norm estimate warns of overflow (an error under the test suite's
+    warning filter) and can come back too low, which at rates of 1e3
+    (a block 1-norm near 1e4) shows as too few steps; the state must be
+    the exponential's."""
+    p = ModelParams(omega=1.0, mu=rate, nu=rate, kappa=kappa, dim=12,
                     theta=2.0)
     rho0 = fock_state(12, level)
     got = propagate_grid(p, rho0, [0.0, 1.0])[-1].rho_t
@@ -792,13 +797,14 @@ def test_single_stepped_splitting_is_the_matrix_free_route_property(problem, tau
 
 @settings(max_examples=20)
 @given(problem=_stiff_edge_states(max_dim=14, min_dim=11),
-       tau=st.floats(0.0, 2.0), n=st.integers(1, 8))
+       tau=st.floats(0.0, 2.0), n=st.integers(1, 7))
 def test_matrix_free_stepped_splitting_is_n_dense_steps_property(problem, tau, n):
-    """Above the dense-block rule a stepped splitting applies its stages n
-    times; n applications of the formed step map are its oracle.  t is at
-    most two time constants, as in the single-step property above."""
+    """Above the dense-block rule, over at most d^2 / 16 steps, a stepped
+    splitting applies its stages n times; n applications of the formed
+    step map are its oracle.  t is at most two time constants, as in the
+    single-step property above."""
     p, rho0 = problem
-    assert not propagators._dense_blocks(p.dim)
+    assert propagators._stepped_matrix_free(p.dim, n)
     t = tau / max(p.omega, p.mu, p.nu, abs(p.kappa))
     for method, build in _BUILDERS.items():
         step = build(p, t / n)
@@ -811,16 +817,22 @@ def test_matrix_free_stepped_splitting_is_n_dense_steps_property(problem, tau, n
         assert np.linalg.norm(got.rho_t - want) <= 1e-13 * np.linalg.norm(want), method
 
 
-@pytest.mark.parametrize("dim, builds", [(10, 1), (11, 0)],
-                         ids=["dense_50_rows", "matrix_free_61_rows"])
-def test_stepped_splitting_forms_a_step_map_only_at_or_below_the_rule(
-        monkeypatch, dim, builds):
+@pytest.mark.parametrize("dim, n_steps, builds",
+                         [(10, 4, 1), (11, 4, 0), (11, 8, 1), (16, 16, 0), (16, 17, 1)],
+                         ids=["dense_50_rows", "matrix_free_61_rows",
+                              "long_chain_at_d11", "matrix_free_d2_over_16_steps",
+                              "long_chain_at_d16"])
+def test_stepped_splitting_forms_a_step_map_only_by_the_rules(
+        monkeypatch, dim, n_steps, builds):
+    """The dense step map is formed at d <= 10, and above it once
+    n_steps exceeds d^2 / 16, where its one build costs less than the
+    matrix-free steps."""
     calls = _count_calls(monkeypatch, "factorized_superop",
                          "alternative_superop", "_form")
     p = _readme_model(dim)
     for method in _BUILDERS:
         calls.clear()
-        stepped_propagate(p, fock_state(dim, 1), 1.0, 4, method=method)
+        stepped_propagate(p, fock_state(dim, 1), 1.0, n_steps, method=method)
         assert calls[f"{method}_superop"] == builds
         assert calls["_form"] == builds
         assert sum(calls.values()) == 2 * builds
