@@ -55,6 +55,7 @@ from .propagators import (
     operator_series_solution,
     propagate,
     propagate_grid,
+    propagate_sweep,
     stepped_propagate,
     su11_factor,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "projected_residual",
     "propagate",
     "propagate_grid",
+    "propagate_sweep",
     "sparse_generators",
     "state_diagnostics",
     "stepped_propagate",

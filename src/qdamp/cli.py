@@ -275,6 +275,15 @@ def _evolve(cfg: RunConfig, model: ModelParams, rho0: np.ndarray,
     return [r.rho_t for r in propagators.propagate_grid(model, rho0, times, method)]
 
 
+def _evolve_models(cfg: RunConfig, models: Sequence[ModelParams],
+                   rho0: np.ndarray, t: float, method: str) -> list:
+    """States of one method at time t, one per model, in one call."""
+    stepped = method == "stepped"
+    return [r.rho_t for r in propagators.propagate_sweep(
+        models, rho0, t, "factorized" if stepped else method,
+        cfg.n_steps if stepped else None)]
+
+
 def _diag_cells(rho: np.ndarray, margin: int) -> list:
     rec = state_diagnostics(rho, margin=margin)
     return [_fmt(rec.trace.real), _fmt(rec.trace.imag),
@@ -282,10 +291,10 @@ def _diag_cells(rho: np.ndarray, margin: int) -> list:
             _fmt(rec.purity), _fmt(rec.mean_n), _fmt(rec.tail_mass)]
 
 
-def _rows(cfg: RunConfig, model: ModelParams, rho0: np.ndarray,
-          times: Sequence[float]) -> list:
-    """Simulate rows per time: one list per time, methods in sorted order."""
-    states = {m: _evolve(cfg, model, rho0, times, m) for m in sorted(cfg.methods)}
+def _rows(cfg: RunConfig, times: Sequence[float], states: dict) -> list:
+    """Simulate rows per point: one list per point, methods in the order
+    of states, which maps each method to its states, one per point; point
+    k is at times[k]."""
     exact = states.get("exact")
     out = []
     for k, t in enumerate(times):
@@ -298,6 +307,13 @@ def _rows(cfg: RunConfig, model: ModelParams, rho0: np.ndarray,
                         + [_fmt(dist_f), _fmt(dist_t)])
         out.append(rows)
     return out
+
+
+def _grid_rows(cfg: RunConfig, model: ModelParams, rho0: np.ndarray,
+               times: Sequence[float]) -> list:
+    """Simulate rows of one model over a time grid, one list per time."""
+    return _rows(cfg, times, {m: _evolve(cfg, model, rho0, times, m)
+                              for m in sorted(cfg.methods)})
 
 
 def _open_out(cfg_output: Optional[str], out_flag: Optional[str]):
@@ -322,7 +338,8 @@ def cmd_simulate(cfg: RunConfig, out_flag: Optional[str]) -> int:
     if cfg.positivity == "strict":
         cfg.model.require_positivity()
     rho0 = cfg.initial_density_matrix()
-    rows = [row for at_t in _rows(cfg, cfg.model, rho0, cfg.times) for row in at_t]
+    rows = [row for at_t in _grid_rows(cfg, cfg.model, rho0, cfg.times)
+            for row in at_t]
     with _open_out(cfg.output, out_flag) as stream:
         _write_csv(stream, SIMULATE_COLUMNS, rows)
     return EXIT_OK
@@ -379,16 +396,18 @@ def cmd_sweep(cfg: RunConfig, out_flag: Optional[str]) -> int:
     if param == "t":
         # one model, evolved once over the sorted distinct swept times
         grid = sorted(set(values))
-        at = (dict(zip(grid, _rows(cfg, cfg.model, rho0, grid)))
+        at = (dict(zip(grid, _grid_rows(cfg, cfg.model, rho0, grid)))
               if admissible(cfg.model) else {})
         results = [(v, at.get(v)) for v in values]
     else:
-        results = []
-        for v in values:
-            model = _swept_model(cfg.model, param, v)
-            rows = (_rows(cfg, model, rho0, (cfg.times[-1],))[0]
-                    if admissible(model) else None)
-            results.append((v, rows))
+        # every admissible model at the final time, one pass per method
+        models = [_swept_model(cfg.model, param, v) for v in values]
+        keep = [k for k, model in enumerate(models) if admissible(model)]
+        chosen, t = [models[k] for k in keep], cfg.times[-1]
+        states = ({m: _evolve_models(cfg, chosen, rho0, t, m)
+                   for m in sorted(cfg.methods)} if chosen else {})
+        at = dict(zip(keep, _rows(cfg, [t] * len(keep), states)))
+        results = [(v, at.get(k)) for k, v in enumerate(values)]
     with _open_out(cfg.output, out_flag) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(("param", "value") + SIMULATE_COLUMNS)

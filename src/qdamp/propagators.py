@@ -26,52 +26,49 @@ d - 1 the population the untruncated flow carries out of the block.
 alternative_superop reorders the splitting so the two-photon raising and
 lowering exponentials sit on the outside.
 
-Each closed-form map is written once, as stages in the order they act on
-a state (_closed_form): a weighted generator from
-algebra.cached_generators (CSR, about three nonzeros per row, built once
-per dim and theta and shared with liouvillian and verify_algebra) stands
-for its exponential, a 1-d array for a diagonal, and the scalar prefactor
-multiplies last.  propagate applies the stages to vec(rho0) one at a
-time: each exponential as its terminating series sum_k c^k G^k v / k!,
-one sparse matvec per term, each diagonal elementwise.  No d^2 x d^2
-matrix is formed, and a state costs O(d^3) instead of the O(d^5) or more
-of a product build.  factorized_superop and alternative_superop form the
-same stages as CSR factors, multiply them and densify once, at the
-public boundary; they, su11_factor and l_factor stay as the algebra-level
-oracles for tests at small d, and the first two as the stepped
-splittings' step maps at d <= 10 and for long step chains (otherwise a
-stepped splitting applies the stages n times, as propagate does once).
-Both evaluations share one series helper (_series).
+Every closed-form factor is exp(w G): the generator G, from
+algebra.cached_generators (CSR, about three nonzeros per row), depends on
+dim and theta alone, and the model and t enter only through scalar
+weights.  So one kernel (_closed_form, _apply) evaluates many columns, a
+column being a model and a time of one dim and theta: a stage is a
+generator with one weight per column, applied to the d^2 x n block of
+states as its terminating series (one sparse matmat per term for all
+columns), or a d^2 x n array, one diagonal per column; per-column
+prefactors multiply last.  Each column has the bits of its one-column
+call.  propagate is the one-column kernel, propagate_grid's closed forms
+one column per time, propagate_sweep one per model, and a matrix-free
+stepped splitting applies one step's stages n times.  No d^2 x d^2
+matrix is formed.  factorized_superop and alternative_superop form the
+same stages as CSR factors and densify their product once; they,
+su11_factor and l_factor are the algebra-level oracles for tests at
+small d, and the first two the stepped splittings' step maps at d <= 10
+and for long step chains.
 
 operator_series_solution evaluates the same factorized map directly on the
 density matrix as nested finite sums of ladder sandwiches, never forming a
 d^2 x d^2 matrix; it must agree with factorized_superop to roundoff and
 is kept as an independent implementation route for exactly that check:
 it works with d x d ladder matrices, the other two with the twelve
-Kronecker generators.
+Kronecker generators.  It runs model by model and time by time, since
+its cost is dense d x d products.
 
-propagate_grid evolves one state over a whole time grid.  The exact route
-builds the generator once (liouvillian's trace-exact generator, a
-weighted sum of the same cached generators, kept in CSR with about 9
-nonzeros per row).  Every generator moves n1 + n2 by 0 or +-2, so L
-couples no slot of even n1 + n2 to one of odd n1 + n2 (the weak-symmetry
-reduction of Buca and Prosen, NJP 14 073007, 2012): the route cuts L
-into its even and odd diagonal blocks in CSR, of about d^2 / 2 rows
-each, and chains the state through exp(gap L_even) and exp(gap L_odd).
-Above DENSE_BLOCK_ROWS rows (d > 10) each block is scaled by the gap
-once and applied to its half of the state by scipy's expm_multiply (Al-
-Mohy and Higham, SIAM J. Sci. Comput. 33:488, 2011), which takes sparse
-matvecs only, so no d^2 x d^2 or half-size dense matrix is formed and
-the route holds O(d^2) memory.  At or below it the blocks are densified
-and each change of gap forms the two dense block exponentials, which is
-faster at that size.  A uniform grid costs one scaled pair or one pair
-of exponentials.  The other routes
-are splittings, not semigroups, and each time is propagate's
-single-time map of the initial state.  For exact and series, propagate
-is the one-point grid, and stepped exact is the grid of its n step
-times, which applies one step map n times.  exact_superop, the full
-dense exp(t L) without the parity split, is the test oracle only: no
-route calls it.
+The exact route (_exact_chain) evolves the trace-exact generator of
+liouvillian (CSR, about 9 nonzeros per row).  Every generator moves
+n1 + n2 by 0 or +-2, so L couples no slot of even n1 + n2 to one of odd
+n1 + n2 (the weak-symmetry reduction of Buca and Prosen, NJP 14 073007,
+2012): the route cuts L into its two parity blocks and chains the states
+over a time grid through exp(gap L_even) and exp(gap L_odd).  Above
+DENSE_BLOCK_ROWS rows (d > 10) the blocks of all models form one direct
+sum per class, applied to the models' states as one vector by scipy's
+expm_multiply (Al-Mohy and Higham, SIAM J. Sci. Comput. 33:488, 2011)
+in sub-steps short enough that it takes its exact-norm branch, so the
+result does not depend on numpy's global random state; no dense block
+is formed.  At or below the rule each model forms its dense block
+exponentials, which is faster at that size.  A uniform grid costs one
+step map.  propagate_grid's exact branch is the chain of one model,
+propagate_sweep the chain of many to one time, and stepped exact the
+chain over the step times.  exact_superop, the full dense exp(t L)
+without the parity split, is the test oracle only: no route calls it.
 
 Every map here multiplies a vectorized state by construction, so a state
 whose population stays away from the truncation edge preserves trace and
@@ -91,7 +88,7 @@ import scipy.sparse as sp
 # build_generators (the dense view) is not called here; perfbench's tracer
 # wraps it under this module's name, so the name stays importable.
 from .algebra import SuperOpGenerators, build_generators, cached_generators  # noqa: F401
-from .coefficients import CoefficientSet, eval_coefficients
+from .coefficients import eval_coefficients
 from .diagnostics import DiagnosticsRecord, state_diagnostics
 from .linalg import NumericalError, as_complex_matrix, expm
 # build_liouvillian is not called here either; the tracer wraps it too.
@@ -105,10 +102,10 @@ STATE_TRACE_TOL = 1e-10
 GAP_ULPS = 4
 # Parity blocks of at most this many rows (d <= 10) keep the dense step
 # maps: the exact route's expm of each block, and the stepped splittings'
-# d^2 x d^2 factorized_superop or alternative_superop.  Above it the exact
-# blocks are applied by scipy's expm_multiply and, over short step chains
-# (_stepped_matrix_free), the splittings' stages one at a time
-# (_dense_blocks reads the rule at call time).  One dense
+# d^2 x d^2 factorized_superop or alternative_superop, both per model.
+# Above it the exact blocks are applied by scipy's expm_multiply and, over
+# short step chains (_stepped_matrix_free), the splittings' stages one at
+# a time (_dense_blocks reads the rule at call time).  One dense
 # expm against one expm_multiply of the README model's block at gap 0.25,
 # single-threaded BLAS: 0.08 against 0.99 ms at 18 rows, 0.65 against
 # 1.1 ms at 50, 1.6 against 1.2 ms at 72, 7.1 against 1.6 ms at 128.
@@ -127,7 +124,15 @@ DENSE_BLOCK_ROWS = 50
 # to 13 for d = 11..40 (2 to 6 at d = 48), so every chain the rule sends
 # matrix-free is faster there than on the step map.
 SLOTS_PER_MATRIX_FREE_STEP = 16
-# Peak memory of the exact grid route, in units of its CSR generator
+# expm_multiply picks its Taylor degree and step count from the exact
+# 1-norm of its matrix, shifted by the mean diagonal, while that norm is
+# at most this bound for one vector (condition 3.13 of Al-Mohy and Higham
+# with scipy's m_max = 55 and ell = 2; n vectors divide it by n).  Above
+# it, it estimates norms of matrix powers with onenormest, which draws
+# from numpy's global random state.  The exact route keeps every sub-step
+# within it (_gap_step).
+EXPM_MULTIPLY_NORM = 63.36
+# Peak memory of the exact route per model, in units of its CSR generator
 # (184 bytes per slot of vec(rho)): the generator, its two blocks, the
 # scaled block pair, expm_multiply's shifted copy, the cached generators
 # and the grid's states.  Measured with ru_maxrss over the
@@ -153,6 +158,11 @@ class PropagationResult:
         return state_diagnostics(self.rho_t)
 
 
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
 def _check_state(rho0, dim: int) -> np.ndarray:
     rho0 = as_complex_matrix(rho0, "rho0")
     if rho0.shape != (dim, dim):
@@ -170,20 +180,41 @@ def _check_time(t) -> float:
     return t
 
 
-def _series(m, x, cap: int):
-    """exp(m) x for nilpotent m, as the finite sum of m^k x / k!.
+def _check_steps(n_steps) -> int:
+    # bool is an int subclass, but True is not a step count
+    if (isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer))
+            or n_steps < 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    return int(n_steps)
 
-    x is the identity to form exp(m) itself, or vec(rho) to apply it
-    with one matvec per term.  m is scipy.sparse CSR for the d^2 x d^2
-    generators, or a dense d x d matrix for the two-photon ladder
-    factors, where sparse call overhead would cost more than the
-    products.  The sum stops at the first term with no nonzeros (a
-    sparse term is tested with count_nonzero, since a sparse product
-    can store explicit zeros); cap bounds the order.
+
+def _check_models(models) -> list:
+    models = list(models)
+    if not models:
+        raise ValueError("models must be a nonempty sequence")
+    shared = (models[0].dim, models[0].theta)
+    if any((p.dim, p.theta) != shared for p in models):
+        raise ValueError("models must share dim and theta")
+    return models
+
+
+def _series(g, w, x, cap: int):
+    """exp(w g) x for a nilpotent g, as the finite sum of g^k x w^k / k!,
+    term k being (g @ term) * (w / k).
+
+    g is a CSR generator with x a d^2 x n block of states and w one
+    weight per column (one sparse matmat per term for all columns), or
+    with x the sparse identity and w a scalar, to form exp(w g) itself;
+    or g is a dense d x d two-photon ladder matrix with x the identity,
+    where sparse call overhead would cost more than the products.  The
+    sum stops at the first term with no nonzeros (a sparse term is tested
+    with count_nonzero, since a sparse product can store explicit zeros);
+    a column whose terms have run out only gains exact zeros from there
+    on.  cap bounds the order.
     """
     out = term = x
     for k in range(1, cap + 1):
-        term = (m @ term) / k
+        term = (g @ term) * (w / k)
         if not (term.count_nonzero() if sp.issparse(term) else term.any()):
             break
         out = out + term
@@ -191,13 +222,15 @@ def _series(m, x, cap: int):
 
 
 def _apply(stages, v: np.ndarray, cap: int) -> np.ndarray:
-    """Apply a closed-form factor product to vec(rho), first stage first.
+    """Apply a closed-form factor product to a d^2 x n block of states,
+    first stage first.
 
-    A stage is either a weighted CSR generator m, standing for exp(m)
-    and applied by _series, or a 1-d array, standing for that diagonal.
+    A stage is either a pair (g, w), a CSR generator with one weight per
+    column standing for exp(w_j g) and applied by _series, or a d^2 x n
+    array, standing for one diagonal per column.
     """
     for stage in stages:
-        v = _series(stage, v, cap) if sp.issparse(stage) else stage * v
+        v = _series(*stage, v, cap) if isinstance(stage, tuple) else stage * v
     return v
 
 
@@ -237,38 +270,55 @@ def _stepped_matrix_free(dim: int, n_steps: int) -> bool:
             and n_steps * SLOTS_PER_MATRIX_FREE_STEP <= dim * dim)
 
 
-def _jump_stages(c: CoefficientSet, g: SuperOpGenerators) -> tuple:
-    """su11_factor's product: lowering exponential, core, raising exponential."""
-    core = c.scale ** (-(_total_index(g.dim) + 1.0))
-    return (c.decay * g.jump_minus, core, c.pump * g.jump_plus)
+def _jump_stages(cs, g: SuperOpGenerators) -> tuple:
+    """su11_factor's product per coefficient set: lowering exponential,
+    core, raising exponential."""
+    scale = np.array([c.scale for c in cs])
+    core = scale ** -(_total_index(g.dim)[:, None] + 1.0)
+    return ((g.jump_minus, np.array([c.decay for c in cs])), core,
+            (g.jump_plus, np.array([c.pump for c in cs])))
 
 
-def _squeeze_stages(c: CoefficientSet, g: SuperOpGenerators) -> tuple:
-    """l_factor's three-factor product: lowering, phases, raising."""
-    phases = np.exp(0.5 * c.phase * _index_difference(g.dim))
-    return (c.squeeze_down * g.squeeze_minus, phases, c.squeeze_up * g.squeeze_plus)
+def _squeeze_stages(cs, g: SuperOpGenerators) -> tuple:
+    """l_factor's three-factor product per coefficient set: lowering,
+    phases, raising."""
+    half_phase = np.array([0.5 * c.phase for c in cs])
+    phases = np.exp(np.multiply.outer(_index_difference(g.dim), half_phase))
+    return ((g.squeeze_minus, np.array([c.squeeze_down for c in cs])), phases,
+            (g.squeeze_plus, np.array([c.squeeze_up for c in cs])))
 
 
-def _closed_form(params: ModelParams, t: float, method: str):
-    """Scalar prefactor and stages, first acting first, of a closed-form map."""
-    c = eval_coefficients(params, t)
-    g = cached_generators(params.dim, params.theta)
-    pref = math.exp(0.5 * (params.mu - params.nu) * t)
+def _closed_form(models, times, method: str):
+    """Per-column prefactors and the stages, first acting first, of a
+    closed-form map; column j is models[j] at times[j], and all models
+    share dim and theta."""
+    g = cached_generators(models[0].dim, models[0].theta)
+    cs = [eval_coefficients(p, t) for p, t in zip(models, times)]
+    pref = np.array([math.exp(0.5 * (p.mu - p.nu) * t)
+                     for p, t in zip(models, times)])
     if method == "factorized":
-        return pref, _squeeze_stages(c, g) + _jump_stages(c, g)
-    kappa = params.kappa
-    phases = np.exp(-1j * params.omega * t * _index_difference(g.dim))
-    return pref, ((t * kappa * g.squeeze_minus,) + _jump_stages(c, g)
-                  + (phases, t * kappa.conjugate() * g.squeeze_plus))
+        return pref, _squeeze_stages(cs, g) + _jump_stages(cs, g)
+    rotation = np.array([-1j * p.omega * t for p, t in zip(models, times)])
+    phases = np.exp(np.multiply.outer(_index_difference(g.dim), rotation))
+    lower = np.array([t * p.kappa for p, t in zip(models, times)])
+    raise_ = np.array([t * p.kappa.conjugate() for p, t in zip(models, times)])
+    return pref, (((g.squeeze_minus, lower),) + _jump_stages(cs, g)
+                  + (phases, (g.squeeze_plus, raise_)))
 
 
-def _ladder_exp(m: np.ndarray) -> np.ndarray:
-    """exp(m) of a dense, nilpotent d x d ladder matrix."""
-    return _series(m, np.eye(m.shape[0], dtype=np.complex128), m.shape[0])
+def _closed_form_columns(models, times, rho0: np.ndarray, method: str,
+                         n_steps: int = 1) -> np.ndarray:
+    """vec(rho0) after n_steps steps of times[j] / n_steps of a closed-form
+    map under models[j], as column j of a d^2 x n array."""
+    pref, stages = _closed_form(models, [t / n_steps for t in times], method)
+    v = np.repeat(vec(rho0)[:, None], len(models), axis=1)
+    for _ in range(n_steps):
+        v = _apply(stages, v, models[0].dim) * pref
+    return v
 
 
 def _form(stages, dim: int) -> np.ndarray:
-    """The dense d^2 x d^2 matrix of a stage product.
+    """The dense d^2 x d^2 matrix of the first column of a stage product.
 
     Each stage is formed as a CSR factor and multiplied onto the product
     of those before it; applying the series to the growing product
@@ -277,8 +327,12 @@ def _form(stages, dim: int) -> np.ndarray:
     eye = sp.eye_array(dim * dim, dtype=np.complex128, format="csr")
     out = eye
     for stage in stages:
-        out = (_series(stage, eye, dim) if sp.issparse(stage)
-               else sp.diags_array(stage)) @ out
+        if isinstance(stage, tuple):
+            g, w = stage
+            factor = _series(g, w[0], eye, dim)
+        else:
+            factor = sp.diags_array(stage[:, 0])
+        out = factor @ out
     return out.toarray()
 
 
@@ -302,7 +356,8 @@ def su11_factor(params: ModelParams, t: float) -> np.ndarray:
     """
     t = _check_time(t)
     c = eval_coefficients(params, t)
-    return _form(_jump_stages(c, cached_generators(params.dim, params.theta)), params.dim)
+    g = cached_generators(params.dim, params.theta)
+    return _form(_jump_stages([c], g), params.dim)
 
 
 def l_factor(params: ModelParams, t: float) -> np.ndarray:
@@ -318,15 +373,15 @@ def l_factor(params: ModelParams, t: float) -> np.ndarray:
     t = _check_time(t)
     c = eval_coefficients(params, t)
     g = cached_generators(params.dim, params.theta)
-    return _form(_squeeze_stages(c, g), params.dim)
+    return _form(_squeeze_stages([c], g), params.dim)
 
 
 def exact_superop(params: ModelParams, t: float) -> np.ndarray:
     """Reference propagator exp(t L) by one dense matrix exponential.
 
     L is the trace-exact generator, exponentiated whole, without the
-    parity split of the exact grid route; the tests check that route
-    against it at small d.
+    parity split of the exact route; the tests check that route against
+    it at small d.
     """
     t = _check_time(t)
     return expm(t * build_liouvillian_trace_exact(params).toarray())
@@ -335,8 +390,8 @@ def exact_superop(params: ModelParams, t: float) -> np.ndarray:
 def factorized_superop(params: ModelParams, t: float) -> np.ndarray:
     """Jump factor times phase factor, with the scalar prefactor attached."""
     t = _check_time(t)
-    pref, stages = _closed_form(params, t, "factorized")
-    return pref * _form(stages, params.dim)
+    pref, stages = _closed_form([params], [t], "factorized")
+    return pref[0] * _form(stages, params.dim)
 
 
 def alternative_superop(params: ModelParams, t: float) -> np.ndarray:
@@ -353,8 +408,8 @@ def alternative_superop(params: ModelParams, t: float) -> np.ndarray:
     to the factorized map exactly.
     """
     t = _check_time(t)
-    pref, stages = _closed_form(params, t, "alternative")
-    return pref * _form(stages, params.dim)
+    pref, stages = _closed_form([params], [t], "alternative")
+    return pref[0] * _form(stages, params.dim)
 
 
 def operator_series_solution(params: ModelParams, rho0, t: float) -> PropagationResult:
@@ -367,6 +422,11 @@ def operator_series_solution(params: ModelParams, rho0, t: float) -> Propagation
     """
     rho0 = _check_state(rho0, params.dim)
     t = _check_time(t)
+    return _result(_series_map(params, rho0, t), "series", t)
+
+
+def _series_map(params: ModelParams, rho: np.ndarray, t: float) -> np.ndarray:
+    """operator_series_solution's map of rho, which is not checked."""
     c = eval_coefficients(params, t)
     ops = params.fock_ops()
     a, ad = ops.a, ops.a_dag
@@ -374,12 +434,13 @@ def operator_series_solution(params: ModelParams, rho0, t: float) -> Propagation
     levels = np.arange(d)
 
     # phase part: lowering layer, phase diagonal, raising layer
-    s_dn = _ladder_exp(-0.5 * c.squeeze_down * (a @ a))
-    x = s_dn @ rho0 @ s_dn
+    eye = np.eye(d, dtype=np.complex128)
+    s_dn = _series(a @ a, -0.5 * c.squeeze_down, eye, d)
+    x = s_dn @ rho @ s_dn
     x = _sandwich_sum(x, a, a, c.squeeze_down, d)
     half_phase = np.exp(0.5 * c.phase * levels)
     x = half_phase[:, None] * x * (1.0 / half_phase)[None, :]
-    s_up = _ladder_exp(-0.5 * c.squeeze_up * (ad @ ad))
+    s_up = _series(ad @ ad, -0.5 * c.squeeze_up, eye, d)
     x = s_up @ x @ s_up
     x = _sandwich_sum(x, ad, ad, c.squeeze_up, d)
 
@@ -390,7 +451,7 @@ def operator_series_solution(params: ModelParams, rho0, t: float) -> Propagation
     x = _sandwich_sum(x, ad, a, c.pump, d)
 
     x *= math.exp(0.5 * (params.mu - params.nu) * t) / c.scale
-    return _result(x, "series", t)
+    return x
 
 
 def _sandwich_sum(x: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -404,59 +465,6 @@ def _sandwich_sum(x: np.ndarray, left: np.ndarray, right: np.ndarray,
             break
         out = out + term
     return out
-
-
-def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
-                      method: str = "factorized") -> PropagationResult:
-    """Apply the single-step map for t/n_steps repeatedly.
-
-    For the exact method this is the exact grid route over the step
-    times dt, 2 dt, ..., n dt, a semigroup identity check; for the
-    splittings the global error shrinks like 1/n_steps.  Above
-    DENSE_BLOCK_ROWS block rows (d > 10) and for at most
-    d^2 / SLOTS_PER_MATRIX_FREE_STEP steps a splitting applies the
-    closed-form stages of one step (_closed_form, the stages propagate
-    applies once) to vec(rho0) n_steps times, forming no d^2 x d^2
-    matrix.  Otherwise it forms its dense d^2 x d^2 step map,
-    factorized_superop or alternative_superop, once, after estimating
-    that map's memory; it raises MemoryError if the estimate exceeds
-    the available memory.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    # bool is an int subclass, but True is not a step count
-    if (isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer))
-            or n_steps < 1):
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    rho0 = _check_state(rho0, params.dim)
-    t = _check_time(t)
-    dt = t / n_steps
-    if method == "exact":
-        steps = [dt * k for k in range(1, n_steps + 1)]
-        return _result(propagate_grid(params, rho0, steps)[-1].rho_t, method, t)
-    if method == "series":
-        rho = rho0
-        for _ in range(n_steps):
-            rho = operator_series_solution(params, rho, dt).rho_t
-        return _result(rho, "series", t)
-    if _stepped_matrix_free(params.dim, n_steps):
-        pref, stages = _closed_form(params, dt, method)
-        v = vec(rho0)
-        for _ in range(n_steps):
-            v = pref * _apply(stages, v, params.dim)
-        return _result(unvec(v), method, t)
-    # The dense step map: three d^2 x d^2 complex matrices cover the CSR
-    # product and its dense copy, measured with ru_maxrss at 1.9-2.8 of
-    # one at d = 16..48.
-    _require_memory(f"stepped {method}", params.dim, 3 * 16 * params.dim ** 4)
-    # the builders are looked up as module attributes at call time, so a
-    # caller that rebinds one (a tracer, a test) is seen
-    build = factorized_superop if method == "factorized" else alternative_superop
-    step = build(params, dt)
-    v = vec(rho0)
-    for _ in range(n_steps):
-        v = step @ v
-    return _result(unvec(v), method, t)
 
 
 def _available_memory() -> int:
@@ -476,30 +484,205 @@ def _available_memory() -> int:
     return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_exact_memory(dim: int) -> None:
-    """Raise MemoryError if the exact grid route would not fit in memory.
+def _require_memory(route: str, dim: int, need: int) -> int:
+    """The available memory in bytes; MemoryError if need exceeds it."""
+    avail = _available_memory()
+    if need > avail:
+        raise MemoryError(f"the {route} route at dim {dim} needs about "
+                          f"{need / 1e6:.3g} MB; {avail / 1e6:.3g} MB are available")
+    return avail
 
-    The estimate is EXPM_WORKSPACE times the CSR generator, taken as 184
-    bytes per slot of vec(rho) (at most 9 nonzeros per row at 16 + 4
-    bytes each, and the row pointer).  For blocks of at most
-    DENSE_BLOCK_ROWS rows it adds 9 dense copies of the larger parity
-    block (16 ceil(d^2/2)^2 bytes each): the dense blocks, the step maps
-    and scipy's expm workspace, measured at 8.1-8.4 copies at d = 32 and
-    48 with dense blocks.
+
+def _exact_memory(dim: int) -> int:
+    """Bytes the exact route needs per model.
+
+    EXPM_WORKSPACE times the CSR generator, taken as 184 bytes per slot
+    of vec(rho) (at most 9 nonzeros per row at 16 + 4 bytes each, and the
+    row pointer).  For blocks of at most DENSE_BLOCK_ROWS rows it adds 9
+    dense copies of the larger parity block (16 ceil(d^2/2)^2 bytes
+    each): the dense blocks, the step maps and scipy's expm workspace,
+    measured at 8.1-8.4 copies at d = 32 and 48 with dense blocks.
     """
     need = EXPM_WORKSPACE * 184 * dim * dim
     if _dense_blocks(dim):
         rows = (dim * dim + 1) // 2
         need += 9 * 16 * rows * rows
-    _require_memory("exact", dim, need)
+    return need
 
 
-def _require_memory(route: str, dim: int, need: int) -> None:
-    """Raise MemoryError if need bytes exceed the available memory."""
-    avail = _available_memory()
-    if need > avail:
-        raise MemoryError(f"the {route} route at dim {dim} needs about "
-                          f"{need / 1e6:.3g} MB; {avail / 1e6:.3g} MB are available")
+def _exact_chunks(models: list) -> list[list]:
+    """models in the fewest chunks of near-equal size whose exact chains
+    fit in the available memory; MemoryError if one model alone does not."""
+    need = _exact_memory(models[0].dim)
+    avail = _require_memory("exact", models[0].dim, need)
+    count = -(-len(models) // min(len(models), avail // need))
+    size = -(-len(models) // count)
+    return [models[i:i + size] for i in range(0, len(models), size)]
+
+
+def _gap_step(block, gap: float):
+    """(m, q) with exp(gap block) = exp(m)^q, for the fewest equal
+    sub-steps q that keep m, shifted by its mean diagonal as
+    expm_multiply shifts it, within EXPM_MULTIPLY_NORM in 1-norm.
+
+    The norm is computed as expm_multiply computes it, on the matrix it
+    is given, so a norm rounded across the bound adds a sub-step.
+    """
+    rows, q = block.shape[0], 1
+    while True:
+        m = (gap / q) * block
+        shifted = m - (m.trace() / rows) * sp.eye_array(rows, format="csr")
+        norm = abs(shifted).sum(axis=0).max()
+        if not math.isfinite(norm):
+            raise NumericalError(f"the exact step over {gap} has a "
+                                 f"non-finite 1-norm")
+        if norm <= EXPM_MULTIPLY_NORM:
+            return m, q
+        q = max(q + 1, math.ceil(q * norm / EXPM_MULTIPLY_NORM))
+
+
+def _exact_chain(models: list, rho0: np.ndarray, times: list):
+    """Yield, per time, the n x d^2 states of the exact route: row j is
+    exp(t L_j) vec(rho0) for models[j].  The yielded array is updated in
+    place for the next time.
+
+    The states are one vector, model after model.  Each model's
+    trace-exact generator is cut into its parity blocks.  Above
+    DENSE_BLOCK_ROWS rows the blocks of one class are one CSR direct sum
+    over the models (a class's slots of the direct sum of the
+    generators), and each step applies its exponential to the states of
+    that class, one vector (which keeps expm_multiply's exact-norm bound
+    at its full size), in _gap_step's sub-steps.  At or below it each
+    model forms its dense block exponentials.  A step map is formed only
+    when a time is not one more step of the current map (within GAP_ULPS
+    ulps of that time), so a uniform grid, np.linspace ones included,
+    forms one and a repeated time none.  Only one step map is alive at a
+    time.  A non-finite expm_multiply result raises NumericalError.
+    """
+    dim, n = models[0].dim, len(models)
+    size = dim * dim
+    dense = _dense_blocks(dim)
+    gens = [build_liouvillian_trace_exact(p) for p in models]
+    # blocks pairs the slots of v with the block acting on them: one per
+    # class and model (dense), or one per class (direct sum)
+    if dense:
+        blocks = [(cls + j * size, gen[np.ix_(cls, cls)].toarray())
+                  for cls in _parity_classes(dim) for j, gen in enumerate(gens)]
+    else:
+        whole = sp.block_diag(gens, format="csr")
+        slots = [np.concatenate([cls + j * size for j in range(n)])
+                 for cls in _parity_classes(dim)]
+        blocks = [(idx, whole[np.ix_(idx, idx)]) for idx in slots]
+        del whole
+        # imported here, not at module level: scipy.sparse.linalg adds
+        # about 2 MB and 15 ms to the start-up of every command
+        from scipy.sparse.linalg import expm_multiply
+    del gens       # free the generators before the exponentials
+    # v holds the states at start + count * gap, and steps the step map:
+    # (slots, exp(gap block), 1) per dense block, or (slots, m, q) from
+    # _gap_step per direct sum.  v is a new array, not the caller's rho0.
+    v = np.tile(vec(rho0), n)
+    steps, start, gap, count = None, 0.0, 0.0, 0
+    for t in times:
+        tol = GAP_ULPS * np.spacing(t)
+        if abs(t - (start + count * gap)) > tol:
+            if steps is None or abs(t - (start + (count + 1) * gap)) > tol:
+                start, count = start + count * gap, 0
+                gap = t - start
+                steps = None   # free the old step map before forming the next
+                steps = [(idx,) + ((expm(gap * block), 1) if dense
+                                   else _gap_step(block, gap))
+                         for idx, block in blocks]
+            for idx, m, q in steps:
+                x = v[idx]
+                if dense:
+                    x = m @ x
+                else:
+                    for _ in range(q):
+                        x = expm_multiply(m, x)
+                    if not np.all(np.isfinite(x)):
+                        raise NumericalError("expm_multiply produced non-finite "
+                                             "entries (overflow?)")
+                v[idx] = x
+            count += 1
+        yield v.reshape(n, size)
+
+
+def propagate_sweep(models, rho0, t: float, method: str = "exact",
+                    n_steps=None) -> list[PropagationResult]:
+    """Evolve rho0 to time t under each of models, one pass per route.
+
+    The models must share dim and theta.  Item j is
+    propagate(models[j], rho0, t, method), or with n_steps
+    stepped_propagate(models[j], rho0, t, n_steps, method), and a closed
+    form's items are bit for bit those single calls.  The closed forms
+    evaluate all models as the columns of one kernel (_closed_form), the
+    matrix-free stepped splittings included.  The exact route evolves
+    the direct sum of the models' generators (_exact_chain), in the
+    fewest chunks that fit in the available memory; it raises
+    MemoryError only when one model alone does not fit.  The series
+    route, and the stepped splittings' dense step maps (d <= 10, or
+    chains longer than d^2 / SLOTS_PER_MATRIX_FREE_STEP steps), run model
+    by model.
+    """
+    _check_method(method)
+    models = _check_models(models)
+    dim = models[0].dim
+    rho0 = _check_state(rho0, dim)
+    t = _check_time(t)
+    n = 1 if n_steps is None else _check_steps(n_steps)
+    dt = t / n
+    if method == "exact":
+        times = [dt * k for k in range(1, n + 1)]
+        rhos = []
+        for chunk in _exact_chunks(models):
+            *_, v = _exact_chain(chunk, rho0, times)
+            rhos += [unvec(row) for row in v]
+    elif method == "series":
+        rhos = []
+        for p in models:
+            rho = operator_series_solution(p, rho0, dt).rho_t
+            for _ in range(n - 1):
+                rho = _series_map(p, rho, dt)
+            rhos.append(rho)
+    elif n == 1 or _stepped_matrix_free(dim, n):
+        v = _closed_form_columns(models, [t] * len(models), rho0, method, n)
+        rhos = [unvec(col) for col in v.T]
+    else:
+        # The dense step map: three d^2 x d^2 complex matrices cover the
+        # CSR product and its dense copy, measured with ru_maxrss at
+        # 1.9-2.8 of one at d = 16..48.  One map is alive at a time.
+        _require_memory(f"stepped {method}", dim, 3 * 16 * dim ** 4)
+        # the builders are looked up as module attributes at call time, so
+        # a caller that rebinds one (a tracer, a test) is seen
+        build = factorized_superop if method == "factorized" else alternative_superop
+        rhos = []
+        for p in models:
+            step, x = build(p, dt), vec(rho0)
+            for _ in range(n):
+                x = step @ x
+            rhos.append(unvec(x))
+    return [_result(rho, method, t) for rho in rhos]
+
+
+def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
+                      method: str = "factorized") -> PropagationResult:
+    """Apply the single-step map for t/n_steps repeatedly.
+
+    The one-model propagate_sweep with n_steps.  For the exact method
+    this is the exact chain over the step times dt, 2 dt, ..., n dt, a
+    semigroup identity check; for the splittings and the series route
+    the global error shrinks like 1/n_steps.  Only rho0 is checked; the
+    intermediate states of a splitting need not keep unit trace.  Above
+    DENSE_BLOCK_ROWS block rows (d > 10) and for at most
+    d^2 / SLOTS_PER_MATRIX_FREE_STEP steps a splitting applies the
+    closed-form stages of one step to vec(rho0) n_steps times, forming
+    no d^2 x d^2 matrix.  Otherwise it forms its dense d^2 x d^2 step
+    map, factorized_superop or alternative_superop, once, after
+    estimating that map's memory; it raises MemoryError if the estimate
+    exceeds the available memory.
+    """
+    return propagate_sweep((params,), rho0, t, method, _check_steps(n_steps))[0]
 
 
 def _check_grid(times) -> list[float]:
@@ -511,114 +694,46 @@ def _check_grid(times) -> list[float]:
     return times
 
 
-def _drop_negligible(m):
-    """Zero, in place, the entries of a CSR matrix below eps^2 times its
-    largest one, and return it.
-
-    expm_multiply picks its step count from onenormest's estimates of
-    ||m^p||_1 for p <= 9.  Products of such small entries underflow to
-    subnormals, which onenormest's sign vectors turn into inf and NaN:
-    it warns of overflow and can return too low an estimate (d = 12,
-    rates 1e3, kappa 1e-320: one call in 20 landed 1.1e-12 from
-    exact_superop, the others 1.6e-13).  onenormest runs only where m,
-    shifted by its mean diagonal, has a 1-norm above 63; with at most 9
-    nonzeros per column m's largest entry is then above 3.5, so nine
-    kept entries multiply to a normal number.  The zeroed entries move
-    exp(m) v by about eps^2 relative.
-    """
-    size = np.abs(m.data)
-    m.data[size < np.finfo(np.float64).eps ** 2 * size.max(initial=0.0)] = 0
-    return m
-
-
 def propagate_grid(params: ModelParams, rho0, times,
                    method: str = "exact") -> list[PropagationResult]:
     """Evolve rho0 over a time grid; one PropagationResult per time.
 
     times must be finite, >= 0 and nondecreasing.  The exact route is the
-    semigroup exp(t L) of one generator: L is built once in CSR and cut
-    into its even and odd n1 + n2 parity blocks, which it does not
-    couple, and the state is chained from t = 0 through
-    v_k <- exp(gap L_k) v_k on each block k, by expm_multiply of the
-    scaled CSR block, or by the dense block exponential for blocks of at
-    most DENSE_BLOCK_ROWS rows.  A step map (the scaled pair or the two
-    exponentials) is formed only when a time is not one more step of the
-    current map (within GAP_ULPS ulps of that time), so a uniform grid,
-    np.linspace ones included, forms one and a repeated time none.  Only
-    one step map is alive at a time.  A non-finite expm_multiply result
-    raises NumericalError.  Before building anything the route estimates
-    its memory and raises MemoryError if that exceeds the available
-    memory.
-    The splittings and the series route are not semigroups (chaining them
-    would make them the stepped route), so each time is propagate's
-    single-time map of rho0.
+    semigroup exp(t L) of one generator, chained over the grid from
+    t = 0 through its parity blocks (_exact_chain): a uniform grid forms
+    one step map and a repeated time none.  Before building anything it
+    estimates its memory and raises MemoryError if that exceeds the
+    available memory.  The splittings and the series route are not
+    semigroups (chaining them would make them the stepped route), so
+    each time is propagate's single-time map of rho0: the closed forms
+    as one kernel pass with a column per time, each column bit for bit
+    its one-time call, and the series route time by time.
     """
     times = _check_grid(times)
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_method(method)
     if method == "series":
         return [operator_series_solution(params, rho0, t) for t in times]
-    if method != "exact":
-        return [propagate(params, rho0, t, method) for t in times]
     rho0 = _check_state(rho0, params.dim)
-    _check_exact_memory(params.dim)
-    classes = _parity_classes(params.dim)
-    gen = build_liouvillian_trace_exact(params)
-    blocks = [gen[np.ix_(cls, cls)] for cls in classes]
-    del gen        # free the full generator before the exponentials
-    dense = _dense_blocks(params.dim)
-    if dense:
-        blocks = [block.toarray() for block in blocks]
+    if method == "exact":
+        _exact_chunks([params])    # MemoryError if the one model does not fit
+        states = (v[0] for v in _exact_chain([params], rho0, times))
     else:
-        # imported here, not at module level: scipy.sparse.linalg adds
-        # about 2 MB and 15 ms to the start-up of every command
-        from scipy.sparse.linalg import expm_multiply
-    # v is the state at start + n * gap, and steps[k] is exp(gap L_k)
-    # (dense) or gap L_k (CSR, negligible entries dropped, applied by
-    # expm_multiply).  v is updated in place block by block, and
-    # vec(rho0) can be a view of the caller's rho0, so the chain starts
-    # from a copy.
-    v, steps, start, gap, n = vec(rho0).copy(), None, 0.0, 0.0, 0
-    out = []
-    for t in times:
-        tol = GAP_ULPS * np.spacing(t)
-        if abs(t - (start + n * gap)) > tol:
-            if steps is None or abs(t - (start + (n + 1) * gap)) > tol:
-                start, n = start + n * gap, 0
-                gap = t - start
-                steps = None   # free the old step map before forming the next
-                steps = [expm(gap * block) if dense
-                         else _drop_negligible(gap * block) for block in blocks]
-            for cls, step in zip(classes, steps):
-                if dense:
-                    v[cls] = step @ v[cls]
-                else:
-                    w = expm_multiply(step, v[cls])
-                    if not np.all(np.isfinite(w)):
-                        raise NumericalError("expm_multiply produced non-finite "
-                                             "entries (overflow?)")
-                    v[cls] = w
-            n += 1
-        out.append(_result(unvec(v), method, t))
-    return out
+        states = _closed_form_columns([params] * len(times), times, rho0, method).T
+    return [_result(unvec(s), method, t) for s, t in zip(states, times)]
 
 
 def propagate(params: ModelParams, rho0, t: float, method: str = "exact") -> PropagationResult:
     """Evolve rho0 to time t by one of the routes named in METHODS.
 
-    factorized and alternative apply their closed-form factors to
-    vec(rho0) one at a time, in the order their superop builders
-    multiply them: each exponential as its terminating series (one
-    sparse matvec per term), each diagonal elementwise, the scalar
-    prefactor last.  No d^2 x d^2 matrix is formed.  exact and series
-    are the one-point grid of propagate_grid.
+    The one-model propagate_sweep.  factorized and alternative apply
+    their closed-form factors to vec(rho0) one at a time, in the order
+    their superop builders multiply them: each exponential as its
+    terminating series (one sparse product per term), each diagonal
+    elementwise, the scalar prefactor last.  No d^2 x d^2 matrix is
+    formed.  exact is the one-point exact chain and series is
+    operator_series_solution.
     """
-    if method not in CLOSED_FORM_METHODS:
-        return propagate_grid(params, rho0, (t,), method)[0]
-    rho0 = _check_state(rho0, params.dim)
-    t = _check_time(t)
-    pref, stages = _closed_form(params, t, method)
-    return _result(unvec(pref * _apply(stages, vec(rho0), params.dim)), method, t)
+    return propagate_sweep((params,), rho0, t, method)[0]
 
 
 def _result(rho_t: np.ndarray, method: str, t: float) -> PropagationResult:

@@ -487,6 +487,53 @@ def test_stepped_splitting_is_memory_guarded(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_sweep_runs_the_exact_route_in_chunks_that_fit(tmp_path, capsys,
+                                                       monkeypatch):
+    """With memory for two of five models the exact sweep runs three
+    direct sums; with memory for none of them it exits 3."""
+    path = write_config(
+        tmp_path, methods=["exact", "factorized"], times=[0.8],
+        model={"omega": 1.0, "mu": 0.5, "nu": 0.5, "kappa_re": 0.3, "dim": 11},
+        sweep={"param": "mu", "values": [0.2, 0.4, 0.6, 0.8, 1.0]})
+    assert main(["sweep", "--config", path]) == EXIT_OK
+    whole = capsys.readouterr().out
+    need = propagators._exact_memory(11)
+    monkeypatch.setattr(propagators, "_available_memory",
+                        lambda: 2 * need + need // 2)
+    assert main(["sweep", "--config", path]) == EXIT_OK
+    chunked = capsys.readouterr().out
+    assert [r[:4] for r in csv_rows(chunked)] == [r[:4] for r in csv_rows(whole)]
+    np.testing.assert_allclose(
+        [[float(x) for x in r[4:]] for r in csv_rows(chunked)],
+        [[float(x) for x in r[4:]] for r in csv_rows(whole)], rtol=0, atol=1e-12)
+    monkeypatch.setattr(propagators, "_available_memory", lambda: need - 1)
+    assert main(["sweep", "--config", path]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: the exact route at dim 11")
+    assert err.count("\n") == 1
+
+
+def test_stiff_exact_csv_bytes_do_not_depend_on_the_global_seed(tmp_path):
+    """Rates of 1e3 put the step's 1-norm near 1.5e3, above the bound where
+    expm_multiply would estimate norms from numpy's global random state;
+    the exact route's sub-steps stay below it."""
+    path = write_config(
+        tmp_path, methods=["exact"], times=[0.0, 0.05], positivity="permissive",
+        model={"omega": 1.0, "mu": 1e3, "nu": 1e3, "kappa_re": 1e-320,
+               "theta": 2.0, "dim": 12},
+        initial_state={"kind": "fock", "n": 5})
+    outs, state = [], np.random.get_state()
+    try:
+        for seed in (0, 65, 67):
+            np.random.seed(seed)
+            out = tmp_path / f"{seed}.csv"
+            assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
+            outs.append(out.read_bytes())
+    finally:
+        np.random.set_state(state)
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_exact_simulate_runs_at_dim_64(tmp_path, capsys):
     path = write_config(
         tmp_path, methods=["exact"], times={"t_max": 2.0, "n_points": 3},

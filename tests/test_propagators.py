@@ -8,10 +8,12 @@ import cmath
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from conftest import random_admissible_params, random_density, stiff_models
 from oracles import form_one, form_two, l_factor_six
 from hypothesis import given, settings
@@ -723,17 +725,230 @@ def test_sparse_exact_kernel_across_coefficient_seams(model, seed):
     (100.0, 1e-160, 5), (1e3, 1e-320, 5)])
 def test_sparse_exact_kernel_ignores_subnormal_entries(rate, kappa, level):
     """A kappa of 1e-320 leaves subnormal entries in the blocks, and one
-    of 1e-160 leaves them in the block's square.  On them expm_multiply's
-    norm estimate warns of overflow (an error under the test suite's
-    warning filter) and can come back too low, which at rates of 1e3
-    (a block 1-norm near 1e4) shows as too few steps; the state must be
-    the exponential's."""
+    of 1e-160 leaves them in the block's square.  expm_multiply's
+    randomized norm estimate, which the exact route's sub-steps keep it
+    from calling, warns of overflow on them (an error under the test
+    suite's warning filter) and can come back too low, which at rates of
+    1e3 (a block 1-norm near 1e4) shows as too few steps; the state must
+    be the exponential's."""
     p = ModelParams(omega=1.0, mu=rate, nu=rate, kappa=kappa, dim=12,
                     theta=2.0)
     rho0 = fock_state(12, level)
     got = propagate_grid(p, rho0, [0.0, 1.0])[-1].rho_t
     want = unvec(exact_superop(p, 1.0) @ vec(rho0))
     assert _tracedist(got, want) <= 1e-12
+
+
+def _refuse_norm_estimates(mp):
+    """Fail on any call of onenormest, the randomized norm estimate that
+    expm_multiply takes above its exact-norm bound."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("onenormest called")
+
+    mp.setattr("scipy.sparse.linalg._onenormest.onenormest", refuse)
+
+
+@pytest.fixture
+def no_norm_estimate(monkeypatch):
+    _refuse_norm_estimates(monkeypatch)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1e-320])
+def test_sparse_exact_kernel_never_estimates_a_norm(no_norm_estimate, kappa):
+    """A step 1-norm near 1.5e3 (rates 1e3) is cut into sub-steps within
+    expm_multiply's exact-norm bound, so no norm is estimated from
+    numpy's global random state."""
+    p = ModelParams(omega=1.0, mu=1e3, nu=1e3, kappa=kappa, dim=12, theta=2.0)
+    rho0 = fock_state(12, 5)
+    got = propagate_grid(p, rho0, [0.0, 0.05])[-1].rho_t
+    want = unvec(exact_superop(p, 0.05) @ vec(rho0))
+    assert _tracedist(got, want) <= 1e-12
+
+
+def test_gap_steps_stay_within_the_exact_norm_bound():
+    block = build_liouvillian_trace_exact(
+        ModelParams(omega=1.0, mu=1e3, nu=1e3, kappa=0.0, dim=12))
+    for gap in (0.0, 1e-3, 0.05, 1.0):
+        m, q = propagators._gap_step(block, gap)
+        shifted = m - (m.trace() / m.shape[0]) * scipy.sparse.eye_array(m.shape[0])
+        norm = abs(shifted).sum(axis=0).max()
+        assert norm <= propagators.EXPM_MULTIPLY_NORM, gap
+        # one sub-step fewer would cross the bound
+        assert q == 1 or norm * q / (q - 1) > propagators.EXPM_MULTIPLY_NORM, gap
+    assert q > 100      # the last gap needs many sub-steps
+
+
+# ------------------------------------------------------ one pass per sweep
+
+
+@st.composite
+def _sweep_problems(draw):
+    """2 to 5 admissible models of one dim and theta, a state, a time and
+    a step count.
+
+    d is on both sides of the dense-block rule, and above it the step
+    count keeps a stepped splitting matrix-free (n <= d^2 / 16).
+    """
+    d = draw(st.sampled_from([3, 8, 11, 13]))
+    theta = draw(st.floats(0.0, 3.0))
+    models = []
+    for _ in range(draw(st.integers(2, 5))):
+        mu, nu = draw(_RATE), draw(_RATE)
+        kappa = (draw(st.floats(0.0, 1.0)) * math.sqrt(mu * nu)
+                 * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
+        models.append(ModelParams(omega=draw(st.floats(0.0, 2.0)), mu=mu,
+                                  nu=nu, kappa=kappa, dim=d, theta=theta))
+    rho0 = random_density(d, draw(st.integers(0, d - 1)),
+                          np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return models, rho0, draw(st.floats(0.0, 2.5)), draw(st.integers(1, 7))
+
+
+@settings(max_examples=25)
+@given(problem=_sweep_problems())
+def test_sweep_points_are_their_single_model_runs_bit_for_bit(problem):
+    """Every closed-form column, and the series route's loop, gives the
+    one-model call's bits; so does every stepped route."""
+    models, rho0, t, n = problem
+    for method in ("factorized", "alternative", "series"):
+        for p, res in zip(models, propagators.propagate_sweep(models, rho0, t, method)):
+            assert (res.method, res.t) == (method, t)
+            assert np.array_equal(res.rho_t, propagate(p, rho0, t, method).rho_t), method
+        stepped = propagators.propagate_sweep(models, rho0, t, method, n)
+        for p, res in zip(models, stepped):
+            want = stepped_propagate(p, rho0, t, n, method).rho_t
+            assert np.array_equal(res.rho_t, want), (method, n)
+
+
+@settings(max_examples=25)
+@given(problem=_sweep_problems(),
+       times=st.lists(st.floats(0.0, 2.5), min_size=1, max_size=5).map(sorted))
+def test_grid_columns_are_their_single_time_runs_bit_for_bit(problem, times):
+    models, rho0, _, _ = problem
+    for method in ("factorized", "alternative", "series"):
+        for res in propagate_grid(models[0], rho0, times, method):
+            want = propagate(models[0], rho0, res.t, method).rho_t
+            assert np.array_equal(res.rho_t, want), (method, res.t)
+
+
+@settings(max_examples=25)
+@given(problem=_sweep_problems())
+def test_exact_sweep_points_match_the_full_dense_exponential(problem):
+    """Each model of the direct sum, and of its stepped chain, against its
+    own full dense exponential."""
+    models, rho0, t, n = problem
+    single = propagators.propagate_sweep(models, rho0, t)
+    stepped = propagators.propagate_sweep(models, rho0, t, "exact", n)
+    for p, one, chain in zip(models, single, stepped):
+        want = unvec(exact_superop(p, t) @ vec(rho0))
+        assert _tracedist(one.rho_t, want) <= 1e-12, p
+        assert _tracedist(chain.rho_t, want) <= 1e-12, (p, n)
+
+
+@st.composite
+def _stiff_sweeps(draw):
+    """2 to 4 stiff models (conftest.stiff_models) at one d in 11..14 and
+    one theta, a state with population in one of the top two levels, and
+    a time of up to 20 time constants of the fastest rate, which puts
+    ||t L||_1 up to about 1e3."""
+    d = draw(st.integers(11, 14))
+    first = draw(stiff_models(d, d))
+    models = [first] + [replace(draw(stiff_models(d, d)), theta=first.theta)
+                        for _ in range(draw(st.integers(1, 3)))]
+    fastest = max(max(p.omega, p.mu, p.nu, abs(p.kappa)) for p in models)
+    rho0 = random_density(d, draw(st.sampled_from([d - 2, d - 1])),
+                          np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return models, rho0, draw(st.floats(0.0, 20.0)) / fastest
+
+
+@settings(max_examples=10)
+@given(problem=_stiff_sweeps())
+def test_exact_direct_sum_at_stiff_rates_and_the_edge(problem):
+    """Each model of the direct sum against its own full dense
+    exponential; the sum shares one shift and one step count."""
+    models, rho0, t = problem
+    with pytest.MonkeyPatch.context() as mp:
+        _refuse_norm_estimates(mp)
+        got = propagators.propagate_sweep(models, rho0, t)
+    for p, res in zip(models, got):
+        want = unvec(exact_superop(p, t) @ vec(rho0))
+        assert _tracedist(res.rho_t, want) <= 1e-12, p
+
+
+def test_exact_direct_sum_across_three_decades_of_norm(no_norm_estimate):
+    """A mu-sweep whose ||t L||_1 runs from 0.4 to 440: the small models
+    are evaluated with the large ones' shift and step count."""
+    models = [ModelParams(omega=0.01, mu=float(mu), nu=0.005, kappa=0.002, dim=12)
+              for mu in np.geomspace(0.01, 20.0, 8)]
+    norms = [abs(build_liouvillian_trace_exact(p)).sum(axis=0).max() for p in models]
+    assert min(norms) < 0.4 and max(norms) > 400
+    rho0 = coherent_state(12, 1.5)
+    for p, res in zip(models, propagators.propagate_sweep(models, rho0, 1.0)):
+        want = unvec(exact_superop(p, 1.0) @ vec(rho0))
+        assert _tracedist(res.rho_t, want) <= 1e-12, p.mu
+
+
+def test_exact_sweep_is_one_direct_sum_per_parity_class(monkeypatch):
+    import scipy.sparse.linalg
+    applied = []
+    real = scipy.sparse.linalg.expm_multiply
+
+    def recording(a, b):
+        applied.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", recording)
+    calls = _count_calls(monkeypatch, "build_liouvillian_trace_exact")
+    models = [replace(_readme_model(12), kappa=k) for k in (0.0, 0.05, 0.1j)]
+    propagators.propagate_sweep(models, fock_state(12, 1), 2.0)
+    # one generator per model; per class one vector of all three models
+    assert calls == {"build_liouvillian_trace_exact": 3}
+    assert applied == [((216, 216), (216,)), ((216, 216), (216,))]
+
+
+def test_exact_sweep_splits_the_models_into_the_fewest_chunks_that_fit(
+        monkeypatch, rng):
+    models = [random_admissible_params(rng, 11, theta=0.2) for _ in range(5)]
+    rho0 = random_density(11, 6, rng)
+    whole = propagators.propagate_sweep(models, rho0, 1.3)
+    need = propagators._exact_memory(11)
+    chains = []
+    real = propagators._exact_chain
+
+    def recording(chunk, *args):
+        chains.append(len(chunk))
+        return real(chunk, *args)
+
+    monkeypatch.setattr(propagators, "_exact_chain", recording)
+    # two models fit at a time: three chunks, as equal as they go
+    monkeypatch.setattr(propagators, "_available_memory", lambda: 2 * need + need // 2)
+    chunked = propagators.propagate_sweep(models, rho0, 1.3)
+    assert chains == [2, 2, 1]
+    for a, b in zip(whole, chunked):
+        assert _tracedist(a.rho_t, b.rho_t) <= 1e-12
+    # four fit: two chunks of 3 and 2, not 4 and 1
+    chains.clear()
+    monkeypatch.setattr(propagators, "_available_memory", lambda: 4 * need)
+    propagators.propagate_sweep(models, rho0, 1.3)
+    assert chains == [3, 2]
+    # not even one fits
+    monkeypatch.setattr(propagators, "_available_memory", lambda: need - 1)
+    with pytest.raises(MemoryError, match="exact route at dim 11 needs"):
+        propagators.propagate_sweep(models, rho0, 1.3)
+
+
+def test_sweep_validates_its_models():
+    p = _readme_model(6)
+    rho0 = fock_state(6, 0)
+    with pytest.raises(ValueError, match="nonempty"):
+        propagators.propagate_sweep([], rho0, 1.0)
+    with pytest.raises(ValueError, match="share dim and theta"):
+        propagators.propagate_sweep([p, replace(p, theta=0.1)], rho0, 1.0)
+    with pytest.raises(ValueError, match="share dim and theta"):
+        propagators.propagate_sweep([p, replace(p, dim=7)], rho0, 1.0)
+    with pytest.raises(ValueError, match="unknown method"):
+        propagators.propagate_sweep([p], rho0, 1.0, "spectral")
+    with pytest.raises(ValueError, match="n_steps"):
+        propagators.propagate_sweep([p], rho0, 1.0, "exact", 0)
 
 
 @settings(max_examples=25)
@@ -836,6 +1051,19 @@ def test_stepped_splitting_forms_a_step_map_only_by_the_rules(
         assert calls[f"{method}_superop"] == builds
         assert calls["_form"] == builds
         assert sum(calls.values()) == 2 * builds
+
+
+def test_stepped_series_checks_only_the_initial_state():
+    """At d = 2 a step carries population out through the edge (trace
+    0.978 after the first of these 5 steps); as in the other stepped
+    routes only rho0 is checked, and the series chain is the factorized
+    one's, which applies the same map."""
+    p = ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=2)
+    rho0 = coherent_state(2, 0.8)
+    series = stepped_propagate(p, rho0, 1.7, 5, method="series").rho_t
+    factorized = stepped_propagate(p, rho0, 1.7, 5, method="factorized").rho_t
+    assert abs(np.trace(factorized) - 0.914) < 1e-3
+    assert np.linalg.norm(series - factorized) <= 1e-14
 
 
 def test_stepped_without_two_photon_ignores_step_count():
