@@ -26,8 +26,7 @@ a a+ as the truncated product, which restores exact trace annihilation:
 it is build_liouvillian plus the diagonal
 (nu d / 2)(1[n1 = d-1] + 1[n2 = d-1]).  Both read one weighted sum
 (_weighted_sum) of algebra.cached_generators, the CSR generators built
-once per (dim, theta), laid on one cached CSR pattern (_families), so a
-model's generator costs a few vector operations.  build_liouvillian densifies it; the trace-exact
+once per (dim, theta).  build_liouvillian densifies it; the trace-exact
 generator stays CSR (about 9 nonzeros per row), since the exact route
 slices its parity blocks and applies them sparse, and callers that need
 a dense matrix call .toarray() on it.  The tests check them
@@ -38,7 +37,6 @@ the master equation's right-hand side by plain matrix products.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -104,48 +102,17 @@ class ModelParams:
         return build_fock_ops(self.dim, self.theta)
 
 
-@functools.lru_cache(maxsize=8)
-def _families(dim: int, theta: float) -> tuple:
-    """The generator families on one CSR pattern, built once per dim and theta.
-
-    Returns (indptr, indices, values): the union pattern of the families,
-    and values[f] family f's entries on it (0 where it has none), in the
-    order _weighted_sum weights them: the identity, jump_z, jump_plus,
-    jump_minus, squeeze_z, squeeze_plus, squeeze_minus (from
-    algebra.cached_generators) and the edge diagonal
-    1[n1 = d-1] + 1[n2 = d-1].  Callers never modify them in place.
-    """
-    g = cached_generators(dim, theta)
-    top = (np.arange(dim) == dim - 1).astype(np.float64)
-    families = (sp.eye_array(dim * dim, format="csr"), g.jump_z, g.jump_plus,
-                g.jump_minus, g.squeeze_z, g.squeeze_plus, g.squeeze_minus,
-                sp.diags_array(np.add.outer(top, top).reshape(-1), format="csr"))
-    union = sum(abs(m) for m in families)     # of absolute values: no cancellation
-    rows, cols = union.nonzero()
-    values = np.array([m[rows, cols] for m in families], dtype=np.complex128)
-    return union.indptr, union.indices, values
-
-
-def _weighted_sum(p: ModelParams, edge: bool = False) -> sp.csr_array:
-    """build_liouvillian in CSR: the rates times the generator families,
-    and with edge the trace-exact generator's edge diagonal too.
-
-    The families share one cached pattern (_families), so the sum is a
-    few vector operations on its entries; entries that cancel to zero
-    are dropped.
-    """
-    indptr, indices, values = _families(p.dim, p.theta)
-    weights = (0.5 * (p.mu - p.nu), -(p.mu + p.nu), p.nu, p.mu,
-               -2j * p.omega, p.kappa.conjugate(), p.kappa,
-               0.5 * p.nu * p.dim)
-    data = weights[0] * values[0]
-    for w, family in zip(weights[1:len(values) if edge else -1], values[1:]):
-        data = data + w * family
-    # a copy, so that eliminate_zeros leaves the cached pattern alone
-    out = sp.csr_array((data, indices, indptr), shape=(p.dim ** 2,) * 2,
-                       copy=True)
-    out.eliminate_zeros()
-    return out
+def _weighted_sum(p: ModelParams) -> sp.csr_array:
+    """build_liouvillian in CSR: the rates times the generator families."""
+    g = cached_generators(p.dim, p.theta)
+    eye2 = sp.eye_array(p.dim * p.dim, dtype=np.complex128, format="csr")
+    return (0.5 * (p.mu - p.nu) * eye2
+            - (p.mu + p.nu) * g.jump_z
+            + p.nu * g.jump_plus
+            + p.mu * g.jump_minus
+            - 2j * p.omega * g.squeeze_z
+            + p.kappa.conjugate() * g.squeeze_plus
+            + p.kappa * g.squeeze_minus)
 
 
 def build_liouvillian(params: ModelParams) -> np.ndarray:
@@ -160,4 +127,7 @@ def build_liouvillian_trace_exact(params: ModelParams) -> sp.csr_array:
     a a+ equals n + 1 - d on the top level, which build_liouvillian
     drops.  With it, vec(identity) annihilates every column exactly.
     """
-    return _weighted_sum(params, edge=True)
+    d = params.dim
+    top = (np.arange(d) == d - 1).astype(np.float64)
+    edge = 0.5 * params.nu * d * np.add.outer(top, top).reshape(-1)
+    return _weighted_sum(params) + sp.diags_array(edge)

@@ -36,13 +36,14 @@ states as its terminating series (one sparse matmat per term for all
 columns), or a d^2 x n array, one diagonal per column; per-column
 prefactors multiply last.  Each column has the bits of its one-column
 call.  propagate is the one-column kernel, propagate_grid's closed forms
-one column per time, propagate_sweep one per model, and a matrix-free
-stepped splitting applies one step's stages n times.  No d^2 x d^2
-matrix is formed.  factorized_superop and alternative_superop form the
-same stages as CSR factors and densify their product once; they,
-su11_factor and l_factor are the algebra-level oracles for tests at
-small d, and the first two the stepped splittings' step maps at d <= 10
-and for long step chains.
+one column per distinct time, propagate_sweep one per model, and a
+matrix-free stepped splitting applies one step's stages n times; a
+column at time 0 is the initial state, and the columns go through the
+kernel in passes of bounded size.  No d^2 x d^2 matrix is formed.
+factorized_superop and alternative_superop form the same stages as CSR
+factors and densify their product once; they, su11_factor and l_factor
+are the algebra-level oracles for tests at small d, and the first two
+the stepped splittings' step maps at d <= 10 and for long step chains.
 
 operator_series_solution evaluates the same factorized map directly on the
 density matrix as nested finite sums of ladder sandwiches, never forming a
@@ -58,17 +59,18 @@ n1 + n2 by 0 or +-2, so L couples no slot of even n1 + n2 to one of odd
 n1 + n2 (the weak-symmetry reduction of Buca and Prosen, NJP 14 073007,
 2012): the route cuts L into its two parity blocks and chains the states
 over a time grid through exp(gap L_even) and exp(gap L_odd).  Above
-DENSE_BLOCK_ROWS rows (d > 10) the blocks of all models form one direct
-sum per class, applied to the models' states as one vector by scipy's
-expm_multiply (Al-Mohy and Higham, SIAM J. Sci. Comput. 33:488, 2011)
-in sub-steps short enough that it takes its exact-norm branch, so the
-result does not depend on numpy's global random state; no dense block
-is formed.  At or below the rule each model forms its dense block
-exponentials, which is faster at that size.  A uniform grid costs one
-step map.  propagate_grid's exact branch is the chain of one model,
-propagate_sweep the chain of many to one time, and stepped exact the
-chain over the step times.  exact_superop, the full dense exp(t L)
-without the parity split, is the test oracle only: no route calls it.
+DENSE_BLOCK_ROWS rows (d > 10) the blocks of models whose blocks have
+close norms form one direct sum per class, applied to those models'
+states as one vector by scipy's expm_multiply (Al-Mohy and Higham, SIAM
+J. Sci. Comput. 33:488, 2011) in sub-steps short enough that it takes
+its exact-norm branch, so the result does not depend on numpy's global
+random state; no dense block is formed.  At or below the rule each model
+forms its dense block exponentials, which is faster at that size.  A
+uniform grid costs one step map.  propagate_grid's exact branch is the
+chain of one model, propagate_sweep the chain of many to one time, and
+stepped exact the chain over the step times.  exact_superop, the full
+dense exp(t L) without the parity split, is the test oracle only: no
+route calls it.
 
 Every map here multiplies a vectorized state by construction, so a state
 whose population stays away from the truncation edge preserves trace and
@@ -132,12 +134,23 @@ SLOTS_PER_MATRIX_FREE_STEP = 16
 # from numpy's global random state.  The exact route keeps every sub-step
 # within it (_gap_step).
 EXPM_MULTIPLY_NORM = 63.36
+# expm_multiply takes one shift, step count and Taylor degree for its whole
+# matrix, set by the largest norm in it, so a direct sum of the exact
+# route's blocks holds only blocks whose shifted norms are within this
+# ratio of its smallest (_direct_sums).
+DIRECT_SUM_NORM_RATIO = 1.5
 # Peak memory of the exact route per model, in units of its CSR generator
 # (184 bytes per slot of vec(rho)): the generator, its two blocks, the
 # scaled block pair, expm_multiply's shifted copy, the cached generators
-# and the grid's states.  Measured with ru_maxrss over the
-# README grid: 8.6 at d = 32, 6.8 at d = 64, 6.3 at d = 128.
-EXPM_WORKSPACE = 9
+# and the grid's states.  Measured with ru_maxrss over the README grid,
+# the cached generators' build included: 9.0-10.0 at d = 32, 7.9 at
+# d = 48, 7.1 at d = 64, 6.7 at d = 128; per model of an 8-model sweep,
+# 4.5 at d = 32, 4.2 at d = 64, 3.8 at d = 128.
+EXPM_WORKSPACE = 10
+# The closed-form kernel evaluates at most this many bytes of d^2 x n state
+# block per pass (_closed_form_columns); its series holds about five such
+# blocks, so a long grid or sweep does not grow its working memory.
+CLOSED_FORM_BLOCK_BYTES = 2 ** 24
 # The kernel's memory report, read for the memory estimates.
 MEMINFO = "/proc/meminfo"
 
@@ -309,12 +322,32 @@ def _closed_form(models, times, method: str):
 def _closed_form_columns(models, times, rho0: np.ndarray, method: str,
                          n_steps: int = 1) -> np.ndarray:
     """vec(rho0) after n_steps steps of times[j] / n_steps of a closed-form
-    map under models[j], as column j of a d^2 x n array."""
-    pref, stages = _closed_form(models, [t / n_steps for t in times], method)
-    v = np.repeat(vec(rho0)[:, None], len(models), axis=1)
-    for _ in range(n_steps):
-        v = _apply(stages, v, models[0].dim) * pref
-    return v
+    map under models[j], as column j of a d^2 x n array.
+
+    Only the distinct (model, time) columns with time > 0 are evaluated,
+    at most CLOSED_FORM_BLOCK_BYTES of them per kernel pass; a repeated
+    column is a copy of its first, and a time-0 column is vec(rho0),
+    which is what its stages give (all weights 0, diagonals and
+    prefactor 1).
+    """
+    x = vec(rho0)
+    out = np.repeat(x[:, None], len(models), axis=1)
+    columns = {}
+    for j, key in enumerate(zip(models, times)):
+        if key[1] > 0.0:
+            columns.setdefault(key, []).append(j)
+    keys = list(columns)
+    per_pass = max(1, CLOSED_FORM_BLOCK_BYTES // (16 * x.size))
+    for i in range(0, len(keys), per_pass):
+        chunk = keys[i:i + per_pass]
+        pref, stages = _closed_form([p for p, _ in chunk],
+                                    [t / n_steps for _, t in chunk], method)
+        v = np.repeat(x[:, None], len(chunk), axis=1)
+        for _ in range(n_steps):
+            v = _apply(stages, v, models[0].dim) * pref
+        for key, col in zip(chunk, v.T):
+            out[:, columns[key]] = col[:, None]
+    return out
 
 
 def _form(stages, dim: int) -> np.ndarray:
@@ -520,6 +553,17 @@ def _exact_chunks(models: list) -> list[list]:
     return [models[i:i + size] for i in range(0, len(models), size)]
 
 
+def _shifted_norm(block) -> float:
+    """The 1-norm of a CSR block shifted by its mean diagonal, from its
+    entries: each column's sum of absolute values, with the diagonal
+    entry's |b_ii| replaced by |b_ii - mean|.  It can differ from
+    expm_multiply's own computation in the last bits."""
+    diag = block.diagonal()
+    sums = np.bincount(block.indices, weights=np.abs(block.data),
+                       minlength=block.shape[0])
+    return (sums + np.abs(diag - diag.mean()) - np.abs(diag)).max()
+
+
 def _gap_step(block, gap: float):
     """(m, q) with exp(gap block) = exp(m)^q, for the fewest equal
     sub-steps q that keep m, shifted by its mean diagonal as
@@ -541,6 +585,30 @@ def _gap_step(block, gap: float):
         q = max(q + 1, math.ceil(q * norm / EXPM_MULTIPLY_NORM))
 
 
+def _direct_sums(parts: list) -> list:
+    """(slots, block) per CSR direct sum of the blocks in parts, pairs of
+    the slots of the state vector and the CSR block acting on them.
+
+    expm_multiply takes one shift, step count and Taylor degree for its
+    whole matrix, all set by its largest norm, so only blocks whose
+    shifted norms (_shifted_norm) are within DIRECT_SUM_NORM_RATIO of
+    the smallest in their sum share one: no block then costs more than
+    about that ratio times its own steps.  The ratios do not depend on
+    the step, so the sums serve every step of a chain.
+    """
+    norms = [_shifted_norm(block) for _, block in parts]
+    groups = []
+    for j in sorted(range(len(parts)), key=norms.__getitem__):
+        if groups and norms[j] <= DIRECT_SUM_NORM_RATIO * norms[groups[-1][0]]:
+            groups[-1].append(j)
+        else:
+            groups.append([j])
+    return [(np.concatenate([parts[j][0] for j in group]),
+             parts[group[0]][1] if len(group) == 1
+             else sp.block_diag([parts[j][1] for j in group], format="csr"))
+            for group in groups]
+
+
 def _exact_chain(models: list, rho0: np.ndarray, times: list):
     """Yield, per time, the n x d^2 states of the exact route: row j is
     exp(t L_j) vec(rho0) for models[j].  The yielded array is updated in
@@ -548,36 +616,34 @@ def _exact_chain(models: list, rho0: np.ndarray, times: list):
 
     The states are one vector, model after model.  Each model's
     trace-exact generator is cut into its parity blocks.  Above
-    DENSE_BLOCK_ROWS rows the blocks of one class are one CSR direct sum
-    over the models (a class's slots of the direct sum of the
-    generators), and each step applies its exponential to the states of
-    that class, one vector (which keeps expm_multiply's exact-norm bound
-    at its full size), in _gap_step's sub-steps.  At or below it each
-    model forms its dense block exponentials.  A step map is formed only
-    when a time is not one more step of the current map (within GAP_ULPS
-    ulps of that time), so a uniform grid, np.linspace ones included,
-    forms one and a repeated time none.  Only one step map is alive at a
-    time.  A non-finite expm_multiply result raises NumericalError.
+    DENSE_BLOCK_ROWS rows the blocks of one class form CSR direct sums
+    over the models of close norm (_direct_sums), and each step applies
+    a sum's exponential to those models' states of that class, one
+    vector (which keeps expm_multiply's exact-norm bound at its full
+    size), in _gap_step's sub-steps.  At or below it each model forms
+    its dense block exponentials.  A step map is formed only when a time
+    is not one more step of the current map (within GAP_ULPS ulps of
+    that time), so a uniform grid, np.linspace ones included, forms one
+    and a repeated time none.  Only one step map is alive at a time.  A
+    non-finite expm_multiply result raises NumericalError.
     """
     dim, n = models[0].dim, len(models)
     size = dim * dim
     dense = _dense_blocks(dim)
     gens = [build_liouvillian_trace_exact(p) for p in models]
-    # blocks pairs the slots of v with the block acting on them: one per
-    # class and model (dense), or one per class (direct sum)
-    if dense:
-        blocks = [(cls + j * size, gen[np.ix_(cls, cls)].toarray())
-                  for cls in _parity_classes(dim) for j, gen in enumerate(gens)]
-    else:
-        whole = sp.block_diag(gens, format="csr")
-        slots = [np.concatenate([cls + j * size for j in range(n)])
-                 for cls in _parity_classes(dim)]
-        blocks = [(idx, whole[np.ix_(idx, idx)]) for idx in slots]
-        del whole
+    # blocks pairs the slots of v with the block acting on them: per
+    # class, one dense block per model, or the direct sums
+    blocks = []
+    for cls in _parity_classes(dim):
+        parts = [(cls + j * size, gen[np.ix_(cls, cls)])
+                 for j, gen in enumerate(gens)]
+        blocks += ([(idx, block.toarray()) for idx, block in parts] if dense
+                   else _direct_sums(parts))
+    del gens, parts     # free the generators before the exponentials
+    if not dense:
         # imported here, not at module level: scipy.sparse.linalg adds
         # about 2 MB and 15 ms to the start-up of every command
         from scipy.sparse.linalg import expm_multiply
-    del gens       # free the generators before the exponentials
     # v holds the states at start + count * gap, and steps the step map:
     # (slots, exp(gap block), 1) per dense block, or (slots, m, q) from
     # _gap_step per direct sum.  v is a new array, not the caller's rho0.
@@ -618,7 +684,8 @@ def propagate_sweep(models, rho0, t: float, method: str = "exact",
     form's items are bit for bit those single calls.  The closed forms
     evaluate all models as the columns of one kernel (_closed_form), the
     matrix-free stepped splittings included.  The exact route evolves
-    the direct sum of the models' generators (_exact_chain), in the
+    direct sums of the models' parity blocks, each over the models whose
+    blocks have norms within DIRECT_SUM_NORM_RATIO (_exact_chain), in the
     fewest chunks that fit in the available memory; it raises
     MemoryError only when one model alone does not fit.  The series
     route, and the stepped splittings' dense step maps (d <= 10, or
@@ -706,8 +773,9 @@ def propagate_grid(params: ModelParams, rho0, times,
     available memory.  The splittings and the series route are not
     semigroups (chaining them would make them the stepped route), so
     each time is propagate's single-time map of rho0: the closed forms
-    as one kernel pass with a column per time, each column bit for bit
-    its one-time call, and the series route time by time.
+    as kernel passes over the distinct times > 0, one column each (a
+    time 0 is rho0 and a repeated time a copy), each column bit for
+    bit its one-time call; the series route time by time.
     """
     times = _check_grid(times)
     _check_method(method)

@@ -765,13 +765,18 @@ def test_sparse_exact_kernel_never_estimates_a_norm(no_norm_estimate, kappa):
     assert _tracedist(got, want) <= 1e-12
 
 
+def _shifted_norm(m):
+    """The shifted 1-norm as expm_multiply computes it."""
+    shifted = m - (m.trace() / m.shape[0]) * scipy.sparse.eye_array(m.shape[0])
+    return abs(shifted).sum(axis=0).max()
+
+
 def test_gap_steps_stay_within_the_exact_norm_bound():
     block = build_liouvillian_trace_exact(
         ModelParams(omega=1.0, mu=1e3, nu=1e3, kappa=0.0, dim=12))
     for gap in (0.0, 1e-3, 0.05, 1.0):
         m, q = propagators._gap_step(block, gap)
-        shifted = m - (m.trace() / m.shape[0]) * scipy.sparse.eye_array(m.shape[0])
-        norm = abs(shifted).sum(axis=0).max()
+        norm = _shifted_norm(m)
         assert norm <= propagators.EXPM_MULTIPLY_NORM, gap
         # one sub-step fewer would cross the bound
         assert q == 1 or norm * q / (q - 1) > propagators.EXPM_MULTIPLY_NORM, gap
@@ -875,8 +880,8 @@ def test_exact_direct_sum_at_stiff_rates_and_the_edge(problem):
 
 
 def test_exact_direct_sum_across_three_decades_of_norm(no_norm_estimate):
-    """A mu-sweep whose ||t L||_1 runs from 0.4 to 440: the small models
-    are evaluated with the large ones' shift and step count."""
+    """A mu-sweep whose ||t L||_1 runs from 0.4 to 440, so the models
+    fall into several direct sums of close norm."""
     models = [ModelParams(omega=0.01, mu=float(mu), nu=0.005, kappa=0.002, dim=12)
               for mu in np.geomspace(0.01, 20.0, 8)]
     norms = [abs(build_liouvillian_trace_exact(p)).sum(axis=0).max() for p in models]
@@ -903,6 +908,29 @@ def test_exact_sweep_is_one_direct_sum_per_parity_class(monkeypatch):
     # one generator per model; per class one vector of all three models
     assert calls == {"build_liouvillian_trace_exact": 3}
     assert applied == [((216, 216), (216,)), ((216, 216), (216,))]
+
+
+def test_exact_direct_sums_hold_only_blocks_of_close_norm():
+    """A wide mu-sweep: every block is in one direct sum, and the blocks
+    of one sum have shifted norms within DIRECT_SUM_NORM_RATIO."""
+    dim, size = 12, 144
+    models = [replace(_readme_model(dim), mu=mu)
+              for mu in (0.4, 0.5, 0.6, 40.0, 45.0, 400.0)]
+    for cls in propagators._parity_classes(dim):
+        parts = [(cls + j * size, build_liouvillian_trace_exact(p)[np.ix_(cls, cls)])
+                 for j, p in enumerate(models)]
+        norms = [_shifted_norm(b) for _, b in parts]
+        for _, b in parts:
+            assert propagators._shifted_norm(b) == pytest.approx(_shifted_norm(b), rel=1e-13)
+        sums = propagators._direct_sums(parts)
+        members = [sorted({int(i) // size for i in slots}) for slots, _ in sums]
+        assert members == [[0, 1, 2], [3, 4], [5]]
+        for (slots, block), group in zip(sums, members):
+            assert np.array_equal(slots, np.concatenate([parts[j][0] for j in group]))
+            want = scipy.sparse.block_diag([parts[j][1] for j in group])
+            assert abs(block - want).max() == 0.0
+            assert max(norms[j] for j in group) <= (
+                propagators.DIRECT_SUM_NORM_RATIO * min(norms[j] for j in group))
 
 
 def test_exact_sweep_splits_the_models_into_the_fewest_chunks_that_fit(
@@ -934,6 +962,55 @@ def test_exact_sweep_splits_the_models_into_the_fewest_chunks_that_fit(
     monkeypatch.setattr(propagators, "_available_memory", lambda: need - 1)
     with pytest.raises(MemoryError, match="exact route at dim 11 needs"):
         propagators.propagate_sweep(models, rho0, 1.3)
+
+
+def test_closed_form_grid_evaluates_each_distinct_positive_time_once(monkeypatch):
+    """t = 0 is rho0, as the kernel's stages give it, and a repeated time
+    is a copy of its first column."""
+    p, rho0 = _readme_model(12), coherent_state(12, 0.8)
+    times = [0.0, 0.0, 0.5, 0.5, 0.5, 1.25]
+    for method in propagators.CLOSED_FORM_METHODS:
+        pref, stages = propagators._closed_form([p], [0.0], method)
+        at_zero = propagators._apply(stages, vec(rho0)[:, None], 12) * pref
+        assert at_zero[:, 0].tobytes() == vec(rho0).tobytes()
+    real = propagators._closed_form
+    columns = []
+
+    def recording(models, ts, method):
+        columns.append(list(ts))
+        return real(models, ts, method)
+
+    monkeypatch.setattr(propagators, "_closed_form", recording)
+    for method in propagators.CLOSED_FORM_METHODS:
+        columns.clear()
+        grid = propagate_grid(p, rho0, times, method)
+        assert columns == [[0.5, 1.25]]
+        assert grid[0].rho_t.tobytes() == rho0.tobytes()
+        grid[2].rho_t[0, 0] = 7.0     # the repeated times are copies
+        assert np.array_equal(grid[3].rho_t, grid[4].rho_t)
+        assert not np.array_equal(grid[2].rho_t, grid[3].rho_t)
+        for res in grid[3:]:
+            assert np.array_equal(res.rho_t, propagate(p, rho0, res.t, method).rho_t)
+
+
+def test_closed_form_passes_are_bounded_and_keep_the_bits(monkeypatch):
+    p, rho0 = _readme_model(11), coherent_state(11, 0.8)
+    times = np.linspace(0.25, 2.0, 7)
+    whole = propagate_grid(p, rho0, times, "factorized")
+    real = propagators._closed_form
+    widths = []
+
+    def recording(models, ts, method):
+        widths.append(len(ts))
+        return real(models, ts, method)
+
+    monkeypatch.setattr(propagators, "_closed_form", recording)
+    # two columns of 121 slots per pass
+    monkeypatch.setattr(propagators, "CLOSED_FORM_BLOCK_BYTES", 2 * 16 * 121 + 15)
+    passes = propagate_grid(p, rho0, times, "factorized")
+    assert widths == [2, 2, 2, 1]
+    for a, b in zip(whole, passes):
+        assert np.array_equal(a.rho_t, b.rho_t)
 
 
 def test_sweep_validates_its_models():
