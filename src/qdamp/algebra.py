@@ -171,7 +171,8 @@ def projected_residual(delta, dim: int, margin: int) -> float:
 
     delta is a dense ndarray or a scipy.sparse array.  A sparse one is
     measured on its summed stored entries, which spares the program the
-    import of scipy.sparse.linalg (about 20 ms and 2 MB at startup).
+    import of scipy.sparse.linalg and the scipy.linalg it pulls in (about
+    0.14 s and 8.6 MB at start-up).
     """
     mask = interior_mask(dim, margin)
     if not mask.any():

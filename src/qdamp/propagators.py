@@ -61,10 +61,12 @@ n1 + n2 (the weak-symmetry reduction of Buca and Prosen, NJP 14 073007,
 over a time grid through exp(gap L_even) and exp(gap L_odd).  Above
 DENSE_BLOCK_ROWS rows (d > 10) the blocks of models whose blocks have
 close norms form one direct sum per class, applied to those models'
-states as one vector by scipy's expm_multiply (Al-Mohy and Higham, SIAM
-J. Sci. Comput. 33:488, 2011) in sub-steps short enough that it takes
-its exact-norm branch, so the result does not depend on numpy's global
-random state; no dense block is formed.  At or below the rule each model
+states as one vector by linalg's Taylor kernel (Al-Mohy and Higham, SIAM
+J. Sci. Comput. 33:488, 2011): taylor_plan fixes the shift, degree and
+step count of exp(gap sum) from the sum's exact 1-norm once per gap, and
+taylor_apply runs them on every step of the chain.  No norm is
+estimated, so the result does not depend on numpy's global random
+state, and no dense block is formed.  At or below the rule each model
 forms its dense block exponentials, which is faster at that size.  A
 uniform grid costs one step map.  propagate_grid's exact branch is the
 chain of one model, propagate_sweep the chain of many to one time, and
@@ -92,7 +94,7 @@ import scipy.sparse as sp
 from .algebra import SuperOpGenerators, build_generators, cached_generators  # noqa: F401
 from .coefficients import eval_coefficients
 from .diagnostics import DiagnosticsRecord, state_diagnostics
-from .linalg import NumericalError, as_complex_matrix, expm
+from .linalg import as_complex_matrix, expm, taylor_apply, taylor_plan
 # build_liouvillian is not called here either; the tracer wraps it too.
 from .liouvillian import (ModelParams, build_liouvillian,  # noqa: F401
                           build_liouvillian_trace_exact)
@@ -105,14 +107,15 @@ GAP_ULPS = 4
 # Parity blocks of at most this many rows (d <= 10) keep the dense step
 # maps: the exact route's expm of each block, and the stepped splittings'
 # d^2 x d^2 factorized_superop or alternative_superop, both per model.
-# Above it the exact blocks are applied by scipy's expm_multiply and, over
-# short step chains (_stepped_matrix_free), the splittings' stages one at
-# a time (_dense_blocks reads the rule at call time).  One dense
-# expm against one expm_multiply of the README model's block at gap 0.25,
-# single-threaded BLAS: 0.08 against 0.99 ms at 18 rows, 0.65 against
-# 1.1 ms at 50, 1.6 against 1.2 ms at 72, 7.1 against 1.6 ms at 128.
-# expm's cost grows with log ||t L||_1 (its squarings), expm_multiply's
-# about linearly, which counts at stiff rates.
+# Above it the exact blocks are applied by the Taylor kernel (linalg's
+# taylor_plan and taylor_apply) and, over short step chains
+# (_stepped_matrix_free), the splittings' stages one at a time
+# (_dense_blocks reads the rule at call time).  One dense expm against
+# one plan and apply of the README model's block at gap 0.25,
+# single-threaded BLAS: 0.06 against 0.5 ms at 18 rows, 0.6 against
+# 0.6 ms at 50, 1.2 against 0.6 ms at 72, 6.3 against 0.7 ms at 128.
+# expm's cost grows with log ||t L||_1 (its squarings), the Taylor
+# kernel's about linearly, which counts at stiff rates.
 # perfbench's traced test of a d = 6 kappa-sweep pins both dense branches:
 # it requires a linalg.expm and a propagators.factor_build span and a
 # 16 d^4 propagators.superop_bytes.  Once that test names its spans by
@@ -126,27 +129,19 @@ DENSE_BLOCK_ROWS = 50
 # to 13 for d = 11..40 (2 to 6 at d = 48), so every chain the rule sends
 # matrix-free is faster there than on the step map.
 SLOTS_PER_MATRIX_FREE_STEP = 16
-# expm_multiply picks its Taylor degree and step count from the exact
-# 1-norm of its matrix, shifted by the mean diagonal, while that norm is
-# at most this bound for one vector (condition 3.13 of Al-Mohy and Higham
-# with scipy's m_max = 55 and ell = 2; n vectors divide it by n).  Above
-# it, it estimates norms of matrix powers with onenormest, which draws
-# from numpy's global random state.  The exact route keeps every sub-step
-# within it (_gap_step).
-EXPM_MULTIPLY_NORM = 63.36
-# expm_multiply takes one shift, step count and Taylor degree for its whole
+# A Taylor plan takes one shift, step count and degree for its whole
 # matrix, set by the largest norm in it, so a direct sum of the exact
 # route's blocks holds only blocks whose shifted norms are within this
 # ratio of its smallest (_direct_sums).
 DIRECT_SUM_NORM_RATIO = 1.5
 # Peak memory of the exact route per model, in units of its CSR generator
 # (184 bytes per slot of vec(rho)): the generator, its two blocks, the
-# scaled block pair, expm_multiply's shifted copy, the cached generators
-# and the grid's states.  Measured with ru_maxrss over the README grid,
-# the cached generators' build included: 9.0-10.0 at d = 32, 7.9 at
-# d = 48, 7.1 at d = 64, 6.7 at d = 128; per model of an 8-model sweep,
-# 4.5 at d = 32, 4.2 at d = 64, 3.8 at d = 128.
-EXPM_WORKSPACE = 10
+# step map's shifted blocks (the Taylor plans), the Taylor vectors,
+# the cached generators and the grid's states.  Measured with ru_maxrss
+# over the README grid, the cached generators' build included: 7.7-8.0
+# at d = 32, 5.9-6.2 at d = 48, 5.7-5.9 at d = 64, 5.5-5.6 at d = 128;
+# per model of an 8-model sweep, 3.5-3.6 at d = 32, 3.4 at d = 48..128.
+EXPM_WORKSPACE = 8
 # The closed-form kernel evaluates at most this many bytes of d^2 x n state
 # block per pass (_closed_form_columns); its series holds about five such
 # blocks, so a long grid or sweep does not grow its working memory.
@@ -557,40 +552,20 @@ def _shifted_norm(block) -> float:
     """The 1-norm of a CSR block shifted by its mean diagonal, from its
     entries: each column's sum of absolute values, with the diagonal
     entry's |b_ii| replaced by |b_ii - mean|.  It can differ from
-    expm_multiply's own computation in the last bits."""
+    taylor_plan's norm, taken after scaling by the gap, in the last
+    bits."""
     diag = block.diagonal()
     sums = np.bincount(block.indices, weights=np.abs(block.data),
                        minlength=block.shape[0])
     return (sums + np.abs(diag - diag.mean()) - np.abs(diag)).max()
 
 
-def _gap_step(block, gap: float):
-    """(m, q) with exp(gap block) = exp(m)^q, for the fewest equal
-    sub-steps q that keep m, shifted by its mean diagonal as
-    expm_multiply shifts it, within EXPM_MULTIPLY_NORM in 1-norm.
-
-    The norm is computed as expm_multiply computes it, on the matrix it
-    is given, so a norm rounded across the bound adds a sub-step.
-    """
-    rows, q = block.shape[0], 1
-    while True:
-        m = (gap / q) * block
-        shifted = m - (m.trace() / rows) * sp.eye_array(rows, format="csr")
-        norm = abs(shifted).sum(axis=0).max()
-        if not math.isfinite(norm):
-            raise NumericalError(f"the exact step over {gap} has a "
-                                 f"non-finite 1-norm")
-        if norm <= EXPM_MULTIPLY_NORM:
-            return m, q
-        q = max(q + 1, math.ceil(q * norm / EXPM_MULTIPLY_NORM))
-
-
 def _direct_sums(parts: list) -> list:
     """(slots, block) per CSR direct sum of the blocks in parts, pairs of
     the slots of the state vector and the CSR block acting on them.
 
-    expm_multiply takes one shift, step count and Taylor degree for its
-    whole matrix, all set by its largest norm, so only blocks whose
+    A Taylor plan takes one shift, step count and degree for its whole
+    matrix, all set by its largest norm, so only blocks whose
     shifted norms (_shifted_norm) are within DIRECT_SUM_NORM_RATIO of
     the smallest in their sum share one: no block then costs more than
     about that ratio times its own steps.  The ratios do not depend on
@@ -619,13 +594,13 @@ def _exact_chain(models: list, rho0: np.ndarray, times: list):
     DENSE_BLOCK_ROWS rows the blocks of one class form CSR direct sums
     over the models of close norm (_direct_sums), and each step applies
     a sum's exponential to those models' states of that class, one
-    vector (which keeps expm_multiply's exact-norm bound at its full
-    size), in _gap_step's sub-steps.  At or below it each model forms
-    its dense block exponentials.  A step map is formed only when a time
-    is not one more step of the current map (within GAP_ULPS ulps of
-    that time), so a uniform grid, np.linspace ones included, forms one
-    and a repeated time none.  Only one step map is alive at a time.  A
-    non-finite expm_multiply result raises NumericalError.
+    vector, by its Taylor plan (taylor_plan, taylor_apply).  At or below
+    it each model forms its dense block exponentials.  A step map, the
+    plans or the dense exponentials, is formed only when a time is not
+    one more step of the current map (within GAP_ULPS ulps of that
+    time), so a uniform grid, np.linspace ones included, forms one and a
+    repeated time none.  Only one step map is alive at a time.  A
+    non-finite result raises NumericalError.
     """
     dim, n = models[0].dim, len(models)
     size = dim * dim
@@ -640,13 +615,9 @@ def _exact_chain(models: list, rho0: np.ndarray, times: list):
         blocks += ([(idx, block.toarray()) for idx, block in parts] if dense
                    else _direct_sums(parts))
     del gens, parts     # free the generators before the exponentials
-    if not dense:
-        # imported here, not at module level: scipy.sparse.linalg adds
-        # about 2 MB and 15 ms to the start-up of every command
-        from scipy.sparse.linalg import expm_multiply
     # v holds the states at start + count * gap, and steps the step map:
-    # (slots, exp(gap block), 1) per dense block, or (slots, m, q) from
-    # _gap_step per direct sum.  v is a new array, not the caller's rho0.
+    # (slots, exp(gap block)) per dense block, or (slots, Taylor plan) per
+    # direct sum.  v is a new array, not the caller's rho0.
     v = np.tile(vec(rho0), n)
     steps, start, gap, count = None, 0.0, 0.0, 0
     for t in times:
@@ -656,20 +627,11 @@ def _exact_chain(models: list, rho0: np.ndarray, times: list):
                 start, count = start + count * gap, 0
                 gap = t - start
                 steps = None   # free the old step map before forming the next
-                steps = [(idx,) + ((expm(gap * block), 1) if dense
-                                   else _gap_step(block, gap))
+                steps = [(idx, expm(gap * block) if dense
+                          else taylor_plan(block, gap))
                          for idx, block in blocks]
-            for idx, m, q in steps:
-                x = v[idx]
-                if dense:
-                    x = m @ x
-                else:
-                    for _ in range(q):
-                        x = expm_multiply(m, x)
-                    if not np.all(np.isfinite(x)):
-                        raise NumericalError("expm_multiply produced non-finite "
-                                             "entries (overflow?)")
-                v[idx] = x
+            for idx, step in steps:
+                v[idx] = step @ v[idx] if dense else taylor_apply(step, v[idx])
             count += 1
         yield v.reshape(n, size)
 

@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdamp
 from qdamp import cli, propagators
 from qdamp.cli import (
     EXIT_CONFIG,
@@ -440,15 +446,17 @@ def test_exit_code_for_numerical_failure(tmp_path, capsys, monkeypatch):
 
 def test_exit_code_for_non_finite_sparse_exponential(tmp_path, capsys,
                                                      monkeypatch):
-    # d = 12 has parity blocks of 72 rows, so exact runs on expm_multiply
-    import scipy.sparse.linalg
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
-                        lambda a, b: np.full_like(b, np.nan))
+    # d = 12 has parity blocks of 72 rows, so exact runs on the Taylor
+    # kernel; a NaN shift makes every step's scale factor, and so the
+    # state, non-finite
+    plan = propagators.taylor_plan
+    monkeypatch.setattr(propagators, "taylor_plan",
+                        lambda block, gap: replace(plan(block, gap), shift=np.nan))
     path = write_config(tmp_path, methods=["exact"],
                         model={"omega": 1.0, "mu": 0.5, "nu": 0.2, "dim": 12})
     assert main(["simulate", "--config", path]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert err.startswith("error: numerical failure: expm_multiply")
+    assert err.startswith("error: numerical failure: taylor_apply")
     assert err.count("\n") == 1
 
 
@@ -515,8 +523,8 @@ def test_sweep_runs_the_exact_route_in_chunks_that_fit(tmp_path, capsys,
 
 def test_stiff_exact_csv_bytes_do_not_depend_on_the_global_seed(tmp_path):
     """Rates of 1e3 put the step's 1-norm near 1.5e3, above the bound where
-    expm_multiply would estimate norms from numpy's global random state;
-    the exact route's sub-steps stay below it."""
+    scipy's expm_multiply would estimate norms from numpy's global random
+    state; the exact route's Taylor plan reads the exact norm."""
     path = write_config(
         tmp_path, methods=["exact"], times=[0.0, 0.05], positivity="permissive",
         model={"omega": 1.0, "mu": 1e3, "nu": 1e3, "kappa_re": 1e-320,
@@ -577,6 +585,38 @@ def test_stepped_exact_convergence_is_memory_guarded(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+# ----------------------------------------------------------- start-up
+
+
+def test_commands_above_dim_10_load_no_scipy_linalg(tmp_path):
+    """simulate (exact, factorized, series), sweep (every method) and
+    verify-algebra at d = 12, in a fresh interpreter, import neither
+    scipy.linalg nor scipy.sparse.linalg: only the dense block
+    exponential of d <= 10 needs scipy.linalg, and loads it on use."""
+    model = {"omega": 1.0, "mu": 0.5, "nu": 0.5, "kappa_re": 0.3, "dim": 12}
+    simulate = write_config(tmp_path, "simulate.json", model=model,
+                            methods=["exact", "factorized", "series"],
+                            times={"t_max": 2.0, "n_points": 5})
+    sweep = write_config(tmp_path, "sweep.json", model=model, times=[0.8],
+                         methods=["exact", "factorized", "alternative",
+                                  "series", "stepped"],
+                         sweep={"param": "kappa_abs", "values": [0.0, 0.2, 0.4]})
+    runs = [["simulate", "--config", simulate, "--out", str(tmp_path / "a.csv")],
+            ["sweep", "--config", sweep, "--out", str(tmp_path / "b.csv")],
+            ["verify-algebra", "--dim", "12", "--margin", "2"]]
+    code = ("import json, sys\n"
+            "from qdamp.cli import main\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m in "
+            "('scipy.linalg', 'scipy.sparse.linalg'))]))\n")
+    src = str(Path(qdamp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [[EXIT_OK] * 3, []]
+
+
 # ----------------------------------------------------------- determinism
 
 
@@ -591,8 +631,9 @@ def test_repeated_runs_are_bit_identical(tmp_path):
 
 def test_sparse_exact_runs_are_bit_identical(tmp_path):
     """One gap of 40 at d = 12 puts ||gap L_k||_1 far above 63, where
-    expm_multiply picks its step count from a norm estimate that starts
-    from numpy's global random state."""
+    scipy's expm_multiply would pick its step count from a norm estimate
+    that starts from numpy's global random state; the exact route's
+    Taylor plan reads the exact norm."""
     path = write_config(tmp_path, methods=["exact"], times=[0.0, 40.0],
                         model={"omega": 1.0, "mu": 0.5, "nu": 0.2,
                                "kappa_re": 0.3, "dim": 12})

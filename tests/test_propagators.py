@@ -24,7 +24,7 @@ from qdamp.algebra import build_generators
 from qdamp.coefficients import eval_coefficients
 from qdamp.diagnostics import compare_states
 from qdamp.fock import coherent_state, fock_state
-from qdamp.linalg import NumericalError, expm
+from qdamp.linalg import TAYLOR_THETA, NumericalError, expm
 from qdamp.liouvillian import (ModelParams, build_liouvillian,
                                build_liouvillian_trace_exact)
 from qdamp.propagators import (
@@ -537,29 +537,43 @@ def test_exact_kernels_meet_one_bar_on_either_side_of_the_rule(
             assert _tracedist(res.rho_t, want) <= 1e-12, (p, res.t)
 
 
+def _record_taylor(monkeypatch):
+    """Lists of the Taylor plans the exact route forms and of the
+    (plan, vector) pairs it applies, kept live."""
+    planned, applied = [], []
+    plan, apply = propagators.taylor_plan, propagators.taylor_apply
+
+    def planning(block, gap):
+        planned.append(plan(block, gap))
+        return planned[-1]
+
+    def applying(step, x):
+        applied.append((step, x))
+        return apply(step, x)
+
+    monkeypatch.setattr(propagators, "taylor_plan", planning)
+    monkeypatch.setattr(propagators, "taylor_apply", applying)
+    return planned, applied
+
+
 def test_sparse_exact_grid_forms_one_scaled_pair_per_distinct_gap(monkeypatch):
-    import scipy.sparse.linalg
-    applied = []
-    real = scipy.sparse.linalg.expm_multiply
-
-    def recording(a, b):
-        applied.append(a)
-        return real(a, b)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", recording)
+    planned, applied = _record_taylor(monkeypatch)
     calls = _count_calls(monkeypatch, "expm", "build_liouvillian_trace_exact")
     p = _readme_model(12)
     rho0 = fock_state(12, 1)
     propagate_grid(p, rho0, np.linspace(0.0, 2.0, 9))
-    # 8 steps, each applying the one scaled block pair
+    # one plan per parity block, applied on each of the 8 steps
     assert calls == {"build_liouvillian_trace_exact": 1}
-    assert len(applied) == 16 and len({id(a) for a in applied}) == 2
+    assert len(planned) == 2
+    assert [step for step, _ in applied] == planned * 8
     calls.clear()
+    planned.clear()
     applied.clear()
     # gaps 0.5, 0.5, 0, 1.2 - 1.0 (not 0.2 in binary): two distinct gaps
     propagate_grid(p, rho0, [0.5, 1.0, 1.0, 1.2])
     assert calls == {"build_liouvillian_trace_exact": 1}
-    assert len(applied) == 6 and len({id(a) for a in applied}) == 4
+    assert len(planned) == 4
+    assert [step for step, _ in applied] == planned[:2] * 2 + planned[2:]
 
 
 def test_exact_grid_fails_fast_when_memory_is_short(monkeypatch):
@@ -697,7 +711,7 @@ def test_exact_grid_matches_full_dense_expm_at_stiff_rates_and_the_edge(problem)
 @settings(max_examples=10)
 @given(problem=_stiff_edge_grid_problems())
 def test_sparse_exact_kernel_at_stiff_rates_and_the_edge(problem):
-    """The same problems through expm_multiply, forced by a rule of 0
+    """The same problems through the Taylor kernel, forced by a rule of 0
     rows, against the same oracle and bar."""
     p, rho0, times = problem
     with pytest.MonkeyPatch.context() as mp:
@@ -725,12 +739,13 @@ def test_sparse_exact_kernel_across_coefficient_seams(model, seed):
     (100.0, 1e-160, 5), (1e3, 1e-320, 5)])
 def test_sparse_exact_kernel_ignores_subnormal_entries(rate, kappa, level):
     """A kappa of 1e-320 leaves subnormal entries in the blocks, and one
-    of 1e-160 leaves them in the block's square.  expm_multiply's
-    randomized norm estimate, which the exact route's sub-steps keep it
-    from calling, warns of overflow on them (an error under the test
-    suite's warning filter) and can come back too low, which at rates of
-    1e3 (a block 1-norm near 1e4) shows as too few steps; the state must
-    be the exponential's."""
+    of 1e-160 leaves them in the block's square.  scipy's expm_multiply,
+    which the exact route used to call, estimated norms at random above
+    a 1-norm of 63; the estimate warns of overflow on them (an error
+    under the test suite's warning filter) and can come back too low,
+    which at rates of 1e3 (a block 1-norm near 1e4) shows as too few
+    steps.  The Taylor plan reads the exact norm; the state must be the
+    exponential's."""
     p = ModelParams(omega=1.0, mu=rate, nu=rate, kappa=kappa, dim=12,
                     theta=2.0)
     rho0 = fock_state(12, level)
@@ -741,7 +756,8 @@ def test_sparse_exact_kernel_ignores_subnormal_entries(rate, kappa, level):
 
 def _refuse_norm_estimates(mp):
     """Fail on any call of onenormest, the randomized norm estimate that
-    expm_multiply takes above its exact-norm bound."""
+    scipy's expm_multiply takes above its exact-norm bound; the exact
+    route must never reach it."""
     def refuse(*args, **kwargs):
         raise AssertionError("onenormest called")
 
@@ -755,9 +771,9 @@ def no_norm_estimate(monkeypatch):
 
 @pytest.mark.parametrize("kappa", [0.0, 1e-320])
 def test_sparse_exact_kernel_never_estimates_a_norm(no_norm_estimate, kappa):
-    """A step 1-norm near 1.5e3 (rates 1e3) is cut into sub-steps within
-    expm_multiply's exact-norm bound, so no norm is estimated from
-    numpy's global random state."""
+    """A step 1-norm near 1.5e3 (rates 1e3), far above the bound where
+    scipy's expm_multiply would estimate norms from numpy's global random
+    state: the Taylor plan reads the exact norm."""
     p = ModelParams(omega=1.0, mu=1e3, nu=1e3, kappa=kappa, dim=12, theta=2.0)
     rho0 = fock_state(12, 5)
     got = propagate_grid(p, rho0, [0.0, 0.05])[-1].rho_t
@@ -766,21 +782,57 @@ def test_sparse_exact_kernel_never_estimates_a_norm(no_norm_estimate, kappa):
 
 
 def _shifted_norm(m):
-    """The shifted 1-norm as expm_multiply computes it."""
+    """The 1-norm of m shifted by its mean diagonal, as expm_multiply
+    computes it."""
     shifted = m - (m.trace() / m.shape[0]) * scipy.sparse.eye_array(m.shape[0])
     return abs(shifted).sum(axis=0).max()
 
 
+@pytest.mark.parametrize("dim", [12, 16, 24, 32])
+def test_taylor_kernel_matches_scipys_expm_multiply(no_norm_estimate, dim):
+    """scipy's expm_multiply as an oracle, at gaps whose shifted 1-norms
+    keep it on its exact-norm branch (no_norm_estimate refuses the
+    other): the kernel takes the same steps and degree there."""
+    import scipy.sparse.linalg
+    gen = build_liouvillian_trace_exact(_readme_model(dim))
+    rng = np.random.default_rng(dim)
+    for cls in propagators._parity_classes(dim):
+        block = gen[np.ix_(cls, cls)]
+        x = rng.normal(size=cls.size) + 1j * rng.normal(size=cls.size)
+        for gap in (0.01, 0.25, 1.0):
+            got = propagators.taylor_apply(propagators.taylor_plan(block, gap), x)
+            want = scipy.sparse.linalg.expm_multiply(gap * block, x)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), gap
+
+
+def test_taylor_kernel_at_stiff_rates_meets_the_dense_oracle():
+    """The README model with every rate times 1e3: plans of tens of
+    steps of degree 55, two gaps in one chain."""
+    p = ModelParams(omega=1e3, mu=400.0, nu=100.0, kappa=100.0 + 50.0j, dim=12)
+    rho0 = coherent_state(12, 1.2)
+    for res in propagate_grid(p, rho0, [0.0, 0.02, 0.05]):
+        want = unvec(exact_superop(p, res.t) @ vec(rho0))
+        assert _tracedist(res.rho_t, want) <= 1e-12, res.t
+
+
 def test_gap_steps_stay_within_the_exact_norm_bound():
+    """Each of a plan's steps has a shifted 1-norm within theta of its
+    degree, and no (degree, steps) pair of the table meets that bound
+    with fewer matvecs."""
+    theta = TAYLOR_THETA
     block = build_liouvillian_trace_exact(
         ModelParams(omega=1.0, mu=1e3, nu=1e3, kappa=0.0, dim=12))
-    for gap in (0.0, 1e-3, 0.05, 1.0):
-        m, q = propagators._gap_step(block, gap)
-        norm = _shifted_norm(m)
-        assert norm <= propagators.EXPM_MULTIPLY_NORM, gap
-        # one sub-step fewer would cross the bound
-        assert q == 1 or norm * q / (q - 1) > propagators.EXPM_MULTIPLY_NORM, gap
-    assert q > 100      # the last gap needs many sub-steps
+    for gap in (1e-6, 1e-3, 0.05, 1.0):
+        plan = propagators.taylor_plan(block, gap)
+        norm = _shifted_norm(gap * block)
+        assert abs(plan.shifted - (gap * block - plan.shift * scipy.sparse.eye_array(
+            block.shape[0]))).max() == 0.0
+        assert norm / plan.steps <= theta[plan.degree], gap
+        assert plan.degree * plan.steps == min(
+            m * math.ceil(norm / th) for m, th in theta.items()), gap
+    assert plan.steps > 1000    # the last gap needs many steps
+    zero = propagators.taylor_plan(block, 0.0)
+    assert (zero.degree, zero.steps) == (0, 1)
 
 
 # ------------------------------------------------------ one pass per sweep
@@ -893,21 +945,16 @@ def test_exact_direct_sum_across_three_decades_of_norm(no_norm_estimate):
 
 
 def test_exact_sweep_is_one_direct_sum_per_parity_class(monkeypatch):
-    import scipy.sparse.linalg
-    applied = []
-    real = scipy.sparse.linalg.expm_multiply
-
-    def recording(a, b):
-        applied.append((a.shape, b.shape))
-        return real(a, b)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", recording)
+    planned, applied = _record_taylor(monkeypatch)
     calls = _count_calls(monkeypatch, "build_liouvillian_trace_exact")
     models = [replace(_readme_model(12), kappa=k) for k in (0.0, 0.05, 0.1j)]
     propagators.propagate_sweep(models, fock_state(12, 1), 2.0)
-    # one generator per model; per class one vector of all three models
+    # one generator per model; per class one plan and one vector of all
+    # three models
     assert calls == {"build_liouvillian_trace_exact": 3}
-    assert applied == [((216, 216), (216,)), ((216, 216), (216,))]
+    assert [plan.shifted.shape for plan in planned] == [(216, 216), (216, 216)]
+    assert [(step, x.shape) for step, x in applied] == [
+        (planned[0], (216,)), (planned[1], (216,))]
 
 
 def test_exact_direct_sums_hold_only_blocks_of_close_norm():
