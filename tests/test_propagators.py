@@ -739,13 +739,12 @@ def test_sparse_exact_kernel_across_coefficient_seams(model, seed):
     (100.0, 1e-160, 5), (1e3, 1e-320, 5)])
 def test_sparse_exact_kernel_ignores_subnormal_entries(rate, kappa, level):
     """A kappa of 1e-320 leaves subnormal entries in the blocks, and one
-    of 1e-160 leaves them in the block's square.  scipy's expm_multiply,
-    which the exact route used to call, estimated norms at random above
-    a 1-norm of 63; the estimate warns of overflow on them (an error
-    under the test suite's warning filter) and can come back too low,
-    which at rates of 1e3 (a block 1-norm near 1e4) shows as too few
-    steps.  The Taylor plan reads the exact norm; the state must be the
-    exponential's."""
+    of 1e-160 leaves them in the block's square.  A randomized norm
+    estimate such as scipy's expm_multiply takes above a 1-norm of 63
+    warns of overflow on them (an error under the test suite's warning
+    filter) and can come back too low, which at rates of 1e3 (a block
+    1-norm near 1e4) shows as too few steps.  The Taylor plan reads the
+    exact norm; the state must be the exponential's."""
     p = ModelParams(omega=1.0, mu=rate, nu=rate, kappa=kappa, dim=12,
                     theta=2.0)
     rho0 = fock_state(12, level)
