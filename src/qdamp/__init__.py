@@ -54,7 +54,6 @@ from .propagators import (
     l_factor,
     operator_series_solution,
     propagate,
-    propagate_grid,
     propagate_sweep,
     stepped_propagate,
     su11_factor,
@@ -107,7 +106,6 @@ __all__ = [
     "phase_kernel_limit",
     "projected_residual",
     "propagate",
-    "propagate_grid",
     "propagate_sweep",
     "sparse_generators",
     "state_diagnostics",

@@ -6,10 +6,10 @@ Subcommands:
   convergence     splitting-error study (single-step or fixed-horizon)
   sweep           final-time diagnostics across one swept parameter
 
-Exit codes: 0 success, 1 config/parse error or a value the library
-rejects (also a failed verification verdict), 2 positivity rejection in
-strict mode, 3 numerical failure or an allocation that does not fit in
-memory.
+Exit codes: 0 success, 1 config/parse error, a value the library
+rejects or an output path that cannot be written (also a failed
+verification verdict), 2 positivity rejection in strict mode, 3
+numerical failure or an allocation that does not fit in memory.
 All CSV output is deterministic: identical config gives bit-identical
 bytes.
 """
@@ -266,22 +266,20 @@ def load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _evolve(cfg: RunConfig, model: ModelParams, rho0: np.ndarray,
-            times: Sequence[float], method: str) -> list:
-    """States of one method at every time, the grid evolved in one call."""
-    if method == "stepped":
-        return [propagators.stepped_propagate(model, rho0, t, cfg.n_steps).rho_t
-                for t in times]
-    return [r.rho_t for r in propagators.propagate_grid(model, rho0, times, method)]
+def _states(cfg: RunConfig, models: Sequence[ModelParams], rho0: np.ndarray,
+            times: Sequence[float]) -> dict:
+    """Each method's states at every point, the methods in sorted order.
 
-
-def _evolve_models(cfg: RunConfig, models: Sequence[ModelParams],
-                   rho0: np.ndarray, t: float, method: str) -> list:
-    """States of one method at time t, one per model, in one call."""
-    stepped = method == "stepped"
-    return [r.rho_t for r in propagators.propagate_sweep(
-        models, rho0, t, "factorized" if stepped else method,
-        cfg.n_steps if stepped else None)]
+    The points are models x times, model after model, and each method is
+    one propagate_sweep call; stepped is the factorized splitting in
+    cfg.n_steps steps.
+    """
+    out = {}
+    for m in sorted(cfg.methods):
+        method, n_steps = ("factorized", cfg.n_steps) if m == "stepped" else (m, None)
+        out[m] = [r.rho_t for per_model in propagators.propagate_sweep(
+            models, rho0, times, method, n_steps) for r in per_model]
+    return out
 
 
 def _diag_cells(rho: np.ndarray, margin: int) -> list:
@@ -309,13 +307,6 @@ def _rows(cfg: RunConfig, times: Sequence[float], states: dict) -> list:
     return out
 
 
-def _grid_rows(cfg: RunConfig, model: ModelParams, rho0: np.ndarray,
-               times: Sequence[float]) -> list:
-    """Simulate rows of one model over a time grid, one list per time."""
-    return _rows(cfg, times, {m: _evolve(cfg, model, rho0, times, m)
-                              for m in sorted(cfg.methods)})
-
-
 def _open_out(cfg_output: Optional[str], out_flag: Optional[str]):
     """Context manager yielding the output stream; only a file is closed."""
     path = out_flag or cfg_output
@@ -338,8 +329,8 @@ def cmd_simulate(cfg: RunConfig, out_flag: Optional[str]) -> int:
     if cfg.positivity == "strict":
         cfg.model.require_positivity()
     rho0 = cfg.initial_density_matrix()
-    rows = [row for at_t in _grid_rows(cfg, cfg.model, rho0, cfg.times)
-            for row in at_t]
+    states = _states(cfg, [cfg.model], rho0, cfg.times)
+    rows = [row for at_t in _rows(cfg, cfg.times, states) for row in at_t]
     with _open_out(cfg.output, out_flag) as stream:
         _write_csv(stream, SIMULATE_COLUMNS, rows)
     return EXIT_OK
@@ -396,7 +387,7 @@ def cmd_sweep(cfg: RunConfig, out_flag: Optional[str]) -> int:
     if param == "t":
         # one model, evolved once over the sorted distinct swept times
         grid = sorted(set(values))
-        at = (dict(zip(grid, _grid_rows(cfg, cfg.model, rho0, grid)))
+        at = (dict(zip(grid, _rows(cfg, grid, _states(cfg, [cfg.model], rho0, grid))))
               if admissible(cfg.model) else {})
         results = [(v, at.get(v)) for v in values]
     else:
@@ -404,8 +395,7 @@ def cmd_sweep(cfg: RunConfig, out_flag: Optional[str]) -> int:
         models = [_swept_model(cfg.model, param, v) for v in values]
         keep = [k for k, model in enumerate(models) if admissible(model)]
         chosen, t = [models[k] for k in keep], cfg.times[-1]
-        states = ({m: _evolve_models(cfg, chosen, rho0, t, m)
-                   for m in sorted(cfg.methods)} if chosen else {})
+        states = _states(cfg, chosen, rho0, [t]) if chosen else {}
         at = dict(zip(keep, _rows(cfg, [t] * len(keep), states)))
         results = [(v, at.get(k)) for k, v in enumerate(values)]
     with _open_out(cfg.output, out_flag) as stream:
@@ -486,6 +476,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:     # an output path that cannot be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -35,11 +35,11 @@ generator with one weight per column, applied to the d^2 x n block of
 states as its terminating series (one sparse matmat per term for all
 columns), or a d^2 x n array, one diagonal per column; per-column
 prefactors multiply last.  Each column has the bits of its one-column
-call.  propagate is the one-column kernel, propagate_grid's closed forms
-one column per distinct time, propagate_sweep one per model, and a
-matrix-free stepped splitting applies one step's stages n times; a
-column at time 0 is the initial state, and the columns go through the
-kernel in passes of bounded size.  No d^2 x d^2 matrix is formed.
+call.  propagate_sweep's closed forms are one column per distinct
+(model, time), propagate the one-column case, and a matrix-free stepped
+splitting applies one step's stages n times; a column at time 0 is the
+initial state, and the columns go through the kernel in passes of
+bounded size.  No d^2 x d^2 matrix is formed.
 factorized_superop and alternative_superop form the same stages as CSR
 factors and densify their product once; they, su11_factor and l_factor
 are the algebra-level oracles for tests at small d, and the first two
@@ -68,11 +68,10 @@ taylor_apply runs them on every step of the chain.  No norm is
 estimated, so the result does not depend on numpy's global random
 state, and no dense block is formed.  At or below the rule each model
 forms its dense block exponentials, which is faster at that size.  A
-uniform grid costs one step map.  propagate_grid's exact branch is the
-chain of one model, propagate_sweep the chain of many to one time, and
-stepped exact the chain over the step times.  exact_superop, the full
-dense exp(t L) without the parity split, is the test oracle only: no
-route calls it.
+uniform grid costs one step map.  propagate_sweep's exact branch is the
+chain of its models over its times, and stepped exact the chain over
+each time's step times.  exact_superop, the full dense exp(t L) without
+the parity split, is the test oracle only: no route calls it.
 
 Every map here multiplies a vectorized state by construction, so a state
 whose population stays away from the truncation edge preserves trace and
@@ -636,46 +635,71 @@ def _exact_chain(models: list, rho0: np.ndarray, times: list):
         yield v.reshape(n, size)
 
 
-def propagate_sweep(models, rho0, t: float, method: str = "exact",
-                    n_steps=None) -> list[PropagationResult]:
-    """Evolve rho0 to time t under each of models, one pass per route.
+def _check_grid(times) -> list[float]:
+    times = [_check_time(t) for t in times]
+    if not times:
+        raise ValueError("times must be a nonempty sequence")
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError(f"times must be nondecreasing, got {times}")
+    return times
 
-    The models must share dim and theta.  Item j is
-    propagate(models[j], rho0, t, method), or with n_steps
-    stepped_propagate(models[j], rho0, t, n_steps, method), and a closed
-    form's items are bit for bit those single calls.  The closed forms
-    evaluate all models as the columns of one kernel (_closed_form), the
-    matrix-free stepped splittings included.  The exact route evolves
-    direct sums of the models' parity blocks, each over the models whose
-    blocks have norms within DIRECT_SUM_NORM_RATIO (_exact_chain), in the
-    fewest chunks that fit in the available memory; it raises
-    MemoryError only when one model alone does not fit.  The series
-    route, and the stepped splittings' dense step maps (d <= 10, or
-    chains longer than d^2 / SLOTS_PER_MATRIX_FREE_STEP steps), run model
-    by model.
+
+def propagate_sweep(models, rho0, times, method: str = "exact",
+                    n_steps=None) -> list[list[PropagationResult]]:
+    """Evolve rho0 under each of models to each of times, one pass per route.
+
+    The models must share dim and theta; times must be finite, >= 0 and
+    nondecreasing.  Item [j][k] is models[j] at times[k]: propagate's
+    map, or with n_steps stepped_propagate's.  A closed form's, the
+    series route's or a stepped splitting's item has the bits it has in
+    a call with that model and time alone.  The exact route is the
+    semigroup exp(t L) of each model, chained over the grid from t = 0
+    (_exact_chain), so a uniform grid forms one step map and a repeated
+    time none; with n_steps each time is its own chain over its step
+    times.  It evolves direct sums of the models' parity blocks, each
+    over the models whose blocks have norms within DIRECT_SUM_NORM_RATIO,
+    in the fewest chunks that fit in the available memory, and raises
+    MemoryError before building anything when one model alone does not
+    fit.  The other routes are not semigroups, so each (model, time) is
+    the map of rho0 at that time.  The closed forms, the matrix-free
+    stepped splittings included, evaluate the distinct (model, time)
+    columns with time > 0 in passes of one kernel (_closed_form_columns);
+    a time-0 column is rho0 and a repeated one a copy.  The series route,
+    and the stepped splittings' dense step maps (d <= 10, or chains
+    longer than d^2 / SLOTS_PER_MATRIX_FREE_STEP steps, after a memory
+    estimate), run per model and time.
     """
     _check_method(method)
     models = _check_models(models)
     dim = models[0].dim
     rho0 = _check_state(rho0, dim)
-    t = _check_time(t)
+    times = _check_grid(times)
     n = 1 if n_steps is None else _check_steps(n_steps)
-    dt = t / n
+    columns = [(p, t) for p in models for t in times]
     if method == "exact":
-        times = [dt * k for k in range(1, n + 1)]
         rhos = []
         for chunk in _exact_chunks(models):
-            *_, v = _exact_chain(chunk, rho0, times)
-            rhos += [unvec(row) for row in v]
+            # per time, the states of the chunk's models
+            if n_steps is None:
+                ends = [[unvec(row) for row in v]
+                        for v in _exact_chain(chunk, rho0, times)]
+            else:
+                ends = []
+                for t in times:
+                    *_, v = _exact_chain(chunk, rho0,
+                                         [t / n * k for k in range(1, n + 1)])
+                    ends.append([unvec(row) for row in v])
+            rhos += [rho for per_model in zip(*ends) for rho in per_model]
     elif method == "series":
         rhos = []
-        for p in models:
-            rho = operator_series_solution(p, rho0, dt).rho_t
+        for p, t in columns:
+            rho = operator_series_solution(p, rho0, t / n).rho_t
             for _ in range(n - 1):
-                rho = _series_map(p, rho, dt)
+                rho = _series_map(p, rho, t / n)
             rhos.append(rho)
     elif n == 1 or _stepped_matrix_free(dim, n):
-        v = _closed_form_columns(models, [t] * len(models), rho0, method, n)
+        v = _closed_form_columns([p for p, _ in columns],
+                                 [t for _, t in columns], rho0, method, n)
         rhos = [unvec(col) for col in v.T]
     else:
         # The dense step map: three d^2 x d^2 complex matrices cover the
@@ -686,24 +710,25 @@ def propagate_sweep(models, rho0, t: float, method: str = "exact",
         # a caller that rebinds one (a tracer, a test) is seen
         build = factorized_superop if method == "factorized" else alternative_superop
         rhos = []
-        for p in models:
-            step, x = build(p, dt), vec(rho0)
+        for p, t in columns:
+            step, x = build(p, t / n), vec(rho0)
             for _ in range(n):
                 x = step @ x
             rhos.append(unvec(x))
-    return [_result(rho, method, t) for rho in rhos]
+    states = iter(rhos)
+    return [[_result(next(states), method, t) for t in times] for _ in models]
 
 
 def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
                       method: str = "factorized") -> PropagationResult:
     """Apply the single-step map for t/n_steps repeatedly.
 
-    The one-model propagate_sweep with n_steps.  For the exact method
-    this is the exact chain over the step times dt, 2 dt, ..., n dt, a
-    semigroup identity check; for the splittings and the series route
-    the global error shrinks like 1/n_steps.  Only rho0 is checked; the
-    intermediate states of a splitting need not keep unit trace.  Above
-    DENSE_BLOCK_ROWS block rows (d > 10) and for at most
+    The one-model, one-time propagate_sweep with n_steps.  For the exact
+    method this is the exact chain over the step times dt, 2 dt, ...,
+    n dt, a semigroup identity check; for the splittings and the series
+    route the global error shrinks like 1/n_steps.  Only rho0 is checked;
+    the intermediate states of a splitting need not keep unit trace.
+    Above DENSE_BLOCK_ROWS block rows (d > 10) and for at most
     d^2 / SLOTS_PER_MATRIX_FREE_STEP steps a splitting applies the
     closed-form stages of one step to vec(rho0) n_steps times, forming
     no d^2 x d^2 matrix.  Otherwise it forms its dense d^2 x d^2 step
@@ -711,59 +736,21 @@ def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
     estimating that map's memory; it raises MemoryError if the estimate
     exceeds the available memory.
     """
-    return propagate_sweep((params,), rho0, t, method, _check_steps(n_steps))[0]
-
-
-def _check_grid(times) -> list[float]:
-    times = [_check_time(t) for t in times]
-    if not times:
-        raise ValueError("times must be a nonempty sequence")
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError(f"times must be nondecreasing, got {times}")
-    return times
-
-
-def propagate_grid(params: ModelParams, rho0, times,
-                   method: str = "exact") -> list[PropagationResult]:
-    """Evolve rho0 over a time grid; one PropagationResult per time.
-
-    times must be finite, >= 0 and nondecreasing.  The exact route is the
-    semigroup exp(t L) of one generator, chained over the grid from
-    t = 0 through its parity blocks (_exact_chain): a uniform grid forms
-    one step map and a repeated time none.  Before building anything it
-    estimates its memory and raises MemoryError if that exceeds the
-    available memory.  The splittings and the series route are not
-    semigroups (chaining them would make them the stepped route), so
-    each time is propagate's single-time map of rho0: the closed forms
-    as kernel passes over the distinct times > 0, one column each (a
-    time 0 is rho0 and a repeated time a copy), each column bit for
-    bit its one-time call; the series route time by time.
-    """
-    times = _check_grid(times)
-    _check_method(method)
-    if method == "series":
-        return [operator_series_solution(params, rho0, t) for t in times]
-    rho0 = _check_state(rho0, params.dim)
-    if method == "exact":
-        _exact_chunks([params])    # MemoryError if the one model does not fit
-        states = (v[0] for v in _exact_chain([params], rho0, times))
-    else:
-        states = _closed_form_columns([params] * len(times), times, rho0, method).T
-    return [_result(unvec(s), method, t) for s, t in zip(states, times)]
+    return propagate_sweep((params,), rho0, (t,), method, _check_steps(n_steps))[0][0]
 
 
 def propagate(params: ModelParams, rho0, t: float, method: str = "exact") -> PropagationResult:
     """Evolve rho0 to time t by one of the routes named in METHODS.
 
-    The one-model propagate_sweep.  factorized and alternative apply
-    their closed-form factors to vec(rho0) one at a time, in the order
-    their superop builders multiply them: each exponential as its
+    The one-model, one-time propagate_sweep.  factorized and alternative
+    apply their closed-form factors to vec(rho0) one at a time, in the
+    order their superop builders multiply them: each exponential as its
     terminating series (one sparse product per term), each diagonal
     elementwise, the scalar prefactor last.  No d^2 x d^2 matrix is
     formed.  exact is the one-point exact chain and series is
     operator_series_solution.
     """
-    return propagate_sweep((params,), rho0, t, method)[0]
+    return propagate_sweep((params,), rho0, (t,), method)[0][0]
 
 
 def _result(rho_t: np.ndarray, method: str, t: float) -> PropagationResult:

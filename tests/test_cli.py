@@ -1,5 +1,6 @@
 """Batch driver: config parsing, CSV output, exit codes, determinism."""
 
+import ast
 import json
 import math
 import os
@@ -402,6 +403,19 @@ def test_exit_code_for_unreadable_or_broken_config(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_unwritable_output_exits_with_one_error_line(tmp_path, capsys, where):
+    out = str(tmp_path / "missing" / "x.csv")
+    if where == "flag":
+        argv = ["simulate", "--config", write_config(tmp_path), "--out", out]
+    else:
+        argv = ["simulate", "--config", write_config(tmp_path, output=out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert "x.csv" in err
+
+
 def test_exit_code_for_strict_positivity_rejection(tmp_path, capsys):
     path = write_config(
         tmp_path,
@@ -571,6 +585,35 @@ def test_stepped_simulate_runs_at_dim_64(tmp_path, capsys):
                for r in rows)
 
 
+def test_stepped_simulate_is_one_kernel_pass_over_its_times(tmp_path,
+                                                           monkeypatch):
+    """Above dim 10 the stepped splitting evaluates every time as a column
+    of one closed-form pass, and each time keeps its one-time bytes."""
+    model = {"omega": 1.0, "mu": 0.4, "nu": 0.1, "kappa_re": 0.1,
+             "kappa_im": 0.05, "dim": 12}
+    times = [0.25, 0.5, 1.0, 1.5, 2.0]
+    passes = []
+    real = propagators._closed_form
+
+    def recording(models, ts, method):
+        passes.append(len(ts))
+        return real(models, ts, method)
+
+    monkeypatch.setattr(propagators, "_closed_form", recording)
+    out = tmp_path / "all.csv"
+    path = write_config(tmp_path, model=model, methods=["stepped"], times=times)
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
+    assert passes == [len(times)]
+    lines = [HEADER + "\n"]
+    for k, t in enumerate(times):
+        one = tmp_path / f"{k}.csv"
+        path = write_config(tmp_path, f"{k}.json", model=model,
+                            methods=["stepped"], times=[t])
+        assert main(["simulate", "--config", path, "--out", str(one)]) == EXIT_OK
+        lines += one.read_text().splitlines(keepends=True)[1:]
+    assert out.read_bytes() == "".join(lines).encode()
+
+
 def test_stepped_exact_convergence_is_memory_guarded(tmp_path, capsys,
                                                       monkeypatch):
     # stepped exact runs on the exact grid route, behind the same estimate
@@ -615,6 +658,19 @@ def test_commands_above_dim_10_load_no_scipy_linalg(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert json.loads(out.splitlines()[-1]) == [[EXIT_OK] * 3, []]
+
+
+def test_cli_reads_only_the_sweep_driver_and_method_names_of_propagators():
+    """Every route is reached through propagate_sweep, so the method
+    dispatch lives in propagators alone."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "propagators"}
+    assert read == {"propagate_sweep", "METHODS", "SUPEROP_METHODS"}
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.endswith("propagators")]
 
 
 # ----------------------------------------------------------- determinism

@@ -15,8 +15,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 from conftest import random_admissible_params, random_density, stiff_models
-from oracles import form_one, form_two, l_factor_six
-from hypothesis import given, settings
+from oracles import exact_superop_extended, form_one, form_two, l_factor_six
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdamp import propagators
@@ -36,7 +36,7 @@ from qdamp.propagators import (
     l_factor,
     operator_series_solution,
     propagate,
-    propagate_grid,
+    propagate_sweep,
     stepped_propagate,
     su11_factor,
 )
@@ -382,7 +382,7 @@ def _tracedist(a, b):
 def test_exact_grid_matches_per_time_expm(rng, dim, times):
     p = random_admissible_params(rng, dim=dim)
     rho0 = random_density(dim, 4, rng)
-    got = propagate_grid(p, rho0, times)
+    got = propagate_sweep([p], rho0, times)[0]
     assert [r.t for r in got] == [float(t) for t in times]
     for res in got:
         want = unvec(exact_superop(p, res.t) @ vec(rho0))
@@ -416,7 +416,7 @@ def test_grid_evaluates_splittings_and_series_at_each_time(rng):
         "series": lambda t: operator_series_solution(p, rho0, t).rho_t,
     }
     for method, one in single.items():
-        got = propagate_grid(p, rho0, times, method)
+        got = propagate_sweep([p], rho0, times, method)[0]
         assert [(r.method, r.t) for r in got] == [(method, t) for t in times]
         for res in got:
             want = one(res.t)
@@ -449,11 +449,11 @@ def test_exact_grid_forms_one_exponential_per_distinct_gap(monkeypatch):
     calls = _count_calls(monkeypatch, "expm", "build_liouvillian_trace_exact")
     p = ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=8)
     rho0 = fock_state(8, 1)
-    propagate_grid(p, rho0, np.linspace(0.0, 2.0, 9))
+    propagate_sweep([p], rho0, np.linspace(0.0, 2.0, 9))
     assert calls == {"expm": 2, "build_liouvillian_trace_exact": 1}
     calls.clear()
     # gaps 0.5, 0.5, 0, 1.2 - 1.0 (not 0.2 in binary): two distinct gaps
-    propagate_grid(p, rho0, [0.5, 1.0, 1.0, 1.2])
+    propagate_sweep([p], rho0, [0.5, 1.0, 1.0, 1.2])
     assert calls == {"expm": 4, "build_liouvillian_trace_exact": 1}
 
 
@@ -471,7 +471,7 @@ def test_exact_grid_reuses_the_step_across_near_equal_gaps(monkeypatch, rng,
     p = ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=8)
     rho0 = random_density(8, 4, rng)
     calls = _count_calls(monkeypatch, "expm", "build_liouvillian_trace_exact")
-    got = propagate_grid(p, rho0, times)
+    got = propagate_sweep([p], rho0, times)[0]
     # one step map: one expm per parity block
     assert calls == {"expm": 2, "build_liouvillian_trace_exact": 1}
     gen = build_liouvillian_trace_exact(p).toarray()
@@ -488,10 +488,10 @@ def test_exact_grid_leaves_the_callers_state_and_earlier_results_alone(rng):
     assert rho0.flags.c_contiguous and rho0.dtype == np.complex128
     keep = rho0.copy()
     times = [0.0, 0.5, 1.0, 1.0, 1.7]
-    got = propagate_grid(p, rho0, times)
+    got = propagate_sweep([p], rho0, times)[0]
     assert np.array_equal(rho0, keep)
     # a Fortran-ordered copy is copied on entry, so its grid is the reference
-    want = propagate_grid(p, np.asfortranarray(keep), times)
+    want = propagate_sweep([p], np.asfortranarray(keep), times)[0]
     for res, ref in zip(got, want):
         assert np.array_equal(res.rho_t, ref.rho_t), res.t
     assert np.array_equal(got[0].rho_t, keep)
@@ -513,7 +513,7 @@ def test_sparse_exact_kernel_matches_the_full_dense_exponential(rng, dim):
     drawn = random_admissible_params(rng, dim, theta=0.37)
     for p, rho0 in ((_readme_model(dim), coherent_state(dim, 1.2)),
                     (drawn, random_density(dim, 6, rng))):
-        got = propagate_grid(p, rho0, times)[-1].rho_t
+        got = propagate_sweep([p], rho0, times)[0][-1].rho_t
         want = unvec(exact_superop(p, times[-1]) @ vec(rho0))
         assert _tracedist(got, want) <= 1e-12, p
 
@@ -528,7 +528,7 @@ def test_exact_kernels_meet_one_bar_on_either_side_of_the_rule(
                     (drawn, random_density(dim, dim - 1, rng))):
         with monkeypatch.context() as mp:
             calls = _count_calls(mp, "expm")
-            got = propagate_grid(p, rho0, times)
+            got = propagate_sweep([p], rho0, times)[0]
         # one step map: two block exponentials on the dense side, none on
         # the sparse side
         assert calls["expm"] == expm_calls
@@ -561,7 +561,7 @@ def test_sparse_exact_grid_forms_one_scaled_pair_per_distinct_gap(monkeypatch):
     calls = _count_calls(monkeypatch, "expm", "build_liouvillian_trace_exact")
     p = _readme_model(12)
     rho0 = fock_state(12, 1)
-    propagate_grid(p, rho0, np.linspace(0.0, 2.0, 9))
+    propagate_sweep([p], rho0, np.linspace(0.0, 2.0, 9))
     # one plan per parity block, applied on each of the 8 steps
     assert calls == {"build_liouvillian_trace_exact": 1}
     assert len(planned) == 2
@@ -570,7 +570,7 @@ def test_sparse_exact_grid_forms_one_scaled_pair_per_distinct_gap(monkeypatch):
     planned.clear()
     applied.clear()
     # gaps 0.5, 0.5, 0, 1.2 - 1.0 (not 0.2 in binary): two distinct gaps
-    propagate_grid(p, rho0, [0.5, 1.0, 1.0, 1.2])
+    propagate_sweep([p], rho0, [0.5, 1.0, 1.0, 1.2])
     assert calls == {"build_liouvillian_trace_exact": 1}
     assert len(planned) == 4
     assert [step for step, _ in applied] == planned[:2] * 2 + planned[2:]
@@ -581,7 +581,7 @@ def test_exact_grid_fails_fast_when_memory_is_short(monkeypatch):
     monkeypatch.setattr(propagators, "_available_memory", lambda: 1024)
     p = ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=4)
     with pytest.raises(MemoryError, match="dim 4 needs about"):
-        propagate_grid(p, fock_state(4, 1), [0.0, 0.5])
+        propagate_sweep([p], fock_state(4, 1), [0.0, 0.5])
     with pytest.raises(MemoryError, match="dim 4"):
         propagate(p, fock_state(4, 1), 0.5)
     with pytest.raises(MemoryError, match="dim 4"):
@@ -589,7 +589,7 @@ def test_exact_grid_fails_fast_when_memory_is_short(monkeypatch):
     assert not calls
     # the other routes form no d^2 x d^2 exponential and are not guarded
     for method in ("factorized", "alternative", "series"):
-        propagate_grid(p, fock_state(4, 1), [0.0, 0.5], method)
+        propagate_sweep([p], fock_state(4, 1), [0.0, 0.5], method)
 
 
 def test_stepped_splittings_fail_fast_when_memory_is_short(monkeypatch):
@@ -643,7 +643,7 @@ def test_propagate_grid_rejects_bad_grids(times, match):
     p = ModelParams(omega=1.0, mu=0.5, nu=0.2, kappa=0.1, dim=6)
     for method in METHODS:
         with pytest.raises(ValueError, match=match):
-            propagate_grid(p, fock_state(6, 0), times, method)
+            propagate_sweep([p], fock_state(6, 0), times, method)
 
 
 @st.composite
@@ -673,7 +673,7 @@ def _grid_problems(draw):
 @given(problem=_grid_problems())
 def test_exact_grid_matches_dense_expm_property(problem):
     p, rho0, times = problem
-    for res in propagate_grid(p, rho0, times):
+    for res in propagate_sweep([p], rho0, times)[0]:
         want = unvec(exact_superop(p, res.t) @ vec(rho0))
         assert _tracedist(res.rho_t, want) <= 1e-12, res.t
 
@@ -697,14 +697,32 @@ def _stiff_edge_grid_problems(draw):
     return p, rho0, list(itertools.accumulate(gaps, initial=0.0))
 
 
+def _pure(amplitudes, dim):
+    """The pure state of the normalized amplitudes on the lowest levels."""
+    psi = np.zeros(dim, dtype=complex)
+    psi[:len(amplitudes)] = amplitudes
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
 @settings(max_examples=30)
 @given(problem=_stiff_edge_grid_problems())
+# ||t L||_1 = 4.2e4 at the last time: the chain is 1.2e-12 from
+# exact_superop, 4.3e-13 from the extended-precision exponential
+@example(problem=(
+    ModelParams(omega=0.0, mu=789.1084980873195, nu=748.3337166487735,
+                kappa=-98.22585765546275 + 560.174611403883j, dim=8, theta=2.0),
+    _pure([0.28284, -0.211673 + 0.011352j, -0.346415 - 0.237247j,
+           -0.178827 - 0.055068j, -0.008742 + 0.158814j,
+           -0.668244 - 0.196701j, -0.013405 - 0.391212j], 8),
+    [0.0, 0.75, 1.38527437582668]))
 def test_exact_grid_matches_full_dense_expm_at_stiff_rates_and_the_edge(problem):
-    """The parity-block chain against exact_superop, which exponentiates
-    the whole generator."""
+    """The parity-block chain against the whole generator's exponential,
+    in extended precision: at these rates a double-precision one can be
+    nearly the bar away from exp(t L) by itself."""
     p, rho0, times = problem
-    for res in propagate_grid(p, rho0, times):
-        want = unvec(exact_superop(p, res.t) @ vec(rho0))
+    for res in propagate_sweep([p], rho0, times)[0]:
+        want = unvec(exact_superop_extended(p, res.t) @ vec(rho0))
         assert _tracedist(res.rho_t, want) <= 1e-12, res.t
 
 
@@ -716,9 +734,9 @@ def test_sparse_exact_kernel_at_stiff_rates_and_the_edge(problem):
     p, rho0, times = problem
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagators, "DENSE_BLOCK_ROWS", 0)
-        got = propagate_grid(p, rho0, times)
+        got = propagate_sweep([p], rho0, times)[0]
     for res in got:
-        want = unvec(exact_superop(p, res.t) @ vec(rho0))
+        want = unvec(exact_superop_extended(p, res.t) @ vec(rho0))
         assert _tracedist(res.rho_t, want) <= 1e-12, res.t
 
 
@@ -748,7 +766,7 @@ def test_sparse_exact_kernel_ignores_subnormal_entries(rate, kappa, level):
     p = ModelParams(omega=1.0, mu=rate, nu=rate, kappa=kappa, dim=12,
                     theta=2.0)
     rho0 = fock_state(12, level)
-    got = propagate_grid(p, rho0, [0.0, 1.0])[-1].rho_t
+    got = propagate_sweep([p], rho0, [0.0, 1.0])[0][-1].rho_t
     want = unvec(exact_superop(p, 1.0) @ vec(rho0))
     assert _tracedist(got, want) <= 1e-12
 
@@ -775,7 +793,7 @@ def test_sparse_exact_kernel_never_estimates_a_norm(no_norm_estimate, kappa):
     state: the Taylor plan reads the exact norm."""
     p = ModelParams(omega=1.0, mu=1e3, nu=1e3, kappa=kappa, dim=12, theta=2.0)
     rho0 = fock_state(12, 5)
-    got = propagate_grid(p, rho0, [0.0, 0.05])[-1].rho_t
+    got = propagate_sweep([p], rho0, [0.0, 0.05])[0][-1].rho_t
     want = unvec(exact_superop(p, 0.05) @ vec(rho0))
     assert _tracedist(got, want) <= 1e-12
 
@@ -809,7 +827,7 @@ def test_taylor_kernel_at_stiff_rates_meets_the_dense_oracle():
     steps of degree 55, two gaps in one chain."""
     p = ModelParams(omega=1e3, mu=400.0, nu=100.0, kappa=100.0 + 50.0j, dim=12)
     rho0 = coherent_state(12, 1.2)
-    for res in propagate_grid(p, rho0, [0.0, 0.02, 0.05]):
+    for res in propagate_sweep([p], rho0, [0.0, 0.02, 0.05])[0]:
         want = unvec(exact_superop(p, res.t) @ vec(rho0))
         assert _tracedist(res.rho_t, want) <= 1e-12, res.t
 
@@ -860,30 +878,24 @@ def _sweep_problems(draw):
 
 
 @settings(max_examples=25)
-@given(problem=_sweep_problems())
-def test_sweep_points_are_their_single_model_runs_bit_for_bit(problem):
-    """Every closed-form column, and the series route's loop, gives the
-    one-model call's bits; so does every stepped route."""
-    models, rho0, t, n = problem
-    for method in ("factorized", "alternative", "series"):
-        for p, res in zip(models, propagators.propagate_sweep(models, rho0, t, method)):
-            assert (res.method, res.t) == (method, t)
-            assert np.array_equal(res.rho_t, propagate(p, rho0, t, method).rho_t), method
-        stepped = propagators.propagate_sweep(models, rho0, t, method, n)
-        for p, res in zip(models, stepped):
-            want = stepped_propagate(p, rho0, t, n, method).rho_t
-            assert np.array_equal(res.rho_t, want), (method, n)
-
-
-@settings(max_examples=25)
 @given(problem=_sweep_problems(),
-       times=st.lists(st.floats(0.0, 2.5), min_size=1, max_size=5).map(sorted))
-def test_grid_columns_are_their_single_time_runs_bit_for_bit(problem, times):
-    models, rho0, _, _ = problem
+       more=st.lists(st.floats(0.0, 2.5), max_size=2))
+def test_sweep_items_are_their_single_runs_bit_for_bit(problem, more):
+    """Over models x sorted times with 0 and a repeated time, every
+    closed-form column, every series item and every stepped splitting
+    has the bits of its propagate or stepped_propagate call."""
+    models, rho0, t, n = problem
+    times = sorted([0.0, t, t] + more)
     for method in ("factorized", "alternative", "series"):
-        for res in propagate_grid(models[0], rho0, times, method):
-            want = propagate(models[0], rho0, res.t, method).rho_t
-            assert np.array_equal(res.rho_t, want), (method, res.t)
+        plain = propagators.propagate_sweep(models, rho0, times, method)
+        stepped = propagators.propagate_sweep(models, rho0, times, method, n)
+        for p, row, steps in zip(models, plain, stepped):
+            assert [(r.method, r.t) for r in row] == [(method, s) for s in times]
+            for res, step in zip(row, steps):
+                want = propagate(p, rho0, res.t, method).rho_t
+                assert np.array_equal(res.rho_t, want), (method, res.t)
+                want = stepped_propagate(p, rho0, res.t, n, method).rho_t
+                assert np.array_equal(step.rho_t, want), (method, res.t, n)
 
 
 @settings(max_examples=25)
@@ -892,8 +904,8 @@ def test_exact_sweep_points_match_the_full_dense_exponential(problem):
     """Each model of the direct sum, and of its stepped chain, against its
     own full dense exponential."""
     models, rho0, t, n = problem
-    single = propagators.propagate_sweep(models, rho0, t)
-    stepped = propagators.propagate_sweep(models, rho0, t, "exact", n)
+    single = [r[0] for r in propagators.propagate_sweep(models, rho0, [t])]
+    stepped = [r[0] for r in propagators.propagate_sweep(models, rho0, [t], "exact", n)]
     for p, one, chain in zip(models, single, stepped):
         want = unvec(exact_superop(p, t) @ vec(rho0))
         assert _tracedist(one.rho_t, want) <= 1e-12, p
@@ -924,7 +936,7 @@ def test_exact_direct_sum_at_stiff_rates_and_the_edge(problem):
     models, rho0, t = problem
     with pytest.MonkeyPatch.context() as mp:
         _refuse_norm_estimates(mp)
-        got = propagators.propagate_sweep(models, rho0, t)
+        got = [r[0] for r in propagators.propagate_sweep(models, rho0, [t])]
     for p, res in zip(models, got):
         want = unvec(exact_superop(p, t) @ vec(rho0))
         assert _tracedist(res.rho_t, want) <= 1e-12, p
@@ -938,7 +950,7 @@ def test_exact_direct_sum_across_three_decades_of_norm(no_norm_estimate):
     norms = [abs(build_liouvillian_trace_exact(p)).sum(axis=0).max() for p in models]
     assert min(norms) < 0.4 and max(norms) > 400
     rho0 = coherent_state(12, 1.5)
-    for p, res in zip(models, propagators.propagate_sweep(models, rho0, 1.0)):
+    for p, (res,) in zip(models, propagators.propagate_sweep(models, rho0, [1.0])):
         want = unvec(exact_superop(p, 1.0) @ vec(rho0))
         assert _tracedist(res.rho_t, want) <= 1e-12, p.mu
 
@@ -947,7 +959,7 @@ def test_exact_sweep_is_one_direct_sum_per_parity_class(monkeypatch):
     planned, applied = _record_taylor(monkeypatch)
     calls = _count_calls(monkeypatch, "build_liouvillian_trace_exact")
     models = [replace(_readme_model(12), kappa=k) for k in (0.0, 0.05, 0.1j)]
-    propagators.propagate_sweep(models, fock_state(12, 1), 2.0)
+    propagators.propagate_sweep(models, fock_state(12, 1), [2.0])
     # one generator per model; per class one plan and one vector of all
     # three models
     assert calls == {"build_liouvillian_trace_exact": 3}
@@ -983,7 +995,7 @@ def test_exact_sweep_splits_the_models_into_the_fewest_chunks_that_fit(
         monkeypatch, rng):
     models = [random_admissible_params(rng, 11, theta=0.2) for _ in range(5)]
     rho0 = random_density(11, 6, rng)
-    whole = propagators.propagate_sweep(models, rho0, 1.3)
+    whole = [r[0] for r in propagators.propagate_sweep(models, rho0, [1.3])]
     need = propagators._exact_memory(11)
     chains = []
     real = propagators._exact_chain
@@ -995,19 +1007,19 @@ def test_exact_sweep_splits_the_models_into_the_fewest_chunks_that_fit(
     monkeypatch.setattr(propagators, "_exact_chain", recording)
     # two models fit at a time: three chunks, as equal as they go
     monkeypatch.setattr(propagators, "_available_memory", lambda: 2 * need + need // 2)
-    chunked = propagators.propagate_sweep(models, rho0, 1.3)
+    chunked = [r[0] for r in propagators.propagate_sweep(models, rho0, [1.3])]
     assert chains == [2, 2, 1]
     for a, b in zip(whole, chunked):
         assert _tracedist(a.rho_t, b.rho_t) <= 1e-12
     # four fit: two chunks of 3 and 2, not 4 and 1
     chains.clear()
     monkeypatch.setattr(propagators, "_available_memory", lambda: 4 * need)
-    propagators.propagate_sweep(models, rho0, 1.3)
+    propagators.propagate_sweep(models, rho0, [1.3])
     assert chains == [3, 2]
     # not even one fits
     monkeypatch.setattr(propagators, "_available_memory", lambda: need - 1)
     with pytest.raises(MemoryError, match="exact route at dim 11 needs"):
-        propagators.propagate_sweep(models, rho0, 1.3)
+        propagators.propagate_sweep(models, rho0, [1.3])
 
 
 def test_closed_form_grid_evaluates_each_distinct_positive_time_once(monkeypatch):
@@ -1029,7 +1041,7 @@ def test_closed_form_grid_evaluates_each_distinct_positive_time_once(monkeypatch
     monkeypatch.setattr(propagators, "_closed_form", recording)
     for method in propagators.CLOSED_FORM_METHODS:
         columns.clear()
-        grid = propagate_grid(p, rho0, times, method)
+        grid = propagate_sweep([p], rho0, times, method)[0]
         assert columns == [[0.5, 1.25]]
         assert grid[0].rho_t.tobytes() == rho0.tobytes()
         grid[2].rho_t[0, 0] = 7.0     # the repeated times are copies
@@ -1042,7 +1054,7 @@ def test_closed_form_grid_evaluates_each_distinct_positive_time_once(monkeypatch
 def test_closed_form_passes_are_bounded_and_keep_the_bits(monkeypatch):
     p, rho0 = _readme_model(11), coherent_state(11, 0.8)
     times = np.linspace(0.25, 2.0, 7)
-    whole = propagate_grid(p, rho0, times, "factorized")
+    whole = propagate_sweep([p], rho0, times, "factorized")[0]
     real = propagators._closed_form
     widths = []
 
@@ -1053,7 +1065,7 @@ def test_closed_form_passes_are_bounded_and_keep_the_bits(monkeypatch):
     monkeypatch.setattr(propagators, "_closed_form", recording)
     # two columns of 121 slots per pass
     monkeypatch.setattr(propagators, "CLOSED_FORM_BLOCK_BYTES", 2 * 16 * 121 + 15)
-    passes = propagate_grid(p, rho0, times, "factorized")
+    passes = propagate_sweep([p], rho0, times, "factorized")[0]
     assert widths == [2, 2, 2, 1]
     for a, b in zip(whole, passes):
         assert np.array_equal(a.rho_t, b.rho_t)
@@ -1063,15 +1075,15 @@ def test_sweep_validates_its_models():
     p = _readme_model(6)
     rho0 = fock_state(6, 0)
     with pytest.raises(ValueError, match="nonempty"):
-        propagators.propagate_sweep([], rho0, 1.0)
+        propagators.propagate_sweep([], rho0, [1.0])
     with pytest.raises(ValueError, match="share dim and theta"):
-        propagators.propagate_sweep([p, replace(p, theta=0.1)], rho0, 1.0)
+        propagators.propagate_sweep([p, replace(p, theta=0.1)], rho0, [1.0])
     with pytest.raises(ValueError, match="share dim and theta"):
-        propagators.propagate_sweep([p, replace(p, dim=7)], rho0, 1.0)
+        propagators.propagate_sweep([p, replace(p, dim=7)], rho0, [1.0])
     with pytest.raises(ValueError, match="unknown method"):
-        propagators.propagate_sweep([p], rho0, 1.0, "spectral")
+        propagators.propagate_sweep([p], rho0, [1.0], "spectral")
     with pytest.raises(ValueError, match="n_steps"):
-        propagators.propagate_sweep([p], rho0, 1.0, "exact", 0)
+        propagators.propagate_sweep([p], rho0, [1.0], "exact", 0)
 
 
 @settings(max_examples=25)
@@ -1080,7 +1092,7 @@ def test_exact_grid_is_a_semigroup_property(problem, pick):
     """The grid state at s + t is the single-time map of t applied at s."""
     p, rho0, times = problem
     i, j = sorted(k % len(times) for k in pick)
-    states = propagate_grid(p, rho0, times)
+    states = propagate_sweep([p], rho0, times)[0]
     s, later = states[i], states[j]
     mapped = unvec(exact_superop(p, later.t - s.t) @ vec(s.rho_t))
     assert _tracedist(later.rho_t, mapped) <= 1e-12
@@ -1090,7 +1102,7 @@ def test_exact_grid_is_a_semigroup_property(problem, pick):
 @given(problem=_grid_problems())
 def test_exact_grid_preserves_trace_property(problem):
     p, rho0, times = problem
-    for res in propagate_grid(p, rho0, times):
+    for res in propagate_sweep([p], rho0, times)[0]:
         assert abs(np.trace(res.rho_t) - 1.0) <= 1e-12, res.t
 
 
