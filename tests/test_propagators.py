@@ -878,9 +878,26 @@ def _sweep_problems(draw):
 
 
 @settings(max_examples=25)
+@given(problem=_sweep_problems())
+def test_sweep_points_are_their_single_model_runs_bit_for_bit(problem):
+    """Every closed-form column, and the series route's loop, gives the
+    one-model call's bits; so does every stepped route."""
+    models, rho0, t, n = problem
+    for method in ("factorized", "alternative", "series"):
+        plain = propagators.propagate_sweep(models, rho0, [t], method)
+        for p, (res,) in zip(models, plain):
+            assert (res.method, res.t) == (method, t)
+            assert np.array_equal(res.rho_t, propagate(p, rho0, t, method).rho_t), method
+        stepped = propagators.propagate_sweep(models, rho0, [t], method, n)
+        for p, (res,) in zip(models, stepped):
+            want = stepped_propagate(p, rho0, t, n, method).rho_t
+            assert np.array_equal(res.rho_t, want), (method, n)
+
+
+@settings(max_examples=25)
 @given(problem=_sweep_problems(),
        more=st.lists(st.floats(0.0, 2.5), max_size=2))
-def test_sweep_items_are_their_single_runs_bit_for_bit(problem, more):
+def test_grid_columns_are_their_single_time_runs_bit_for_bit(problem, more):
     """Over models x sorted times with 0 and a repeated time, every
     closed-form column, every series item and every stepped splitting
     has the bits of its propagate or stepped_propagate call."""
