@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, TextIO
@@ -458,6 +459,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config)
         if args.positivity is not None:
             cfg = replace(cfg, positivity=args.positivity)
+        path = args.out or cfg.output
+        if path is not None:   # fail before any route runs; leave the path as it is
+            existed = os.path.exists(path)
+            open(path, "a", encoding="utf-8").close()
+            if not existed:
+                os.remove(path)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out)
         if args.command == "convergence":

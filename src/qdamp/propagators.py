@@ -50,8 +50,8 @@ density matrix as nested finite sums of ladder sandwiches, never forming a
 d^2 x d^2 matrix; it must agree with factorized_superop to roundoff and
 is kept as an independent implementation route for exactly that check:
 it works with d x d ladder matrices, the other two with the twelve
-Kronecker generators.  It runs model by model and time by time, since
-its cost is dense d x d products.
+Kronecker generators.  Its kernel (_series_pass, _ladder_sum) takes many
+columns as one n x d x d stack, and each term on its shrinking window.
 
 The exact route (_exact_chain) evolves the trace-exact generator of
 liouvillian (CSR, about 9 nonzeros per row).  Every generator moves
@@ -136,14 +136,17 @@ DIRECT_SUM_NORM_RATIO = 1.5
 # Peak memory of the exact route per model, in units of its CSR generator
 # (184 bytes per slot of vec(rho)): the generator, its two blocks, the
 # step map's shifted blocks (the Taylor plans), the Taylor vectors,
-# the cached generators and the grid's states.  Measured with ru_maxrss
-# over the README grid, the cached generators' build included: 7.7-8.0
-# at d = 32, 5.9-6.2 at d = 48, 5.7-5.9 at d = 64, 5.5-5.6 at d = 128;
-# per model of an 8-model sweep, 3.5-3.6 at d = 32, 3.4 at d = 48..128.
+# the cached generators and the grid's states.  ru_maxrss in a child
+# process over the README grid, the cached generators' first build included:
+#   d      11     16     24       32       48       64       128
+#   units  65-73  31-35  13.6-15  7.7-8.3  5.7-6.2  5.7-5.9  5.5-5.6
+# that build is most of it below d = 48, 1.44-1.63 MB at any d, so
+# _exact_memory takes at least 2 MiB; per model of an 8-model sweep,
+# 3.5-3.6 units at d = 32, 3.4 at d = 48..128.
 EXPM_WORKSPACE = 8
-# The closed-form kernel evaluates at most this many bytes of d^2 x n state
-# block per pass (_closed_form_columns); its series holds about five such
-# blocks, so a long grid or sweep does not grow its working memory.
+# The closed-form and series kernels take at most this many bytes of
+# d^2 x n state block per pass (_columns) and hold about five such
+# blocks, so a long grid or sweep does not grow their working memory.
 CLOSED_FORM_BLOCK_BYTES = 2 ** 24
 # The kernel's memory report, read for the memory estimates.
 MEMINFO = "/proc/meminfo"
@@ -211,10 +214,8 @@ def _series(g, w, x, cap: int):
 
     g is a CSR generator with x a d^2 x n block of states and w one
     weight per column (one sparse matmat per term for all columns), or
-    with x the sparse identity and w a scalar, to form exp(w g) itself;
-    or g is a dense d x d two-photon ladder matrix with x the identity,
-    where sparse call overhead would cost more than the products.  The
-    sum stops at the first term with no nonzeros (a sparse term is tested
+    with x the sparse identity and w a scalar, to form exp(w g) itself.
+    The sum stops at the first term with no nonzeros (a sparse term is tested
     with count_nonzero, since a sparse product can store explicit zeros);
     a column whose terms have run out only gains exact zeros from there
     on.  cap bounds the order.
@@ -313,35 +314,30 @@ def _closed_form(models, times, method: str):
                   + (phases, (g.squeeze_plus, raise_)))
 
 
-def _closed_form_columns(models, times, rho0: np.ndarray, method: str,
-                         n_steps: int = 1) -> np.ndarray:
-    """vec(rho0) after n_steps steps of times[j] / n_steps of a closed-form
-    map under models[j], as column j of a d^2 x n array.
+def _closed_form_pass(method: str, models, times, x, n_steps: int) -> np.ndarray:
+    """vec x after n_steps maps under models[j] at times[j], column j."""
+    pref, stages = _closed_form(models, times, method)
+    v = np.repeat(x[:, None], len(models), axis=1)
+    for _ in range(n_steps):
+        v = _apply(stages, v, models[0].dim) * pref
+    return v
 
-    Only the distinct (model, time) columns with time > 0 are evaluated,
-    at most CLOSED_FORM_BLOCK_BYTES of them per kernel pass; a repeated
-    column is a copy of its first, and a time-0 column is vec(rho0),
-    which is what its stages give (all weights 0, diagonals and
-    prefactor 1).
-    """
+
+def _columns(columns, rho0: np.ndarray, n_steps: int, kernel) -> list:
+    """rho0 after n_steps steps of t / n_steps under p, per column (p, t),
+    by kernel (_series_pass or a _closed_form_pass) over the distinct
+    columns with t > 0, CLOSED_FORM_BLOCK_BYTES of d^2 x n block a pass;
+    a repeated column is a copy, and one at t = 0 is rho0."""
     x = vec(rho0)
-    out = np.repeat(x[:, None], len(models), axis=1)
-    columns = {}
-    for j, key in enumerate(zip(models, times)):
-        if key[1] > 0.0:
-            columns.setdefault(key, []).append(j)
-    keys = list(columns)
+    keys = list(dict.fromkeys(key for key in columns if key[1] > 0.0))
     per_pass = max(1, CLOSED_FORM_BLOCK_BYTES // (16 * x.size))
+    done = {}
     for i in range(0, len(keys), per_pass):
         chunk = keys[i:i + per_pass]
-        pref, stages = _closed_form([p for p, _ in chunk],
-                                    [t / n_steps for _, t in chunk], method)
-        v = np.repeat(x[:, None], len(chunk), axis=1)
-        for _ in range(n_steps):
-            v = _apply(stages, v, models[0].dim) * pref
-        for key, col in zip(chunk, v.T):
-            out[:, columns[key]] = col[:, None]
-    return out
+        v = kernel([p for p, _ in chunk], [t / n_steps for _, t in chunk],
+                   x, n_steps)
+        done.update(zip(chunk, v.T))
+    return [unvec(done.get(key, x)) for key in columns]
 
 
 def _form(stages, dim: int) -> np.ndarray:
@@ -444,54 +440,77 @@ def operator_series_solution(params: ModelParams, rho0, t: float) -> Propagation
 
     Works directly on d x d matrices: two-photon lowering layer, phase
     rotation, two-photon raising layer, then decay-jump sum, diagonal
-    rescale, pump-jump sum, and the scalar prefactor.  Algebraically
-    identical to factorized_superop; no d^2 x d^2 matrix is ever built.
+    rescale, pump-jump sum, and the scalar prefactor: _series_pass's one
+    column.  Algebraically identical to factorized_superop.
     """
     rho0 = _check_state(rho0, params.dim)
     t = _check_time(t)
-    return _result(_series_map(params, rho0, t), "series", t)
+    return _result(unvec(_series_pass([params], [t], vec(rho0), 1)), "series", t)
 
 
-def _series_map(params: ModelParams, rho: np.ndarray, t: float) -> np.ndarray:
-    """operator_series_solution's map of rho, which is not checked."""
-    c = eval_coefficients(params, t)
-    ops = params.fock_ops()
-    a, ad = ops.a, ops.a_dag
-    d = params.dim
-    levels = np.arange(d)
+def _series_pass(models, times, x: np.ndarray, n_steps: int) -> np.ndarray:
+    """operator_series_solution's map of unvec(x) under models[j] at
+    times[j], n_steps times over, as column j of a d^2 x n array, on one
+    n x d x d stack; exp(w l^2) . rho . exp(w l^2) is two one-sided sums."""
+    ops, n = models[0].fock_ops(), len(models)
+    a, ad, eye = ops.a, ops.a_dag, ops.identity
+    levels = np.arange(ops.dim, dtype=np.float64)
+    cs = [eval_coefficients(p, t) for p, t in zip(models, times)]
+    down, up, decay, pump = (np.array([getattr(c, name) for c in cs]) for name in
+                             ("squeeze_down", "squeeze_up", "decay", "pump"))
+    half_phase = np.array([np.exp(0.5 * c.phase * levels) for c in cs])
+    core = np.array([c.scale ** -levels for c in cs])
+    pref = np.array([math.exp(0.5 * (p.mu - p.nu) * t) / c.scale
+                     for p, t, c in zip(models, times, cs)])[:, None, None]
+    rho = np.repeat(unvec(x)[None], n, axis=0)
+    for _ in range(n_steps):
+        # phase part: lowering layer, phase diagonal, raising layer
+        _ladder_sum(rho, a @ a, eye, -0.5 * down)
+        _ladder_sum(rho, eye, a @ a, -0.5 * down)
+        _ladder_sum(rho, a, a, down)
+        rho *= half_phase[:, :, None] / half_phase[:, None, :]
+        _ladder_sum(rho, ad @ ad, eye, -0.5 * up)
+        _ladder_sum(rho, eye, ad @ ad, -0.5 * up)
+        _ladder_sum(rho, ad, ad, up)
+        # jump part: decay sum, diagonal core, pump sum
+        _ladder_sum(rho, a, ad, decay)
+        rho *= core[:, :, None] * core[:, None, :] * pref   # pref commutes with the sum
+        _ladder_sum(rho, ad, a, pump)
+    return rho.reshape(n, -1).T
 
-    # phase part: lowering layer, phase diagonal, raising layer
-    eye = np.eye(d, dtype=np.complex128)
-    s_dn = _series(a @ a, -0.5 * c.squeeze_down, eye, d)
-    x = s_dn @ rho @ s_dn
-    x = _sandwich_sum(x, a, a, c.squeeze_down, d)
-    half_phase = np.exp(0.5 * c.phase * levels)
-    x = half_phase[:, None] * x * (1.0 / half_phase)[None, :]
-    s_up = _series(ad @ ad, -0.5 * c.squeeze_up, eye, d)
-    x = s_up @ x @ s_up
-    x = _sandwich_sum(x, ad, ad, c.squeeze_up, d)
 
-    # jump part: decay sum, diagonal core, pump sum
-    x = _sandwich_sum(x, a, ad, c.decay, d)
-    core = c.scale ** (-levels.astype(np.float64))
-    x = core[:, None] * x * core[None, :]
-    x = _sandwich_sum(x, ad, a, c.pump, d)
-
-    x *= math.exp(0.5 * (params.mu - params.nu) * t) / c.scale
+def _ladder_sum(x, left, right, w) -> np.ndarray:
+    """Add sum_{k >= 1} w[j]^k / k! . left^k @ x[j] @ right^k to each x[j]
+    in place; returns x.  left and right.T have one nonzero diagonal each
+    (a, a_dag, their squares, the identity; a @ a is 0 at d = 2), so term
+    k is term k-1 moved along them, times their entries and w / k, on a
+    shrinking window (_window).  The entries' phase goes into w: numpy
+    rounds an in-place complex product of one entry without FMA, but a
+    real one alike.  einsum takes w without ufunc buffers (memory x 2)."""
+    sides, phase = [], 1.0
+    for op in (left, right.T):
+        rows, cols = np.nonzero(op)
+        if not rows.size:
+            return x
+        e = np.diagonal(op, cols[0] - rows[0])
+        phase *= e[0] / abs(e[0])
+        sides.append((cols[0] - rows[0], np.abs(e).astype(np.complex128)))
+    (o_left, e_left), (o_right, e_right) = sides
+    entries, w = np.multiply.outer(e_left, e_right), w * phase
+    term, d = x, x.shape[1]
+    for k in range(1, (d - 1) // max(abs(o_left), abs(o_right)) + 1):
+        (rows, prev_rows, e_rows), (cols, prev_cols, e_cols) = (
+            _window(o_left, k, d), _window(o_right, k, d))
+        term = np.einsum("jrc,j->jrc", term[:, prev_rows, prev_cols], w / k)
+        term *= entries[e_rows, e_cols]
+        x[:, rows, cols] += term
     return x
 
 
-def _sandwich_sum(x: np.ndarray, left: np.ndarray, right: np.ndarray,
-                  weight: complex, cap: int) -> np.ndarray:
-    """sum_k weight^k / k! . left^k @ x @ right^k (terminates by nilpotency)."""
-    out = x.copy()
-    term = x
-    for k in range(1, cap + 1):
-        term = (weight / k) * (left @ term @ right)
-        if not term.any():
-            break
-        out = out + term
-    return out
+def _window(o: int, k: int, d: int) -> tuple:
+    """Term k's window at offset o, the part of term k-1's it reads, entries."""
+    head, tail = slice(0, d - k * abs(o)), slice(k * abs(o) - d, None)
+    return (head, tail, head) if o >= 0 else (tail, head, tail)
 
 
 def _available_memory() -> int:
@@ -525,12 +544,13 @@ def _exact_memory(dim: int) -> int:
 
     EXPM_WORKSPACE times the CSR generator, taken as 184 bytes per slot
     of vec(rho) (at most 9 nonzeros per row at 16 + 4 bytes each, and the
-    row pointer).  For blocks of at most DENSE_BLOCK_ROWS rows it adds 9
-    dense copies of the larger parity block (16 ceil(d^2/2)^2 bytes
-    each): the dense blocks, the step maps and scipy's expm workspace,
-    measured at 8.1-8.4 copies at d = 32 and 48 with dense blocks.
+    row pointer), and at least 2 MiB, the first call's fixed cost.  For
+    blocks of at most DENSE_BLOCK_ROWS rows it adds 9 dense copies of the
+    larger parity block (16 ceil(d^2/2)^2 bytes each): the dense blocks,
+    the step maps and scipy's expm workspace, measured at 8.1-8.4 copies
+    at d = 32 and 48 with dense blocks.
     """
-    need = EXPM_WORKSPACE * 184 * dim * dim
+    need = max(EXPM_WORKSPACE * 184 * dim * dim, 2 ** 21)
     if _dense_blocks(dim):
         rows = (dim * dim + 1) // 2
         need += 9 * 16 * rows * rows
@@ -661,13 +681,13 @@ def propagate_sweep(models, rho0, times, method: str = "exact",
     in the fewest chunks that fit in the available memory, and raises
     MemoryError before building anything when one model alone does not
     fit.  The other routes are not semigroups, so each (model, time) is
-    the map of rho0 at that time.  The closed forms, the matrix-free
-    stepped splittings included, evaluate the distinct (model, time)
-    columns with time > 0 in passes of one kernel (_closed_form_columns);
-    a time-0 column is rho0 and a repeated one a copy.  The series route,
-    and the stepped splittings' dense step maps (d <= 10, or chains
-    longer than d^2 / SLOTS_PER_MATRIX_FREE_STEP steps, after a memory
-    estimate), run per model and time.
+    the map of rho0 at that time.  The series route and the closed forms,
+    stepped or not, evaluate the distinct (model, time) columns with
+    time > 0 in passes of their kernel (_columns); a time-0 column is
+    rho0 and a repeated one a copy.  Only the stepped splittings' dense
+    step maps (d <= 10, or chains longer than d^2 /
+    SLOTS_PER_MATRIX_FREE_STEP steps, after a memory estimate) run per
+    model and time.
     """
     _check_method(method)
     models = _check_models(models)
@@ -690,17 +710,10 @@ def propagate_sweep(models, rho0, times, method: str = "exact",
                                          [t / n * k for k in range(1, n + 1)])
                     ends.append([unvec(row) for row in v])
             rhos += [rho for per_model in zip(*ends) for rho in per_model]
-    elif method == "series":
-        rhos = []
-        for p, t in columns:
-            rho = operator_series_solution(p, rho0, t / n).rho_t
-            for _ in range(n - 1):
-                rho = _series_map(p, rho, t / n)
-            rhos.append(rho)
-    elif n == 1 or _stepped_matrix_free(dim, n):
-        v = _closed_form_columns([p for p, _ in columns],
-                                 [t for _, t in columns], rho0, method, n)
-        rhos = [unvec(col) for col in v.T]
+    elif method == "series" or n == 1 or _stepped_matrix_free(dim, n):
+        kernel = (_series_pass if method == "series"
+                  else lambda *args: _closed_form_pass(method, *args))
+        rhos = _columns(columns, rho0, n, kernel)
     else:
         # The dense step map: three d^2 x d^2 complex matrices cover the
         # CSR product and its dense copy, measured with ru_maxrss at

@@ -12,9 +12,12 @@ other formulas, so agreement to roundoff tests the decomposition:
             each squeeze exponential split into its commuting pair and
             sym halves, each exponentiated densely by scipy's expm.
 
-Also here: exact_superop_extended, the exponential of the trace-exact
-generator in extended precision, for stiff rates where a double-precision
-exponential is itself about as far from exp(t L) as the bars allow.
+Also here: sandwich_sum, a ladder sum of the series route as d x d
+matrix products, against which its windowed kernel
+(propagators._ladder_sum) is checked; and exact_superop_extended, the
+exponential of the trace-exact generator in extended precision, for
+stiff rates where a double-precision exponential is itself about as far
+from exp(t L) as the bars allow.
 
 Forms I and II use no generator family, only np.kron of ladder matrices
 with the row-major identity vec(A X B) = np.kron(A, B.T) vec(X).  They
@@ -113,3 +116,16 @@ def exact_superop_extended(p: ModelParams, t: float) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out.astype(np.complex128)
+
+
+def sandwich_sum(x: np.ndarray, left: np.ndarray, right: np.ndarray,
+                 weight: complex, cap: int) -> np.ndarray:
+    """sum_k weight^k / k! . left^k @ x @ right^k (terminates by nilpotency)."""
+    out = x.copy()
+    term = x
+    for k in range(1, cap + 1):
+        term = (weight / k) * (left @ term @ right)
+        if not term.any():
+            break
+        out = out + term
+    return out

@@ -404,7 +404,12 @@ def test_exit_code_for_unreadable_or_broken_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("where", ["flag", "config"])
-def test_unwritable_output_exits_with_one_error_line(tmp_path, capsys, where):
+def test_unwritable_output_exits_with_one_error_line(tmp_path, capsys, where,
+                                                     monkeypatch):
+    """The path is checked before any route runs."""
+    calls, real = [], propagators.propagate_sweep
+    monkeypatch.setattr(propagators, "propagate_sweep",
+                        lambda *args: calls.append(args) or real(*args))
     out = str(tmp_path / "missing" / "x.csv")
     if where == "flag":
         argv = ["simulate", "--config", write_config(tmp_path), "--out", out]
@@ -414,6 +419,22 @@ def test_unwritable_output_exits_with_one_error_line(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
     assert "x.csv" in err
+    assert calls == []
+
+
+def test_a_failed_run_leaves_the_output_path_as_it_was(tmp_path, capsys):
+    """A strict-positivity failure after the output check keeps an existing
+    file's bytes and leaves no new file behind."""
+    path = write_config(
+        tmp_path,
+        model={"omega": 1.0, "mu": 0.1, "nu": 0.1, "kappa_re": 0.5, "dim": 8})
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_bytes(b"t,method\r\n0.0,exact")
+    for out in (old, new):
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_POSITIVITY
+    assert old.read_bytes() == b"t,method\r\n0.0,exact"
+    assert not new.exists()
+    assert capsys.readouterr().err.count("error:") == 2
 
 
 def test_exit_code_for_strict_positivity_rejection(tmp_path, capsys):

@@ -15,7 +15,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 from conftest import random_admissible_params, random_density, stiff_models
-from oracles import exact_superop_extended, form_one, form_two, l_factor_six
+from oracles import (exact_superop_extended, form_one, form_two, l_factor_six,
+                     sandwich_sum)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from qdamp import propagators
 from qdamp.algebra import build_generators
 from qdamp.coefficients import eval_coefficients
 from qdamp.diagnostics import compare_states
-from qdamp.fock import coherent_state, fock_state
+from qdamp.fock import build_fock_ops, coherent_state, fock_state
 from qdamp.linalg import TAYLOR_THETA, NumericalError, expm
 from qdamp.liouvillian import (ModelParams, build_liouvillian,
                                build_liouvillian_trace_exact)
@@ -1086,6 +1087,97 @@ def test_closed_form_passes_are_bounded_and_keep_the_bits(monkeypatch):
     assert widths == [2, 2, 2, 1]
     for a, b in zip(whole, passes):
         assert np.array_equal(a.rho_t, b.rho_t)
+
+
+def test_series_grid_is_one_pass_over_its_distinct_positive_columns(monkeypatch):
+    """Three models over [0, t, t, t2] are one kernel pass over 3 x 2
+    columns, each ladder sum taking all six at once; a time-0 item is
+    rho0, a repeated time a copy, and a stepped grid one pass that
+    chains n_steps maps."""
+    p = _readme_model(9)
+    models = [p, replace(p, kappa=0.0), replace(p, mu=0.7)]
+    rho0, times = coherent_state(9, 0.8), [0.0, 0.5, 0.5, 1.25]
+    real_pass, real_sum = propagators._series_pass, propagators._ladder_sum
+    passes, sums = [], []
+
+    def recording_pass(ms, ts, x, n_steps):
+        passes.append((len(ms), n_steps))
+        return real_pass(ms, ts, x, n_steps)
+
+    def recording_sum(x, *args):
+        sums.append(len(x))
+        return real_sum(x, *args)
+
+    monkeypatch.setattr(propagators, "_series_pass", recording_pass)
+    monkeypatch.setattr(propagators, "_ladder_sum", recording_sum)
+    grid = propagate_sweep(models, rho0, times, "series")
+    assert passes == [(6, 1)] and sums == [6] * 8   # eight sums per map
+    for model, row in zip(models, grid):
+        assert row[0].rho_t.tobytes() == rho0.tobytes()
+        row[1].rho_t[0, 0] = 7.0     # the repeated times are copies
+        assert np.array_equal(row[2].rho_t, propagate(model, rho0, 0.5, "series").rho_t)
+    passes.clear()
+    sums.clear()
+    grid = propagate_sweep(models, rho0, times, "series", 4)
+    assert passes == [(6, 4)] and sums == [6] * 32
+    for model, row in zip(models, grid):
+        assert row[0].rho_t.tobytes() == rho0.tobytes()
+        want = stepped_propagate(model, rho0, 1.25, 4, "series").rho_t
+        assert np.array_equal(row[3].rho_t, want)
+
+
+_LADDER_PAIRS = [("a", "a"), ("a_dag", "a_dag"), ("a", "a_dag"), ("a_dag", "a"),
+                 ("a2", "one"), ("one", "a2"), ("a_dag2", "one"), ("one", "a_dag2")]
+
+
+@st.composite
+def _ladder_problems(draw):
+    """A ladder pair, d, theta, 1 to 5 complex weights with |w| <= 2 and
+    a seed for the n x d x d stack."""
+    n = draw(st.integers(1, 5))
+    weights = [cmath.rect(draw(st.floats(0.0, 2.0)),
+                          draw(st.floats(0.0, 2.0 * math.pi))) for _ in range(n)]
+    return (draw(st.sampled_from(_LADDER_PAIRS)), draw(st.sampled_from([2, 3, 8, 13])),
+            draw(st.floats(0.0, 3.0)), weights, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=80)
+@given(problem=_ladder_problems())
+@example(problem=(("a", "a"), 3, 2.0, [0.7 + 0.9j, -1.3 + 0.4j], 0))
+@example(problem=(("a_dag", "a"), 3, 2.0, [0.7 + 0.9j, -1.3 + 0.4j], 0))
+def test_ladder_sum_is_the_matrix_sandwich_and_each_column_its_own_call(problem):
+    """_ladder_sum against oracles.sandwich_sum, entrywise within
+    4 d eps times the same sum of absolute values (each term's entry is
+    about 2k roundings from exact, and there are at most d terms; at most
+    1.9 d eps over 3000 random draws), and every column with the bits of
+    its one-column call.  At d = 3 the last term's window is 1 x 1, where
+    numpy's complex product in place rounds differently for one column
+    than for several: the examples fail if _ladder_sum multiplies by the
+    weights in place."""
+    (left, right), d, theta, weights, seed = problem
+    ops = build_fock_ops(d, theta)
+    ladders = {"a": ops.a, "a_dag": ops.a_dag, "a2": ops.a @ ops.a,
+               "a_dag2": ops.a_dag @ ops.a_dag, "one": ops.identity}
+    lop, rop = ladders[left], ladders[right]
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(len(weights), d, d)) + 1j * rng.normal(size=(len(weights), d, d))
+    w = np.array(weights, dtype=complex)
+    got = propagators._ladder_sum(x.copy(), lop, rop, w)
+    eps = np.finfo(float).eps
+    for j, wj in enumerate(weights):
+        want = sandwich_sum(x[j], lop, rop, wj, d)
+        scale = sandwich_sum(abs(x[j]), abs(lop), abs(rop), abs(wj), d).real
+        assert np.all(abs(got[j] - want) <= 4 * d * eps * scale), (left, right)
+        one = propagators._ladder_sum(x[j:j + 1].copy(), lop, rop, w[j:j + 1])
+        assert np.array_equal(one[0], got[j]), (left, right)
+
+
+def test_exact_memory_covers_the_measured_peaks():
+    """Peak RSS of the exact route over the README grid in a child
+    process, the cached generators' first build included: the largest
+    of 13 runs per d with ru_maxrss (see EXPM_WORKSPACE)."""
+    for dim, peak_mb in ((11, 1.63), (16, 1.63), (24, 1.63), (32, 1.57), (48, 2.62)):
+        assert propagators._exact_memory(dim) >= peak_mb * 1e6, dim
 
 
 def test_sweep_validates_its_models():
