@@ -385,20 +385,17 @@ def cmd_sweep(cfg: RunConfig, out_flag: Optional[str]) -> int:
     def admissible(model: ModelParams) -> bool:
         return cfg.positivity != "strict" or model.positivity_satisfied
 
-    if param == "t":
-        # one model, evolved once over the sorted distinct swept times
-        grid = sorted(set(values))
-        at = (dict(zip(grid, _rows(cfg, grid, _states(cfg, [cfg.model], rho0, grid))))
-              if admissible(cfg.model) else {})
-        results = [(v, at.get(v)) for v in values]
-    else:
-        # every admissible model at the final time, one pass per method
-        models = [_swept_model(cfg.model, param, v) for v in values]
-        keep = [k for k, model in enumerate(models) if admissible(model)]
-        chosen, t = [models[k] for k in keep], cfg.times[-1]
-        states = _states(cfg, chosen, rho0, [t]) if chosen else {}
-        at = dict(zip(keep, _rows(cfg, [t] * len(keep), states)))
-        results = [(v, at.get(k)) for k, v in enumerate(values)]
+    # each value is a point (model, time); one pass per method over the
+    # distinct admissible models x the distinct times
+    points = [(cfg.model, v) if param == "t"
+              else (_swept_model(cfg.model, param, v), cfg.times[-1]) for v in values]
+    kept = [(model, t) for model, t in points if admissible(model)]
+    models = list(dict.fromkeys(model for model, _ in kept))
+    times = sorted({t for _, t in kept})
+    states = _states(cfg, models, rho0, times) if models else {}
+    grid = [(model, t) for model in models for t in times]
+    at = dict(zip(grid, _rows(cfg, [t for _, t in grid], states)))
+    results = [(v, at.get(point)) for v, point in zip(values, points)]
     with _open_out(cfg.output, out_flag) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(("param", "value") + SIMULATE_COLUMNS)

@@ -35,15 +35,11 @@ generator with one weight per column, applied to the d^2 x n block of
 states as its terminating series (one sparse matmat per term for all
 columns), or a d^2 x n array, one diagonal per column; per-column
 prefactors multiply last.  Each column has the bits of its one-column
-call.  propagate_sweep's closed forms are one column per distinct
-(model, time), propagate the one-column case, and a matrix-free stepped
-splitting applies one step's stages n times; a column at time 0 is the
-initial state, and the columns go through the kernel in passes of
-bounded size.  No d^2 x d^2 matrix is formed.
-factorized_superop and alternative_superop form the same stages as CSR
-factors and densify their product once; they, su11_factor and l_factor
-are the algebra-level oracles for tests at small d, and the first two
-the stepped splittings' step maps at d <= 10 and for long step chains.
+call, and no d^2 x d^2 matrix is formed.  factorized_superop and
+alternative_superop form the same stages as CSR factors and densify
+their product once; they, su11_factor and l_factor are the algebra-level
+oracles for tests at small d, and the first two the stepped splittings'
+step maps for chains longer than d^2 / SLOTS_PER_MATRIX_FREE_STEP steps.
 
 operator_series_solution evaluates the same factorized map directly on the
 density matrix as nested finite sums of ladder sandwiches, never forming a
@@ -68,10 +64,13 @@ taylor_apply runs them on every step of the chain.  No norm is
 estimated, so the result does not depend on numpy's global random
 state, and no dense block is formed.  At or below the rule each model
 forms its dense block exponentials, which is faster at that size.  A
-uniform grid costs one step map.  propagate_sweep's exact branch is the
-chain of its models over its times, and stepped exact the chain over
-each time's step times.  exact_superop, the full dense exp(t L) without
-the parity split, is the test oracle only: no route calls it.
+uniform grid costs one step map.  exact_superop, the full dense exp(t L)
+without the parity split, is the test oracle only: no route calls it.
+
+propagate_sweep runs a route over models x times in one of two shapes:
+the exact chain over the union of every time's step times, or one
+_columns call through one kernel (_series_pass, _closed_form_pass, or
+the dense step maps' _step_map_pass).
 
 Every map here multiplies a vectorized state by construction, so a state
 whose population stays away from the truncation edge preserves trace and
@@ -83,6 +82,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,30 +103,32 @@ STATE_TRACE_TOL = 1e-10
 # An exact-route grid time within this many ulps of one more step of the
 # current step map reuses that map.
 GAP_ULPS = 4
-# Parity blocks of at most this many rows (d <= 10) keep the dense step
-# maps: the exact route's expm of each block, and the stepped splittings'
-# d^2 x d^2 factorized_superop or alternative_superop, both per model.
-# Above it the exact blocks are applied by the Taylor kernel (linalg's
-# taylor_plan and taylor_apply) and, over short step chains
-# (_stepped_matrix_free), the splittings' stages one at a time
-# (_dense_blocks reads the rule at call time).  One dense expm against
-# one plan and apply of the README model's block at gap 0.25,
-# single-threaded BLAS: 0.06 against 0.5 ms at 18 rows, 0.6 against
-# 0.6 ms at 50, 1.2 against 0.6 ms at 72, 6.3 against 0.7 ms at 128.
+# Parity blocks of at most this many rows (d <= 10) keep the exact route's
+# dense step map, the expm of each block per model; above it the blocks
+# are applied by the Taylor kernel (linalg's taylor_plan and taylor_apply).
+# The rule picks that kernel only (_dense_blocks reads it at call time).
+# One dense expm against one plan and apply of the README model's block at
+# gap 0.25, single-threaded BLAS: 0.06 against 0.5 ms at 18 rows, 0.6
+# against 0.6 ms at 50, 1.2 against 0.6 ms at 72, 6.3 against 0.7 ms at 128.
 # expm's cost grows with log ||t L||_1 (its squarings), the Taylor
 # kernel's about linearly, which counts at stiff rates.
-# perfbench's traced test of a d = 6 kappa-sweep pins both dense branches:
-# it requires a linalg.expm and a propagators.factor_build span and a
-# 16 d^4 propagators.superop_bytes.  Once that test names its spans by
-# role (ROADMAP item 1), both branches and this rule can go.
+# perfbench's traced test of a d = 6 kappa-sweep requires a linalg.expm
+# span, which this branch gives.  Once that test names its spans by role
+# (ROADMAP item 1), the branch and this rule can go.
 DENSE_BLOCK_ROWS = 50
-# Above DENSE_BLOCK_ROWS a stepped splitting applies its stages matrix-free
-# while n_steps <= d^2 / SLOTS_PER_MATRIX_FREE_STEP and forms its dense
-# step map once for longer chains.  The two routes cost the same at n*
-# steps, where the map's build equals n* matrix-free steps less n* dense
-# matvecs.  README model, one or two BLAS threads: d^2 / n* measured at 5
-# to 13 for d = 11..40 (2 to 6 at d = 48), so every chain the rule sends
-# matrix-free is faster there than on the step map.
+# At every d a stepped splitting applies its stages matrix-free while
+# n_steps <= d^2 / SLOTS_PER_MATRIX_FREE_STEP and forms its dense step map
+# once per column for longer chains (_stepped_matrix_free).  The two cost
+# the same at n* steps, where the map's build equals n* matrix-free steps
+# less n* dense matvecs.  README model, one or two BLAS threads: d^2 / n*
+# measured at 5 to 13 for d = 11..40 (2 to 6 at d = 48), so every chain
+# the rule sends matrix-free is faster there than on the step map; at
+# d <= 10 too (README model, one time, single-threaded BLAS, factorized at
+# n = d^2 / 16, step map against matrix-free: 6.3 against 0.89 ms at
+# d = 6, 8.5 against 2.3 at d = 8, 10 against 4.5 at d = 10).
+# The long-chain side keeps the step map that perfbench's traced d = 6,
+# 8-step kappa-sweep requires (8 > 36 / 16): a propagators.factor_build
+# span and a 16 d^4 propagators.superop_bytes.
 SLOTS_PER_MATRIX_FREE_STEP = 16
 # A Taylor plan takes one shift, step count and degree for its whole
 # matrix, set by the largest norm in it, so a direct sum of the exact
@@ -274,8 +276,7 @@ def _dense_blocks(dim: int) -> bool:
 def _stepped_matrix_free(dim: int, n_steps: int) -> bool:
     """Whether a stepped splitting applies its stages n_steps times
     rather than forming its dense step map."""
-    return (not _dense_blocks(dim)
-            and n_steps * SLOTS_PER_MATRIX_FREE_STEP <= dim * dim)
+    return n_steps * SLOTS_PER_MATRIX_FREE_STEP <= dim * dim
 
 
 def _jump_stages(cs, g: SuperOpGenerators) -> tuple:
@@ -323,11 +324,31 @@ def _closed_form_pass(method: str, models, times, x, n_steps: int) -> np.ndarray
     return v
 
 
+def _step_map_pass(method: str, models, times, x, n_steps: int) -> np.ndarray:
+    """_closed_form_pass's columns by the dense step map, factorized_superop
+    or alternative_superop of models[j] at times[j], formed per column."""
+    # Three d^2 x d^2 complex matrices cover the CSR product and its dense
+    # copy, measured with ru_maxrss at 1.9-2.8 of one at d = 16..48.  One
+    # map is alive at a time.
+    dim = models[0].dim
+    _require_memory(f"stepped {method}", dim, 3 * 16 * dim ** 4)
+    # the builders are looked up as module attributes at call time, so a
+    # caller that rebinds one (a tracer, a test) is seen
+    build = factorized_superop if method == "factorized" else alternative_superop
+    out = np.empty((x.size, len(models)), dtype=np.complex128)
+    for j, (p, t) in enumerate(zip(models, times)):
+        step, v = build(p, t), x
+        for _ in range(n_steps):
+            v = step @ v
+        out[:, j] = v
+    return out
+
+
 def _columns(columns, rho0: np.ndarray, n_steps: int, kernel) -> list:
     """rho0 after n_steps steps of t / n_steps under p, per column (p, t),
-    by kernel (_series_pass or a _closed_form_pass) over the distinct
-    columns with t > 0, CLOSED_FORM_BLOCK_BYTES of d^2 x n block a pass;
-    a repeated column is a copy, and one at t = 0 is rho0."""
+    by kernel (_series_pass, _closed_form_pass or _step_map_pass) over the
+    distinct columns with t > 0, CLOSED_FORM_BLOCK_BYTES of d^2 x n block a
+    pass; a repeated column is a copy, and one at t = 0 is rho0."""
     x = vec(rho0)
     keys = list(dict.fromkeys(key for key in columns if key[1] > 0.0))
     per_pass = max(1, CLOSED_FORM_BLOCK_BYTES // (16 * x.size))
@@ -670,24 +691,21 @@ def propagate_sweep(models, rho0, times, method: str = "exact",
 
     The models must share dim and theta; times must be finite, >= 0 and
     nondecreasing.  Item [j][k] is models[j] at times[k]: propagate's
-    map, or with n_steps stepped_propagate's.  A closed form's, the
-    series route's or a stepped splitting's item has the bits it has in
-    a call with that model and time alone.  The exact route is the
-    semigroup exp(t L) of each model, chained over the grid from t = 0
-    (_exact_chain), so a uniform grid forms one step map and a repeated
-    time none; with n_steps each time is its own chain over its step
-    times.  It evolves direct sums of the models' parity blocks, each
-    over the models whose blocks have norms within DIRECT_SUM_NORM_RATIO,
-    in the fewest chunks that fit in the available memory, and raises
-    MemoryError before building anything when one model alone does not
-    fit.  The other routes are not semigroups, so each (model, time) is
-    the map of rho0 at that time.  The series route and the closed forms,
-    stepped or not, evaluate the distinct (model, time) columns with
-    time > 0 in passes of their kernel (_columns); a time-0 column is
-    rho0 and a repeated one a copy.  Only the stepped splittings' dense
-    step maps (d <= 10, or chains longer than d^2 /
-    SLOTS_PER_MATRIX_FREE_STEP steps, after a memory estimate) run per
-    model and time.
+    map, or with n_steps stepped_propagate's.  The exact route is the
+    semigroup exp(t L) of each model, chained from t = 0 (_exact_chain)
+    over one grid, the sorted union of every time's step times
+    t / n * k, k = 1..n (n = 1 without n_steps), and item k is the state
+    at times[k] / n * n; a uniform grid forms one step map and a
+    repeated time none.  It evolves direct sums of the models' parity
+    blocks, each over the models whose blocks have norms within
+    DIRECT_SUM_NORM_RATIO, one chain per chunk of the fewest that fit in
+    the available memory, and raises MemoryError before building
+    anything when one model alone does not fit.  The other routes are
+    not semigroups: each item is a column (model, time) of one _columns
+    call, by _series_pass, _closed_form_pass, or for a splitting's chain
+    longer than d^2 / SLOTS_PER_MATRIX_FREE_STEP steps _step_map_pass,
+    which estimates the dense step map's memory first; such an item has
+    the bits of a call with that model and time alone.
     """
     _check_method(method)
     models = _check_models(models)
@@ -695,39 +713,22 @@ def propagate_sweep(models, rho0, times, method: str = "exact",
     rho0 = _check_state(rho0, dim)
     times = _check_grid(times)
     n = 1 if n_steps is None else _check_steps(n_steps)
-    columns = [(p, t) for p in models for t in times]
     if method == "exact":
+        ends = Counter(t / n * n for t in times)     # items per grid time
+        grid = sorted({t / n * k for t in times for k in range(1, n + 1)})
         rhos = []
         for chunk in _exact_chunks(models):
-            # per time, the states of the chunk's models
-            if n_steps is None:
-                ends = [[unvec(row) for row in v]
-                        for v in _exact_chain(chunk, rho0, times)]
-            else:
-                ends = []
-                for t in times:
-                    *_, v = _exact_chain(chunk, rho0,
-                                         [t / n * k for k in range(1, n + 1)])
-                    ends.append([unvec(row) for row in v])
-            rhos += [rho for per_model in zip(*ends) for rho in per_model]
-    elif method == "series" or n == 1 or _stepped_matrix_free(dim, n):
-        kernel = (_series_pass if method == "series"
-                  else lambda *args: _closed_form_pass(method, *args))
-        rhos = _columns(columns, rho0, n, kernel)
+            # one copy per item; the chain updates its array in place
+            per_time = [[unvec(row) for row in v]
+                        for g, v in zip(grid, _exact_chain(chunk, rho0, grid))
+                        for _ in range(ends[g])]
+            rhos += [rho for per_model in zip(*per_time) for rho in per_model]
     else:
-        # The dense step map: three d^2 x d^2 complex matrices cover the
-        # CSR product and its dense copy, measured with ru_maxrss at
-        # 1.9-2.8 of one at d = 16..48.  One map is alive at a time.
-        _require_memory(f"stepped {method}", dim, 3 * 16 * dim ** 4)
-        # the builders are looked up as module attributes at call time, so
-        # a caller that rebinds one (a tracer, a test) is seen
-        build = factorized_superop if method == "factorized" else alternative_superop
-        rhos = []
-        for p, t in columns:
-            step, x = build(p, t / n), vec(rho0)
-            for _ in range(n):
-                x = step @ x
-            rhos.append(unvec(x))
+        splitting = (_closed_form_pass if n == 1 or _stepped_matrix_free(dim, n)
+                     else _step_map_pass)
+        kernel = (_series_pass if method == "series"
+                  else lambda *args: splitting(method, *args))
+        rhos = _columns([(p, t) for p in models for t in times], rho0, n, kernel)
     states = iter(rhos)
     return [[_result(next(states), method, t) for t in times] for _ in models]
 
@@ -741,13 +742,12 @@ def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
     n dt, a semigroup identity check; for the splittings and the series
     route the global error shrinks like 1/n_steps.  Only rho0 is checked;
     the intermediate states of a splitting need not keep unit trace.
-    Above DENSE_BLOCK_ROWS block rows (d > 10) and for at most
-    d^2 / SLOTS_PER_MATRIX_FREE_STEP steps a splitting applies the
-    closed-form stages of one step to vec(rho0) n_steps times, forming
-    no d^2 x d^2 matrix.  Otherwise it forms its dense d^2 x d^2 step
-    map, factorized_superop or alternative_superop, once, after
-    estimating that map's memory; it raises MemoryError if the estimate
-    exceeds the available memory.
+    For at most d^2 / SLOTS_PER_MATRIX_FREE_STEP steps a splitting
+    applies the closed-form stages of one step to vec(rho0) n_steps
+    times, forming no d^2 x d^2 matrix.  Otherwise it forms its dense
+    d^2 x d^2 step map, factorized_superop or alternative_superop, once
+    (_step_map_pass), after estimating that map's memory; it raises
+    MemoryError if the estimate exceeds the available memory.
     """
     return propagate_sweep((params,), rho0, (t,), method, _check_steps(n_steps))[0][0]
 

@@ -85,6 +85,32 @@ def test_convergence_local_mode_slope():
     assert not tab.exact_within_noise
 
 
+def test_convergence_local_mode_is_one_sweep_per_method(monkeypatch):
+    """The approximate and the exact states at every time come from one
+    propagate_sweep call each, over the sorted distinct times."""
+    from qdamp import propagators
+
+    calls = []
+    sweep = propagators.propagate_sweep
+
+    def counted(models, rho0, times, method, *args):
+        calls.append((method, list(times)))
+        return sweep(models, rho0, times, method, *args)
+
+    monkeypatch.setattr(propagators, "propagate_sweep", counted)
+    p = ModelParams(omega=1.0, mu=0.5, nu=0.2, kappa=0.12 + 0.06j, dim=8)
+    rho0 = fock_state(8, 1)
+    tab = convergence_study(p, rho0, method="alternative",
+                            t_values=(0.4, 0.1, 0.2, 0.1))
+    assert calls == [("alternative", [0.1, 0.2, 0.4]), ("exact", [0.1, 0.2, 0.4])]
+    assert tab.xs == (0.4, 0.1, 0.2, 0.1)
+    assert tab.errors_frobenius[1] == tab.errors_frobenius[3]
+    for t, frob, tdist in zip(tab.xs, tab.errors_frobenius, tab.errors_trace_distance):
+        want = compare_states(propagators.propagate(p, rho0, t, "alternative").rho_t,
+                              propagators.propagate(p, rho0, t, "exact").rho_t)
+        assert (frob, tdist) == pytest.approx(want, rel=1e-9), t
+
+
 def test_convergence_global_mode_slope():
     p = ModelParams(omega=1.0, mu=0.5, nu=0.2, kappa=0.12 + 0.06j, dim=10)
     tab = convergence_study(p, fock_state(10, 1), method="factorized",

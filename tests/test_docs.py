@@ -31,6 +31,17 @@ def test_demo_exits_zero(demo):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_route_table_prints_both_tables():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "route_table.py"),
+                           "--dims", "6", "--repeats", "1"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "README grid, one pass per route, median ms:" in proc.stdout
+    assert "README grid, 8 steps per route, median ms:" in proc.stdout
+    assert proc.stdout.count("| d  | exact | factorized |") == 2
+    assert "|  6 | " in proc.stdout
+
+
 def test_every_export_resolves_once():
     missing = [name for name in qdamp.__all__ if not hasattr(qdamp, name)]
     assert not missing

@@ -596,15 +596,16 @@ def test_exact_grid_fails_fast_when_memory_is_short(monkeypatch):
 def test_stepped_splittings_fail_fast_when_memory_is_short(monkeypatch):
     calls = _count_calls(monkeypatch, "factorized_superop", "alternative_superop")
     monkeypatch.setattr(propagators, "_available_memory", lambda: 1024)
-    # at d <= 10 the step map is the dense d^2 x d^2 product, estimated first
+    # over more than d^2 / 16 steps the step map is the dense d^2 x d^2
+    # product, estimated first
     p = _readme_model(10)
     for method in _BUILDERS:
         with pytest.raises(MemoryError,
                            match=f"stepped {method} route at dim 10 needs"):
-            stepped_propagate(p, fock_state(10, 1), 1.0, 4, method=method)
+            stepped_propagate(p, fock_state(10, 1), 1.0, 8, method=method)
     assert not calls
-    # above it the stages are applied n times, forming no d^2 x d^2 matrix,
-    # and the route is not guarded
+    # over at most d^2 / 16 steps the stages are applied n times, forming no
+    # d^2 x d^2 matrix, and the route is not guarded
     p = _readme_model(12)
     for method in _BUILDERS:
         stepped_propagate(p, fock_state(12, 1), 1.0, 4, method=method)
@@ -1277,15 +1278,15 @@ def test_matrix_free_stepped_splitting_is_n_dense_steps_property(problem, tau, n
 
 
 @pytest.mark.parametrize("dim, n_steps, builds",
-                         [(10, 4, 1), (11, 4, 0), (11, 8, 1), (16, 16, 0), (16, 17, 1)],
-                         ids=["dense_50_rows", "matrix_free_61_rows",
-                              "long_chain_at_d11", "matrix_free_d2_over_16_steps",
-                              "long_chain_at_d16"])
+                         [(8, 4, 0), (10, 7, 1), (11, 4, 0), (11, 8, 1), (16, 16, 0),
+                          (16, 17, 1)],
+                         ids=["short_chain_at_d8", "long_chain_at_d10",
+                              "matrix_free_61_rows", "long_chain_at_d11",
+                              "matrix_free_d2_over_16_steps", "long_chain_at_d16"])
 def test_stepped_splitting_forms_a_step_map_only_by_the_rules(
         monkeypatch, dim, n_steps, builds):
-    """The dense step map is formed at d <= 10, and above it once
-    n_steps exceeds d^2 / 16, where its one build costs less than the
-    matrix-free steps."""
+    """The dense step map is formed once n_steps exceeds d^2 / 16, where
+    its one build costs less than the matrix-free steps, at every d."""
     calls = _count_calls(monkeypatch, "factorized_superop",
                          "alternative_superop", "_form")
     p = _readme_model(dim)
@@ -1295,6 +1296,43 @@ def test_stepped_splitting_forms_a_step_map_only_by_the_rules(
         assert calls[f"{method}_superop"] == builds
         assert calls["_form"] == builds
         assert sum(calls.values()) == 2 * builds
+
+
+@pytest.mark.parametrize("dim", [8, 12])
+def test_stepped_exact_grid_is_one_chain_over_the_union_of_step_times(
+        monkeypatch, dim):
+    """Every time's step times t / n * k go into one chain, so each model's
+    generator is built once, not once per time."""
+    models = [_readme_model(dim), replace(_readme_model(dim), kappa=0.15j)]
+    rho0 = coherent_state(dim, 1.2)
+    times = sorted([*np.linspace(0.0, 2.0, 9), 1.0])
+    calls = _count_calls(monkeypatch, "build_liouvillian_trace_exact")
+    got = propagate_sweep(models, rho0, times, "exact", n_steps=8)
+    assert calls == {"build_liouvillian_trace_exact": len(models)}
+    for p, per_model in zip(models, got):
+        for res in per_model:
+            want = unvec(exact_superop(p, res.t) @ vec(rho0))
+            assert _tracedist(res.rho_t, want) <= 1e-12, (p, res.t)
+
+
+def test_stepped_splitting_forms_one_step_map_per_distinct_positive_column(
+        monkeypatch):
+    """At d = 6 an 8-step chain forms the dense step map (8 > 36 / 16): once
+    per model and distinct positive time; time 0 is rho0 and a repeated
+    time a copy, each item with its one-column bits."""
+    models = [_readme_model(6), replace(_readme_model(6), omega=0.7)]
+    rho0 = coherent_state(6, 1.0)
+    times = [0.0, 0.6, 0.6, 1.3]
+    for method in _BUILDERS:
+        with monkeypatch.context() as mp:
+            calls = _count_calls(mp, f"{method}_superop")
+            got = propagate_sweep(models, rho0, times, method, n_steps=8)
+        assert calls == {f"{method}_superop": 2 * len(models)}
+        for p, per_model in zip(models, got):
+            assert np.array_equal(per_model[0].rho_t, rho0)
+            for res in per_model[1:]:
+                one = stepped_propagate(p, rho0, res.t, 8, method=method)
+                assert np.array_equal(res.rho_t, one.rho_t), (method, res.t)
 
 
 def test_stepped_series_checks_only_the_initial_state():

@@ -5,10 +5,11 @@
 The README model (omega 1, mu 0.4, nu 0.1, kappa 0.1 + 0.05i, theta 0)
 from a coherent state with alpha 1.2, over the times linspace(0, 2, 9).
 A route's cell is the median wall time, in ms, of one propagate_sweep
-call of that one model over the grid, after one untimed call; the last
-column is the nine states' state_diagnostics.  BLAS runs single-threaded
-(OPENBLAS_NUM_THREADS is set to 1 before numpy is imported).  The table
-goes to stdout; nothing is written.
+call of that one model over the grid, after one untimed call; the first
+table's last column is the nine states' state_diagnostics.  The second
+table times every route stepped at STEPS steps, the CLI default.  BLAS
+runs single-threaded (OPENBLAS_NUM_THREADS is set to 1 before numpy is
+imported).  The tables go to stdout; nothing is written.
 """
 import os
 
@@ -30,6 +31,7 @@ from qdamp.liouvillian import ModelParams  # noqa: E402
 from qdamp.propagators import METHODS, propagate_sweep  # noqa: E402
 
 TIMES = np.linspace(0.0, 2.0, 9)
+STEPS = 8
 
 
 def median_ms(call, repeats: int) -> float:
@@ -48,16 +50,26 @@ def main(argv=None) -> None:
     parser.add_argument("--dims", type=int, nargs="+", default=[16, 24, 32, 48, 64])
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
-    print("| d  | " + " | ".join(METHODS) + " | 9 x state_diagnostics |")
-    print("|---:|" + "---:|" * (len(METHODS) + 1))
-    for dim in args.dims:
+    for n_steps in (None, STEPS):
+        table(args.dims, args.repeats, n_steps)
+
+
+def table(dims, repeats: int, n_steps) -> None:
+    """One row per d of each route's median ms, over n_steps steps if given."""
+    last = " 9 x state_diagnostics |" if n_steps is None else ""
+    steps = "one pass" if n_steps is None else f"{n_steps} steps"
+    print(f"\nREADME grid, {steps} per route, median ms:\n")
+    print("| d  | " + " | ".join(METHODS) + " |" + last)
+    print("|---:|" + "---:|" * (len(METHODS) + bool(last)))
+    for dim in dims:
         model = ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=dim)
         rho0 = coherent_state(dim, 1.2)
-        cells = [median_ms(lambda m=m: propagate_sweep([model], rho0, TIMES, m),
-                           args.repeats) for m in METHODS]
-        states = [r.rho_t for r in propagate_sweep([model], rho0, TIMES, "exact")[0]]
-        cells.append(median_ms(lambda: [state_diagnostics(s) for s in states],
-                               args.repeats))
+        cells = [median_ms(lambda m=m: propagate_sweep([model], rho0, TIMES, m, n_steps),
+                           repeats) for m in METHODS]
+        if last:
+            states = [r.rho_t for r in propagate_sweep([model], rho0, TIMES, "exact")[0]]
+            cells.append(median_ms(lambda: [state_diagnostics(s) for s in states],
+                                   repeats))
         print(f"| {dim:2d} | " + " | ".join(f"{c:.3g}" if c < 1e3 else f"{c:.0f}"
                                          for c in cells) + " |")
 
