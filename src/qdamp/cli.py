@@ -6,6 +6,10 @@ Subcommands:
   convergence     splitting-error study (single-step or fixed-horizon)
   sweep           final-time diagnostics across one swept parameter
 
+Output: simulate, convergence and sweep each write one CSV to --out,
+otherwise to the config's "output", otherwise to stdout.  A comment line
+in it begins with "# ".  verify-algebra prints its report to stdout.
+
 Exit codes: 0 success, 1 config/parse error, a value the library
 rejects or an output path that cannot be written (also a failed
 verification verdict), 2 positivity rejection in strict mode, 3
@@ -16,7 +20,6 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import os
@@ -308,33 +311,24 @@ def _rows(cfg: RunConfig, times: Sequence[float], states: dict) -> list:
     return out
 
 
-def _open_out(cfg_output: Optional[str], out_flag: Optional[str]):
-    """Context manager yielding the output stream; only a file is closed."""
-    path = out_flag or cfg_output
-    if path is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
-
-
-def _write_csv(stream: TextIO, header: Sequence[str], rows: list,
-               comments: Sequence[str] = ()) -> None:
+def _write_csv(stream: TextIO, header: Sequence[str], rows: list) -> None:
+    """One CSV: the header, then each row; a str row is a "# " line."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow(row)
-    for line in comments:
-        stream.write(f"# {line}\n")
+        if isinstance(row, str):
+            stream.write(f"# {row}\n")
+        else:
+            writer.writerow(row)
 
 
-def cmd_simulate(cfg: RunConfig, out_flag: Optional[str]) -> int:
+def cmd_simulate(cfg: RunConfig) -> tuple:
     if cfg.positivity == "strict":
         cfg.model.require_positivity()
     rho0 = cfg.initial_density_matrix()
     states = _states(cfg, [cfg.model], rho0, cfg.times)
-    rows = [row for at_t in _rows(cfg, cfg.times, states) for row in at_t]
-    with _open_out(cfg.output, out_flag) as stream:
-        _write_csv(stream, SIMULATE_COLUMNS, rows)
-    return EXIT_OK
+    return SIMULATE_COLUMNS, [row for at_t in _rows(cfg, cfg.times, states)
+                              for row in at_t]
 
 
 def cmd_verify_algebra(dim: int, margin: int, theta: float) -> int:
@@ -347,7 +341,7 @@ def cmd_verify_algebra(dim: int, margin: int, theta: float) -> int:
     return EXIT_OK if report.all_within(ALGEBRA_TOL) else EXIT_CONFIG
 
 
-def cmd_convergence(cfg: RunConfig, out_flag: Optional[str]) -> int:
+def cmd_convergence(cfg: RunConfig) -> tuple:
     if cfg.convergence is None:
         raise ConfigError("convergence subcommand needs a 'convergence' "
                           "section in the config")
@@ -358,11 +352,9 @@ def cmd_convergence(cfg: RunConfig, out_flag: Optional[str]) -> int:
     rows = [[table.mode, table.method, _fmt(x), _fmt(ef), _fmt(et)]
             for x, ef, et in zip(table.xs, table.errors_frobenius,
                                  table.errors_trace_distance)]
-    comments = [f"slope = {_fmt(table.slope) if table.slope is not None else 'nan'}",
-                f"exact_within_noise = {str(table.exact_within_noise).lower()}"]
-    with _open_out(cfg.output, out_flag) as stream:
-        _write_csv(stream, CONVERGENCE_COLUMNS, rows, comments)
-    return EXIT_OK
+    rows += [f"slope = {_fmt(table.slope) if table.slope is not None else 'nan'}",
+             f"exact_within_noise = {str(table.exact_within_noise).lower()}"]
+    return CONVERGENCE_COLUMNS, rows
 
 
 def _swept_model(model: ModelParams, param: str, value: float) -> ModelParams:
@@ -374,7 +366,7 @@ def _swept_model(model: ModelParams, param: str, value: float) -> ModelParams:
     return replace(model, **{param: value})
 
 
-def cmd_sweep(cfg: RunConfig, out_flag: Optional[str]) -> int:
+def cmd_sweep(cfg: RunConfig) -> tuple:
     if cfg.sweep is None:
         raise ConfigError("sweep subcommand needs a 'sweep' section in the "
                           "config")
@@ -395,18 +387,14 @@ def cmd_sweep(cfg: RunConfig, out_flag: Optional[str]) -> int:
     states = _states(cfg, models, rho0, times) if models else {}
     grid = [(model, t) for model in models for t in times]
     at = dict(zip(grid, _rows(cfg, [t for _, t in grid], states)))
-    results = [(v, at.get(point)) for v, point in zip(values, points)]
-    with _open_out(cfg.output, out_flag) as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(("param", "value") + SIMULATE_COLUMNS)
-        for value, rows in results:
-            if rows is None:
-                stream.write(f"# skipped {param}={_fmt(value)}: positivity "
-                             "mu*nu >= |kappa|^2 violated\n")
-                continue
-            for row in rows:
-                writer.writerow([param, _fmt(value)] + row)
-    return EXIT_OK
+    rows = []
+    for value, point in zip(values, points):
+        if point in at:
+            rows += [[param, _fmt(value)] + row for row in at[point]]
+        else:
+            rows.append(f"skipped {param}={_fmt(value)}: positivity "
+                        "mu*nu >= |kappa|^2 violated")
+    return ("param", "value") + SIMULATE_COLUMNS, rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,11 +450,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             open(path, "a", encoding="utf-8").close()
             if not existed:
                 os.remove(path)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
-        if args.command == "convergence":
-            return cmd_convergence(cfg, args.out)
-        return cmd_sweep(cfg, args.out)
+        run = {"simulate": cmd_simulate, "convergence": cmd_convergence,
+               "sweep": cmd_sweep}[args.command]
+        header, rows = run(cfg)
+        if path is None:
+            _write_csv(sys.stdout, header, rows)
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as stream:
+                _write_csv(stream, header, rows)
+        return EXIT_OK
     # PositivityError and LinAlgError subclass ValueError, so they go first;
     # any other ValueError is an input the library rejected.
     except PositivityError as exc:

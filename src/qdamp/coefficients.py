@@ -86,11 +86,17 @@ def phase_kernel_limit(omega: float, t: float) -> complex:
     return t * (1.0 - 1j * omega * t)
 
 
-def eval_coefficients(params, t: float) -> CoefficientSet:
-    """Evaluate all six weights for a model at time t >= 0."""
+def check_time(t) -> float:
+    """t as a float; ValueError unless it is finite and >= 0."""
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and >= 0, got {t}")
+    return t
+
+
+def eval_coefficients(params, t: float) -> CoefficientSet:
+    """Evaluate all six weights for a model at time t >= 0."""
+    t = check_time(t)
     decay, pump, scale = hyperbolic_weights(params.mu, params.nu, t)
     kernel = phase_kernel(params.omega, t)
     kappa = complex(params.kappa)

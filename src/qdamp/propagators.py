@@ -91,7 +91,7 @@ import scipy.sparse as sp
 # build_generators (the dense view) is not called here; perfbench's tracer
 # wraps it under this module's name, so the name stays importable.
 from .algebra import SuperOpGenerators, build_generators, cached_generators  # noqa: F401
-from .coefficients import eval_coefficients
+from .coefficients import check_time, eval_coefficients
 from .diagnostics import DiagnosticsRecord, state_diagnostics
 from .linalg import as_complex_matrix, expm, taylor_apply, taylor_plan
 # build_liouvillian is not called here either; the tracer wraps it too.
@@ -183,13 +183,6 @@ def _check_state(rho0, dim: int) -> np.ndarray:
     if abs(tr - 1.0) > STATE_TRACE_TOL:
         raise ValueError(f"rho0 trace must be 1 within {STATE_TRACE_TOL}, got {tr}")
     return rho0
-
-
-def _check_time(t) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    return t
 
 
 def _check_steps(n_steps) -> int:
@@ -398,7 +391,6 @@ def su11_factor(params: ModelParams, t: float) -> np.ndarray:
     on interior-supported states, which is verified against expm in the
     test suite; the difference near the edge is that exponential's error.
     """
-    t = _check_time(t)
     c = eval_coefficients(params, t)
     g = cached_generators(params.dim, params.theta)
     return _form(_jump_stages([c], g), params.dim)
@@ -414,7 +406,6 @@ def l_factor(params: ModelParams, t: float) -> np.ndarray:
     that splits each squeeze exponential into its commuting pair and sym
     halves.
     """
-    t = _check_time(t)
     c = eval_coefficients(params, t)
     g = cached_generators(params.dim, params.theta)
     return _form(_squeeze_stages([c], g), params.dim)
@@ -427,13 +418,12 @@ def exact_superop(params: ModelParams, t: float) -> np.ndarray:
     parity split of the exact route; the tests check that route against
     it at small d.
     """
-    t = _check_time(t)
+    t = check_time(t)
     return expm(t * build_liouvillian_trace_exact(params).toarray())
 
 
 def factorized_superop(params: ModelParams, t: float) -> np.ndarray:
     """Jump factor times phase factor, with the scalar prefactor attached."""
-    t = _check_time(t)
     pref, stages = _closed_form([params], [t], "factorized")
     return pref[0] * _form(stages, params.dim)
 
@@ -451,7 +441,6 @@ def alternative_superop(params: ModelParams, t: float) -> np.ndarray:
     so the residual grows as O(t^2 |kappa|^2).  At kappa=0 it degenerates
     to the factorized map exactly.
     """
-    t = _check_time(t)
     pref, stages = _closed_form([params], [t], "alternative")
     return pref[0] * _form(stages, params.dim)
 
@@ -465,7 +454,6 @@ def operator_series_solution(params: ModelParams, rho0, t: float) -> Propagation
     column.  Algebraically identical to factorized_superop.
     """
     rho0 = _check_state(rho0, params.dim)
-    t = _check_time(t)
     return _result(unvec(_series_pass([params], [t], vec(rho0), 1)), "series", t)
 
 
@@ -677,7 +665,7 @@ def _exact_chain(models: list, rho0: np.ndarray, times: list):
 
 
 def _check_grid(times) -> list[float]:
-    times = [_check_time(t) for t in times]
+    times = [check_time(t) for t in times]
     if not times:
         raise ValueError("times must be a nonempty sequence")
     if any(b < a for a, b in zip(times, times[1:])):

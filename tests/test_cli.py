@@ -423,18 +423,23 @@ def test_unwritable_output_exits_with_one_error_line(tmp_path, capsys, where,
 
 
 def test_a_failed_run_leaves_the_output_path_as_it_was(tmp_path, capsys):
-    """A strict-positivity failure after the output check keeps an existing
-    file's bytes and leaves no new file behind."""
-    path = write_config(
-        tmp_path,
+    """A failure after the output check keeps an existing file's bytes and
+    leaves no new file behind: a strict-positivity failure in simulate, and
+    a sweep or convergence run whose config lacks its section."""
+    rejected = write_config(
+        tmp_path, name="rejected.json",
         model={"omega": 1.0, "mu": 0.1, "nu": 0.1, "kappa_re": 0.5, "dim": 8})
+    plain = write_config(tmp_path)
     old, new = tmp_path / "old.csv", tmp_path / "new.csv"
     old.write_bytes(b"t,method\r\n0.0,exact")
-    for out in (old, new):
-        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_POSITIVITY
-    assert old.read_bytes() == b"t,method\r\n0.0,exact"
-    assert not new.exists()
-    assert capsys.readouterr().err.count("error:") == 2
+    for command, path, code in (("simulate", rejected, EXIT_POSITIVITY),
+                                ("sweep", plain, EXIT_CONFIG),
+                                ("convergence", plain, EXIT_CONFIG)):
+        for out in (old, new):
+            assert main([command, "--config", path, "--out", str(out)]) == code
+        assert old.read_bytes() == b"t,method\r\n0.0,exact"
+        assert not new.exists()
+        assert capsys.readouterr().err.count("error:") == 2
 
 
 def test_exit_code_for_strict_positivity_rejection(tmp_path, capsys):
@@ -692,6 +697,51 @@ def test_cli_reads_only_the_sweep_driver_and_method_names_of_propagators():
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module
                 and node.module.endswith("propagators")]
+
+
+def test_cli_opens_its_output_in_main_alone():
+    """The commands return their rows and main writes them: outside
+    load_config's read, open is called only in main, and no command takes
+    a path, flag or stream."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    opens = Counter(f.name for f in functions for node in ast.walk(f)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "open")
+    assert set(opens) == {"load_config", "main"}
+    assert opens["load_config"] == 1
+    params = {f.name: [a.arg for a in f.args.args] for f in functions
+              if f.name.startswith("cmd_")}
+    assert params == {"cmd_simulate": ["cfg"], "cmd_convergence": ["cfg"],
+                      "cmd_sweep": ["cfg"],
+                      "cmd_verify_algebra": ["dim", "margin", "theta"]}
+
+
+@pytest.mark.parametrize("command, overrides, kinds", [
+    ("simulate", {}, "rrrr"),
+    # mu = 0.05 violates mu*nu >= |kappa|^2 and is skipped where it stands
+    ("sweep", {"sweep": {"param": "mu", "values": [0.4, 0.05, 0.3]}}, "rr#rr"),
+    ("convergence", {"convergence": {"method": "factorized",
+                                     "n_steps_values": [2, 4, 8]}}, "rrr##"),
+])
+def test_out_file_and_stdout_carry_the_same_bytes(tmp_path, capsys, command,
+                                                  overrides, kinds):
+    """A row is a data line (r) or a "# " comment (#), in the order the
+    command returns them; the slope and exactness comments come last."""
+    path = write_config(
+        tmp_path, model={"omega": 1.0, "mu": 0.5, "nu": 0.5, "kappa_re": 0.3,
+                         "dim": 8}, **overrides)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", path, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert main([command, "--config", path]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert out.read_bytes() == text.encode("utf-8")
+    lines = text.splitlines()
+    assert "".join("#" if ln.startswith("# ") else "r" for ln in lines[1:]) == kinds
+    if command == "convergence":
+        assert lines[-2].startswith("# slope = ")
+        assert lines[-1].startswith("# exact_within_noise = ")
 
 
 # ----------------------------------------------------------- determinism

@@ -42,6 +42,16 @@ def test_route_table_prints_both_tables():
     assert "|  6 | " in proc.stdout
 
 
+def test_csv_digest_prints_one_digest_per_run():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "csv_digest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 10
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", ln) for ln in lines), lines
+    assert len({ln.split()[1] for ln in lines}) == 10
+
+
 def test_every_export_resolves_once():
     missing = [name for name in qdamp.__all__ if not hasattr(qdamp, name)]
     assert not missing
