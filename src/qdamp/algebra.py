@@ -192,99 +192,92 @@ class IdentityResidual:
 
 @dataclass(frozen=True)
 class AlgebraReport:
+    """Residual of every identity, and threshold = 2u max ||A||_F ||B||_F over
+    their commutators [A, B], u = 2^-53: the roundoff a computed commutator
+    carries (Higham, Accuracy and Stability of Numerical Algorithms, 3.5)."""
+
     dim: int
     margin: int
     empty_interior: bool
+    threshold: float
     entries: list[IdentityResidual] = field(default_factory=list)
 
     @property
     def max_residual(self) -> float:
         return max((e.residual for e in self.entries), default=0.0)
 
-    def all_within(self, tol: float) -> bool:
-        return self.max_residual <= tol
+    def all_within(self) -> bool:
+        """max_residual <= threshold, both as to_text prints them."""
+        return float(f"{self.max_residual:.3e}") <= float(f"{self.threshold:.3e}")
 
-    def to_text(self, tol: float = 1e-12) -> str:
+    def to_text(self) -> str:
         lines = [f"dim: {self.dim}", f"margin: {self.margin}"]
         if self.empty_interior:
             lines.append("note: interior is empty at this margin; residuals are trivially zero")
         for e in self.entries:
             lines.append(f"{e.label}: {e.residual:.3e}")
         lines.append(f"max_residual: {self.max_residual:.3e}")
-        lines.append(f"verdict: {'PASS' if self.all_within(tol) else 'FAIL'} (threshold {tol:.1e})")
+        lines.append(f"verdict: {'PASS' if self.all_within() else 'FAIL'} (threshold {self.threshold:.3e})")
         return "\n".join(lines)
 
 
-def _identity_table(gen: SuperOpGenerators, ops: FockOperators):
-    """All commutation identities with their closed-form right-hand sides.
+# Each family's [plus, minus] + closing * z = 0: jump and sym close as
+# su(1,1), pair as su(2), and the squeeze pair commutes (None).
+_FAMILIES = (("jump", 2.0), ("pair", -2.0), ("sym", 2.0), ("squeeze", None))
+_COMMUTING = (("pair_plus", "sym_plus"), ("pair_minus", "sym_minus"),
+              ("squeeze_z", "jump_z"), ("squeeze_z", "jump_plus"),
+              ("squeeze_z", "jump_minus"))
 
-    The z <-> raising/lowering relations inside each family hold with the
-    familiar signs; the two su(1,1) families close with [plus, minus] =
-    -2 z, the su(2) pair family with +2 z, and the squeeze pair commutes.
-    Cross-family brackets either vanish or land on explicit sandwich
-    combinations, listed last; those are CSR Kronecker products whatever
-    the type of the generators.
+
+def _identity_table(g: SuperOpGenerators, ops: FockOperators):
+    """Every identity as a row (label, A, B, C), meaning [A, B] + C = 0.
+
+    C is None for a pair that commutes.  Inside each family z raises plus
+    by one and lowers minus by one, and [plus, minus] closes on z as
+    _FAMILIES says.  Cross-family brackets either vanish or land on
+    explicit sandwich combinations, listed last; those are CSR Kronecker
+    products whatever the type of the generators.
     """
-    g = gen
+    rows = []
+    for family, closing in _FAMILIES:
+        z, plus, minus = (f"{family}_{s}" for s in ("z", "plus", "minus"))
+        gz, gp, gm = (getattr(g, name) for name in (z, plus, minus))
+        close = "" if closing is None else f" {'+' if closing > 0 else '-'} 2 {z}"
+        rows += [(f"[{z}, {plus}] - {plus}", gz, gp, -gp),
+                 (f"[{z}, {minus}] + {minus}", gz, gm, gm),
+                 (f"[{plus}, {minus}]{close}", gp, gm,
+                  None if closing is None else closing * gz)]
+    rows += [(f"[{a}, {b}]", getattr(g, a), getattr(g, b), None)
+             for a, b in _COMMUTING]
+
     a, a_dag, one = ops.a, ops.a_dag, ops.identity
     a2 = a @ a
     ad2 = a_dag @ a_dag
-
     ad_x_ad = _kron(a_dag, a_dag.T)            # X -> a+ X a+
     a_x_a = _kron(a, a.T)                      # X -> a X a
     ad2_left = _kron(ad2, one)                 # X -> (a+)^2 X
     ad2_right = _kron(one, ad2.T)              # X -> X (a+)^2
     a2_left = _kron(a2, one)                   # X -> a^2 X
     a2_right = _kron(one, a2.T)                # X -> X a^2
-
-    return [
-        ("[jump_z, jump_plus] - jump_plus",
-         commutator(g.jump_z, g.jump_plus) - g.jump_plus),
-        ("[jump_z, jump_minus] + jump_minus",
-         commutator(g.jump_z, g.jump_minus) + g.jump_minus),
-        ("[jump_plus, jump_minus] + 2 jump_z",
-         commutator(g.jump_plus, g.jump_minus) + 2.0 * g.jump_z),
-        ("[pair_z, pair_plus] - pair_plus",
-         commutator(g.pair_z, g.pair_plus) - g.pair_plus),
-        ("[pair_z, pair_minus] + pair_minus",
-         commutator(g.pair_z, g.pair_minus) + g.pair_minus),
-        ("[pair_plus, pair_minus] - 2 pair_z",
-         commutator(g.pair_plus, g.pair_minus) - 2.0 * g.pair_z),
-        ("[sym_z, sym_plus] - sym_plus",
-         commutator(g.sym_z, g.sym_plus) - g.sym_plus),
-        ("[sym_z, sym_minus] + sym_minus",
-         commutator(g.sym_z, g.sym_minus) + g.sym_minus),
-        ("[sym_plus, sym_minus] + 2 sym_z",
-         commutator(g.sym_plus, g.sym_minus) + 2.0 * g.sym_z),
-        ("[squeeze_z, squeeze_plus] - squeeze_plus",
-         commutator(g.squeeze_z, g.squeeze_plus) - g.squeeze_plus),
-        ("[squeeze_z, squeeze_minus] + squeeze_minus",
-         commutator(g.squeeze_z, g.squeeze_minus) + g.squeeze_minus),
-        ("[squeeze_plus, squeeze_minus]",
-         commutator(g.squeeze_plus, g.squeeze_minus)),
-        ("[pair_plus, sym_plus]",
-         commutator(g.pair_plus, g.sym_plus)),
-        ("[pair_minus, sym_minus]",
-         commutator(g.pair_minus, g.sym_minus)),
-        ("[squeeze_z, jump_z]",
-         commutator(g.squeeze_z, g.jump_z)),
-        ("[squeeze_z, jump_plus]",
-         commutator(g.squeeze_z, g.jump_plus)),
-        ("[squeeze_z, jump_minus]",
-         commutator(g.squeeze_z, g.jump_minus)),
+    return rows + [
         ("[jump_z, squeeze_plus] + (ad2_left - ad2_right)/2",
-         commutator(g.jump_z, g.squeeze_plus) + 0.5 * (ad2_left - ad2_right)),
+         g.jump_z, g.squeeze_plus, 0.5 * (ad2_left - ad2_right)),
         ("[jump_z, squeeze_minus] - (a2_left - a2_right)/2",
-         commutator(g.jump_z, g.squeeze_minus) - 0.5 * (a2_left - a2_right)),
+         g.jump_z, g.squeeze_minus, -0.5 * (a2_left - a2_right)),
         ("[jump_plus, squeeze_plus] - (ad_x_ad - ad2_left)",
-         commutator(g.jump_plus, g.squeeze_plus) - (ad_x_ad - ad2_left)),
+         g.jump_plus, g.squeeze_plus, -(ad_x_ad - ad2_left)),
         ("[jump_plus, squeeze_minus] - (a_x_a - a2_right)",
-         commutator(g.jump_plus, g.squeeze_minus) - (a_x_a - a2_right)),
+         g.jump_plus, g.squeeze_minus, -(a_x_a - a2_right)),
         ("[jump_minus, squeeze_plus] - (ad2_right - ad_x_ad)",
-         commutator(g.jump_minus, g.squeeze_plus) - (ad2_right - ad_x_ad)),
+         g.jump_minus, g.squeeze_plus, -(ad2_right - ad_x_ad)),
         ("[jump_minus, squeeze_minus] - (a2_left - a_x_a)",
-         commutator(g.jump_minus, g.squeeze_minus) - (a2_left - a_x_a)),
+         g.jump_minus, g.squeeze_minus, -(a2_left - a_x_a)),
     ]
+
+
+def _frobenius(m) -> float:
+    """Frobenius norm of a generator, dense or CSR (one entry per slot)."""
+    return float(np.linalg.norm(m.data if sp.issparse(m) else m))
 
 
 def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
@@ -294,7 +287,7 @@ def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
     generators of cached_generators, or an existing SuperOpGenerators,
     CSR or dense (the ladder operators for the right-hand sides are then
     rebuilt from its dim and theta).  The residual for each
-    identity is the Frobenius norm of P (computed - expected) P with P the
+    identity is the Frobenius norm of P ([A, B] + C) P with P the
     interior projector at the given margin; margin 2 is enough to remove
     every truncation artifact because no generator moves a slot index by
     more than 2.
@@ -306,8 +299,11 @@ def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
         ops = ops_or_gen
         gen = cached_generators(ops.dim, ops.theta)
     d = gen.dim
-    empty = margin >= d
-    entries = [IdentityResidual(label, projected_residual(delta, d, margin))
-               for label, delta in _identity_table(gen, ops)]
-    return AlgebraReport(dim=d, margin=int(margin), empty_interior=empty,
-                         entries=entries)
+    rows = _identity_table(gen, ops)
+    entries = [IdentityResidual(label, projected_residual(
+                   commutator(a, b) if c is None else commutator(a, b) + c, d, margin))
+               for label, a, b, c in rows]
+    threshold = np.finfo(float).eps * max(_frobenius(a) * _frobenius(b)  # eps is 2u
+                                          for _, a, b, _ in rows)
+    return AlgebraReport(dim=d, margin=int(margin), empty_interior=margin >= d,
+                         threshold=threshold, entries=entries)

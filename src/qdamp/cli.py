@@ -11,9 +11,9 @@ otherwise to the config's "output", otherwise to stdout.  A comment line
 in it begins with "# ".  verify-algebra prints its report to stdout.
 
 Exit codes: 0 success, 1 config/parse error, a value the library
-rejects or an output path that cannot be written (also a failed
-verification verdict), 2 positivity rejection in strict mode, 3
-numerical failure or an allocation that does not fit in memory.
+rejects or an output path that cannot be written (also a FAIL verdict,
+a residual above the report's threshold), 2 positivity rejection in
+strict mode, 3 numerical failure or an allocation that does not fit in memory.
 All CSV output is deterministic: identical config gives bit-identical
 bytes.
 """
@@ -41,7 +41,6 @@ EXIT_CONFIG = 1
 EXIT_POSITIVITY = 2
 EXIT_NUMERICAL = 3
 
-ALGEBRA_TOL = 1e-12
 MIN_DIM = 2
 MAX_DIM = 64
 
@@ -337,8 +336,8 @@ def cmd_verify_algebra(dim: int, margin: int, theta: float) -> int:
     if margin < 0:
         raise ConfigError("margin must be >= 0")
     report = verify_algebra(build_fock_ops(dim, theta=theta), margin=margin)
-    print(report.to_text(ALGEBRA_TOL))
-    return EXIT_OK if report.all_within(ALGEBRA_TOL) else EXIT_CONFIG
+    print(report.to_text())
+    return EXIT_OK if report.all_within() else EXIT_CONFIG
 
 
 def cmd_convergence(cfg: RunConfig) -> tuple:
@@ -480,3 +479,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

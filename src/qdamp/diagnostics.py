@@ -93,7 +93,7 @@ def _fit_slope(xs, errs):
     errs = np.asarray(errs, dtype=float)
     usable = errs > SLOPE_FIT_FLOOR
     exact = bool(np.all(errs < NOISE_FLOOR))
-    if usable.sum() < 2:
+    if np.unique(xs[usable]).size < 2:     # a line needs two distinct x
         return None, None, exact
     lx = np.log(xs[usable])
     le = np.log(errs[usable])
@@ -112,17 +112,17 @@ def convergence_study(params, rho0, method: str = "factorized", *,
     near +2 for the splittings), one propagate_sweep per method over the
     sorted distinct times, so the exact reference is one chain.  With
     n_steps_values the fixed horizon t_final is divided into n equal
-    steps (global error, slope near -1).
+    steps (global error, slope near -1), each distinct n once.
     Error points at the numerical noise floor are excluded from the slope
-    fit; if every point is below it the table reports exact_within_noise
-    and omits the slope.
+    fit, and a slope needs two distinct x among the rest; otherwise it is
+    omitted.  If every point is below the floor the table reports
+    exact_within_noise.
     """
     from . import propagators  # deferred: propagators imports this module
 
     if (t_values is None) == (n_steps_values is None):
         raise ValueError("give exactly one of t_values or n_steps_values")
 
-    frob_errs, tdist_errs = [], []
     if t_values is not None:
         xs = [float(t) for t in t_values]
         if len(xs) < 2 or any(t <= 0 for t in xs):
@@ -132,7 +132,6 @@ def convergence_study(params, rho0, method: str = "factorized", *,
         approx, exact = (propagators.propagate_sweep([params], rho0, grid, m)[0]
                          for m in (method, "exact"))
         at = {t: compare_states(a.rho_t, e.rho_t) for t, a, e in zip(grid, approx, exact)}
-        frob_errs, tdist_errs = map(list, zip(*(at[t] for t in xs)))
     else:
         if t_final is None or float(t_final) <= 0:
             raise ValueError("n_steps mode needs a positive t_final")
@@ -146,13 +145,13 @@ def convergence_study(params, rho0, method: str = "factorized", *,
             raise ValueError("n_steps_values needs at least two counts >= 1")
         mode = "global_steps"
         exact = propagators.propagate(params, rho0, float(t_final), method="exact")
-        for n in xs:
+        at = {}
+        for n in dict.fromkeys(xs):
             approx = propagators.stepped_propagate(params, rho0, float(t_final),
                                                    n_steps=n, method=method)
-            frob, tdist = compare_states(approx.rho_t, exact.rho_t)
-            frob_errs.append(frob)
-            tdist_errs.append(tdist)
+            at[n] = compare_states(approx.rho_t, exact.rho_t)
 
+    frob_errs, tdist_errs = map(list, zip(*(at[x] for x in xs)))
     slope, fit_residual, exact_noise = _fit_slope(xs, frob_errs)
     return ConvergenceTable(
         mode=mode, method=method, xs=tuple(float(x) for x in xs),

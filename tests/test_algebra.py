@@ -1,4 +1,6 @@
 """Superoperator generator families and their commutation relations."""
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,24 +14,38 @@ from qdamp.fock import build_fock_ops
 
 TOL = 1e-12
 
+# The commutator [A, B] of each of the 23 identities, in report order.
+IDENTITY_OPERANDS = (
+    ("jump_z", "jump_plus"), ("jump_z", "jump_minus"), ("jump_plus", "jump_minus"),
+    ("pair_z", "pair_plus"), ("pair_z", "pair_minus"), ("pair_plus", "pair_minus"),
+    ("sym_z", "sym_plus"), ("sym_z", "sym_minus"), ("sym_plus", "sym_minus"),
+    ("squeeze_z", "squeeze_plus"), ("squeeze_z", "squeeze_minus"),
+    ("squeeze_plus", "squeeze_minus"),
+    ("pair_plus", "sym_plus"), ("pair_minus", "sym_minus"),
+    ("squeeze_z", "jump_z"), ("squeeze_z", "jump_plus"), ("squeeze_z", "jump_minus"),
+    ("jump_z", "squeeze_plus"), ("jump_z", "squeeze_minus"),
+    ("jump_plus", "squeeze_plus"), ("jump_plus", "squeeze_minus"),
+    ("jump_minus", "squeeze_plus"), ("jump_minus", "squeeze_minus"),
+)
+
 
 def test_all_identities_hold_on_interior():
     report = verify_algebra(build_fock_ops(8), margin=2)
-    assert report.all_within(TOL)
+    assert report.all_within()
     assert report.max_residual <= TOL
     assert len(report.entries) == 23
 
 
 def test_identities_hold_with_phase_convention():
     report = verify_algebra(build_fock_ops(8, theta=0.3), margin=2)
-    assert report.all_within(TOL)
+    assert report.all_within()
 
 
 def test_verify_accepts_prebuilt_generators():
     gen = build_generators(build_fock_ops(6, theta=0.5))
     assert gen.theta == 0.5
     report = verify_algebra(gen, margin=2)
-    assert report.all_within(TOL)
+    assert report.all_within()
     assert report.dim == 6
     # dense generators and the CSR ones behind FockOperators input give the
     # same table, edge artifacts (margin 0) included
@@ -39,6 +55,7 @@ def test_verify_accepts_prebuilt_generators():
             dense = verify_algebra(build_generators(ops), margin=margin)
             csr = verify_algebra(ops, margin=margin)
             assert [e.label for e in dense.entries] == [e.label for e in csr.entries]
+            assert dense.threshold == pytest.approx(csr.threshold, rel=1e-14)
             for d_entry, c_entry in zip(dense.entries, csr.entries):
                 assert abs(d_entry.residual - c_entry.residual) <= 1e-13, (
                     theta, margin, d_entry.label)
@@ -197,7 +214,7 @@ def test_theta_scaling_laws():
 
 
 def test_report_text_contains_verdict_and_labels():
-    text = verify_algebra(build_fock_ops(6), margin=2).to_text(TOL)
+    text = verify_algebra(build_fock_ops(6), margin=2).to_text()
     assert "verdict: PASS" in text
     assert "[jump_plus, jump_minus] + 2 jump_z" in text
     assert "max_residual" in text
@@ -206,10 +223,41 @@ def test_report_text_contains_verdict_and_labels():
 def test_report_notes_empty_interior():
     report = verify_algebra(build_fock_ops(2), margin=2)
     assert report.empty_interior
-    assert report.all_within(TOL)
-    assert "empty" in report.to_text(TOL)
+    assert report.all_within()
+    assert "empty" in report.to_text()
 
 
 def test_report_fail_verdict_at_zero_margin():
-    text = verify_algebra(build_fock_ops(8), margin=0).to_text(TOL)
+    text = verify_algebra(build_fock_ops(8), margin=0).to_text()
     assert "verdict: FAIL" in text
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2, 3])
+@pytest.mark.parametrize("theta", [0.0, 0.3, -1.3, 2.9])
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 24, 32])
+def test_verdict_passes_from_margin_2_and_fails_at_margin_0(dim, theta, margin):
+    # the bar scales with the operands, so roundoff passes at every d and
+    # the truncation corner (margin 0) fails
+    report = verify_algebra(build_fock_ops(dim, theta), margin=margin)
+    *_, max_line, verdict_line = report.to_text().splitlines()
+    verdict = re.fullmatch(r"verdict: (PASS|FAIL) \(threshold (\S+)\)", verdict_line)
+    printed_pass = float(max_line.removeprefix("max_residual: ")) <= float(verdict.group(2))
+    assert report.all_within() == printed_pass == (verdict.group(1) == "PASS")
+    if margin >= 2:
+        assert report.all_within(), (report.max_residual, report.threshold)
+    if margin == 0:
+        assert not report.all_within(), (report.max_residual, report.threshold)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 8, 13])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_threshold_is_2u_times_the_largest_operand_norm_product(dim, theta):
+    ops = build_fock_ops(dim, theta)
+    report = verify_algebra(ops, margin=2)
+    assert [e.label[:e.label.index("]") + 1] for e in report.entries] == [
+        f"[{a}, {b}]" for a, b in IDENTITY_OPERANDS]
+    g = build_generators(ops)
+    norm = {name: np.linalg.norm(getattr(g, name))
+            for pair in IDENTITY_OPERANDS for name in pair}
+    want = 2.0 ** -52 * max(norm[a] * norm[b] for a, b in IDENTITY_OPERANDS)
+    assert report.threshold == pytest.approx(want, rel=1e-14)

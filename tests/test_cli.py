@@ -215,6 +215,44 @@ def test_verify_algebra_dim_bounds(capsys):
     assert "dim must be in 2..64" in capsys.readouterr().err
 
 
+def test_verify_algebra_passes_at_dim_24(capsys):
+    # roundoff of 1.384e-12 is correct algebra at d = 24; the bar, 2u times
+    # the largest operand norm product, is 2.770e-11 there
+    assert main(["verify-algebra", "--dim", "24", "--margin", "2"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: PASS (threshold 2.770e-11)"
+
+
+def test_benchmark_checker_accepts_verify_algebra_reports(monkeypatch, capsys):
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root))
+    from perfbench import checks, workloads
+
+    workload = workloads.build("verify-algebra", 0)
+    reference = (root / "perfbench" / "reference" / "verify-algebra"
+                 / "any-seed.out").read_text(encoding="utf-8")
+    code = main(workload.argv(None))
+    check = checks.check_op(workload, code, capsys.readouterr().out, reference)
+    assert code == EXIT_OK and check.ok, check.problems
+    assert check.golden_dev <= 1e-13
+    edge = replace(workloads.build("verify-algebra", 0, dim=8),
+                   extra_args=("--dim", "8", "--margin", "0"))
+    code = main(edge.argv(None))
+    check = checks.check_op(edge, code, capsys.readouterr().out, None)
+    assert code == EXIT_CONFIG and check.ok, check.problems
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(qdamp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for margin, code, verdict in (("2", EXIT_OK, "PASS"), ("0", EXIT_CONFIG, "FAIL")):
+        proc = subprocess.run([sys.executable, "-m", "qdamp.cli", "verify-algebra",
+                               "--dim", "6", "--margin", margin],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert f"verdict: {verdict}" in proc.stdout
+
+
 # ------------------------------------------------------------ convergence
 
 

@@ -132,6 +132,38 @@ def test_convergence_exact_within_noise_without_two_photon():
     assert all(e < NOISE_FLOOR for e in tab.errors_frobenius)
 
 
+@pytest.mark.parametrize("repeated", [{"t_values": (0.5, 0.5)},
+                                      {"n_steps_values": (4, 4), "t_final": 1.0}],
+                         ids=["local", "global"])
+def test_convergence_fits_no_slope_through_one_distinct_x(repeated):
+    # two points at one x give no line; polyfit on them is rank-deficient
+    p = ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=8)
+    tab = convergence_study(p, fock_state(8, 1), method="factorized", **repeated)
+    assert tab.errors_frobenius[0] == tab.errors_frobenius[1] > 1e-6
+    assert tab.slope is None and tab.fit_residual is None
+    assert not tab.exact_within_noise
+
+
+def test_convergence_global_mode_evaluates_each_distinct_n_once(monkeypatch):
+    from qdamp import propagators
+
+    calls = []
+    stepped = propagators.stepped_propagate
+
+    def counted(*args, n_steps, **kwargs):
+        calls.append(n_steps)
+        return stepped(*args, n_steps=n_steps, **kwargs)
+
+    monkeypatch.setattr(propagators, "stepped_propagate", counted)
+    p = ModelParams(omega=1.0, mu=0.5, nu=0.2, kappa=0.12 + 0.06j, dim=8)
+    tab = convergence_study(p, fock_state(8, 1), method="factorized",
+                            n_steps_values=(4, 2, 4, 8), t_final=1.0)
+    assert calls == [4, 2, 8]
+    assert tab.xs == (4.0, 2.0, 4.0, 8.0)
+    assert tab.errors_frobenius[0] == tab.errors_frobenius[2]
+    assert -1.2 <= tab.slope <= -0.8
+
+
 def test_convergence_argument_validation():
     p = ModelParams(omega=1.0, mu=0.5, nu=0.1, kappa=0.0, dim=6)
     rho0 = fock_state(6, 0)

@@ -4,7 +4,9 @@
 
 The set is the four benchmark workloads (perfbench.workloads.build) at
 seeds 0 and 3, a global convergence study and a t-sweep with repeated
-and zero times, the last two on the README model at dim 12.  Each run
+and zero times, the last two on the README model at dim 12, and
+verify-algebra at dim 8 with margin 0 (a FAIL report) and at dim 12
+with margin 2 and theta 0.3.  Each run
 calls qdamp.cli.main in this process with its output on stdout; the
 line for it is "<sha256 of those bytes>  <name>".  Two checkouts that
 print the same lines write the same bytes on every run in the set.  A
@@ -40,6 +42,10 @@ def runs():
     yield "t-sweep", "sweep", dict(
         base, methods=list(workloads.ALL_METHODS),
         sweep={"param": "t", "values": [1.0, 0.0, 0.5, 1.0, 0.0, 2.0]}), []
+    yield "verify-algebra/dim-8-margin-0", "verify-algebra", None, [
+        "--dim", "8", "--margin", "0"]
+    yield "verify-algebra/dim-12-theta-0.3", "verify-algebra", None, [
+        "--dim", "12", "--margin", "2", "--theta", "0.3"]
 
 
 def main() -> int:
