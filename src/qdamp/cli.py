@@ -224,9 +224,9 @@ class RunConfig:
         _require_keys(c, "convergence", required=("method",),
                       optional=("t_values", "n_steps_values", "t_final"))
         method = c.get("method")
-        if method not in propagators.SUPEROP_METHODS:
+        if method not in propagators.METHODS:
             raise ConfigError("convergence.method must be one of "
-                              f"{list(propagators.SUPEROP_METHODS)}")
+                              f"{list(propagators.METHODS)}")
         has_local = "t_values" in c
         has_global = "n_steps_values" in c
         if has_local == has_global:
@@ -279,7 +279,7 @@ def _states(cfg: RunConfig, models: Sequence[ModelParams], rho0: np.ndarray,
     """
     out = {}
     for m in sorted(cfg.methods):
-        method, n_steps = ("factorized", cfg.n_steps) if m == "stepped" else (m, None)
+        method, n_steps = ("factorized", cfg.n_steps) if m == "stepped" else (m, 1)
         out[m] = [r.rho_t for per_model in propagators.propagate_sweep(
             models, rho0, times, method, n_steps) for r in per_model]
     return out

@@ -6,11 +6,13 @@ Hyperbolic group (real, driven by the damping/pumping rates mu, nu):
   scale(t)  = cosh(x) + ((mu+nu)/(mu-nu)) sinh(x),   x = (mu-nu) t / 2
   decay(t)  = (2 mu/(mu-nu)) sinh(x) / scale(t)
   pump(t)   = (2 nu/(mu-nu)) sinh(x) / scale(t)
+  prefactor(t) = exp(x), the closed-form maps' scalar factor
 decay weights the lowering jump exponential, pump the raising one, and
-scale**(-n1-n2-1) is the diagonal core of the jump-family factor.  All
-three have removable singularities at mu == nu, handled by a short Taylor
-branch in x (switched at |x| <= 1e-6, far above the distance where the
-direct formulas lose digits).
+scale**(-n1-n2-1) is the diagonal core of the jump-family factor.  The
+first three have removable singularities at mu == nu, handled by a short
+Taylor branch in x (switched at |x| <= 1e-6, far above the distance where
+the direct formulas lose digits).  cosh, sinh and exp overflow a double
+from |x| of about 709.8 on, and eval_coefficients raises NumericalError.
 
 Phase group (complex, driven by omega and the two-photon rate kappa):
   squeeze_up(t)   = conj(kappa) * h(t)
@@ -33,18 +35,21 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .linalg import NumericalError
+
 HYPERBOLIC_BRANCH_AT = 1e-6   # on x = (mu - nu) t / 2
 PHASE_BRANCH_AT = 1e-9        # on omega * t
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """All six weights evaluated at one time."""
+    """All seven weights evaluated at one time."""
 
     t: float
     decay: float
     pump: float
     scale: float
+    prefactor: float
     squeeze_up: complex
     phase: complex
     squeeze_down: complex
@@ -95,17 +100,21 @@ def check_time(t) -> float:
 
 
 def eval_coefficients(params, t: float) -> CoefficientSet:
-    """Evaluate all six weights for a model at time t >= 0."""
+    """Evaluate all seven weights for a model at time t >= 0;
+    NumericalError if one overflows or is not finite."""
     t = check_time(t)
-    decay, pump, scale = hyperbolic_weights(params.mu, params.nu, t)
+    x = 0.5 * (params.mu - params.nu) * t
+    try:
+        hyperbolic = hyperbolic_weights(params.mu, params.nu, t) + (math.exp(x),)
+    except OverflowError:
+        hyperbolic = (math.inf,) * 4
     kernel = phase_kernel(params.omega, t)
     kappa = complex(params.kappa)
-    return CoefficientSet(
-        t=t,
-        decay=decay,
-        pump=pump,
-        scale=scale,
-        squeeze_up=kappa.conjugate() * kernel,
-        phase=-2j * params.omega * t,
-        squeeze_down=kappa * kernel,
-    )
+    c = CoefficientSet(t, *hyperbolic, kappa.conjugate() * kernel,
+                       -2j * params.omega * t, kappa * kernel)
+    if not all(cmath.isfinite(w) for w in vars(c).values()):
+        raise NumericalError(
+            f"the closed-form weights overflow at (mu - nu) t / 2 = {x:.6g} "
+            "(a double holds cosh and exp up to about 709.8); the exact route, "
+            "or more steps of a splitting, stay in range")
+    return c

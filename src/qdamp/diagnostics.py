@@ -109,10 +109,12 @@ def convergence_study(params, rho0, method: str = "factorized", *,
 
     Exactly one of t_values / n_steps_values must be given.  With t_values
     the method is applied in a single shot at each time (local error, slope
-    near +2 for the splittings), one propagate_sweep per method over the
-    sorted distinct times, so the exact reference is one chain.  With
-    n_steps_values the fixed horizon t_final is divided into n equal
-    steps (global error, slope near -1), each distinct n once.
+    near +2 for the splittings).  With n_steps_values the fixed horizon
+    t_final is divided into n equal steps (global error, slope near -1).
+    Every state comes from propagate_sweep: one approximate pass over the
+    sorted distinct times per distinct n (local mode is the single n = 1),
+    then one exact pass over those times.  The step counts are checked as
+    propagate_sweep checks its n_steps.
     Error points at the numerical noise floor are excluded from the slope
     fit, and a slope needs two distinct x among the rest; otherwise it is
     omitted.  If every point is below the floor the table reports
@@ -128,30 +130,25 @@ def convergence_study(params, rho0, method: str = "factorized", *,
         if len(xs) < 2 or any(t <= 0 for t in xs):
             raise ValueError("t_values needs at least two positive times")
         mode = "local_time"
-        grid = sorted(set(xs))
-        approx, exact = (propagators.propagate_sweep([params], rho0, grid, m)[0]
-                         for m in (method, "exact"))
-        at = {t: compare_states(a.rho_t, e.rho_t) for t, a, e in zip(grid, approx, exact)}
+        points = [(t, 1) for t in xs]
     else:
         if t_final is None or float(t_final) <= 0:
             raise ValueError("n_steps mode needs a positive t_final")
-        # as in stepped_propagate: bool is an int subclass, and a float
-        # such as 2.7 is not a step count
-        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
-               for n in n_steps_values):
-            raise ValueError(f"n_steps_values must be integers, got {list(n_steps_values)!r}")
-        xs = [int(n) for n in n_steps_values]
-        if len(xs) < 2 or any(n < 1 for n in xs):
-            raise ValueError("n_steps_values needs at least two counts >= 1")
+        xs = [propagators._check_steps(n) for n in n_steps_values]
+        if len(xs) < 2:
+            raise ValueError("n_steps_values needs at least two counts")
         mode = "global_steps"
-        exact = propagators.propagate(params, rho0, float(t_final), method="exact")
-        at = {}
-        for n in dict.fromkeys(xs):
-            approx = propagators.stepped_propagate(params, rho0, float(t_final),
-                                                   n_steps=n, method=method)
-            at[n] = compare_states(approx.rho_t, exact.rho_t)
+        points = [(float(t_final), n) for n in xs]
 
-    frob_errs, tdist_errs = map(list, zip(*(at[x] for x in xs)))
+    times = sorted({t for t, _ in points})
+    approx = {n: propagators.propagate_sweep([params], rho0, times, method, n)[0]
+              for n in dict.fromkeys(n for _, n in points)}
+    exact = propagators.propagate_sweep([params], rho0, times, "exact")[0]
+    at = {(t, n): compare_states(a.rho_t, e.rho_t)
+          for n, per_time in approx.items()
+          for t, a, e in zip(times, per_time, exact)}
+
+    frob_errs, tdist_errs = map(list, zip(*(at[point] for point in points)))
     slope, fit_residual, exact_noise = _fit_slope(xs, frob_errs)
     return ConvergenceTable(
         mode=mode, method=method, xs=tuple(float(x) for x in xs),

@@ -48,6 +48,7 @@ import scipy.sparse as sp
 from .algebra import build_generators, cached_generators  # noqa: F401
 from .fock import FockOperators, build_fock_ops
 
+# relative: strict mode admits mu*nu (1 + slack) >= |kappa|^2 at any rate scale
 POSITIVITY_SLACK = 1e-12
 
 
@@ -90,7 +91,7 @@ class ModelParams:
 
     @property
     def positivity_satisfied(self) -> bool:
-        return self.mu * self.nu + POSITIVITY_SLACK >= abs(self.kappa) ** 2
+        return self.mu * self.nu * (1.0 + POSITIVITY_SLACK) >= abs(self.kappa) ** 2
 
     def require_positivity(self) -> None:
         if not self.positivity_satisfied:

@@ -67,10 +67,13 @@ forms its dense block exponentials, which is faster at that size.  A
 uniform grid costs one step map.  exact_superop, the full dense exp(t L)
 without the parity split, is the test oracle only: no route calls it.
 
-propagate_sweep runs a route over models x times in one of two shapes:
-the exact chain over the union of every time's step times, or one
-_columns call through one kernel (_series_pass, _closed_form_pass, or
-the dense step maps' _step_map_pass).
+propagate_sweep is the only way into a route, and METHODS the only list
+of routes.  It runs a route over models x times, each time in n_steps
+steps (an int >= 1), in one of two shapes: the exact chain over the
+union of every time's step times, or one _columns call through one
+kernel (_series_pass, _closed_form_pass, or the dense step maps'
+_step_map_pass).  propagate, stepped_propagate and
+operator_series_solution are its one-model, one-time calls.
 
 Every map here multiplies a vectorized state by construction, so a state
 whose population stays away from the truncation edge preserves trace and
@@ -80,7 +83,6 @@ access rather than asserting them.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -153,9 +155,7 @@ CLOSED_FORM_BLOCK_BYTES = 2 ** 24
 # The kernel's memory report, read for the memory estimates.
 MEMINFO = "/proc/meminfo"
 
-CLOSED_FORM_METHODS = ("factorized", "alternative")
-SUPEROP_METHODS = ("exact",) + CLOSED_FORM_METHODS
-METHODS = SUPEROP_METHODS + ("series",)
+METHODS = ("exact", "factorized", "alternative", "series")
 
 
 @dataclass(frozen=True)
@@ -168,11 +168,6 @@ class PropagationResult:
     def diagnostics(self) -> DiagnosticsRecord:
         """state_diagnostics(rho_t) at the default margin, computed on access."""
         return state_diagnostics(self.rho_t)
-
-
-def _check_method(method: str) -> None:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def _check_state(rho0, dim: int) -> np.ndarray:
@@ -296,8 +291,7 @@ def _closed_form(models, times, method: str):
     share dim and theta."""
     g = cached_generators(models[0].dim, models[0].theta)
     cs = [eval_coefficients(p, t) for p, t in zip(models, times)]
-    pref = np.array([math.exp(0.5 * (p.mu - p.nu) * t)
-                     for p, t in zip(models, times)])
+    pref = np.array([c.prefactor for c in cs])
     if method == "factorized":
         return pref, _squeeze_stages(cs, g) + _jump_stages(cs, g)
     rotation = np.array([-1j * p.omega * t for p, t in zip(models, times)])
@@ -453,8 +447,7 @@ def operator_series_solution(params: ModelParams, rho0, t: float) -> Propagation
     rescale, pump-jump sum, and the scalar prefactor: _series_pass's one
     column.  Algebraically identical to factorized_superop.
     """
-    rho0 = _check_state(rho0, params.dim)
-    return _result(unvec(_series_pass([params], [t], vec(rho0), 1)), "series", t)
+    return propagate_sweep((params,), rho0, (t,), "series")[0][0]
 
 
 def _series_pass(models, times, x: np.ndarray, n_steps: int) -> np.ndarray:
@@ -469,8 +462,7 @@ def _series_pass(models, times, x: np.ndarray, n_steps: int) -> np.ndarray:
                              ("squeeze_down", "squeeze_up", "decay", "pump"))
     half_phase = np.array([np.exp(0.5 * c.phase * levels) for c in cs])
     core = np.array([c.scale ** -levels for c in cs])
-    pref = np.array([math.exp(0.5 * (p.mu - p.nu) * t) / c.scale
-                     for p, t, c in zip(models, times, cs)])[:, None, None]
+    pref = np.array([c.prefactor / c.scale for c in cs])[:, None, None]
     rho = np.repeat(unvec(x)[None], n, axis=0)
     for _ in range(n_steps):
         # phase part: lowering layer, phase diagonal, raising layer
@@ -674,17 +666,17 @@ def _check_grid(times) -> list[float]:
 
 
 def propagate_sweep(models, rho0, times, method: str = "exact",
-                    n_steps=None) -> list[list[PropagationResult]]:
+                    n_steps: int = 1) -> list[list[PropagationResult]]:
     """Evolve rho0 under each of models to each of times, one pass per route.
 
     The models must share dim and theta; times must be finite, >= 0 and
-    nondecreasing.  Item [j][k] is models[j] at times[k]: propagate's
-    map, or with n_steps stepped_propagate's.  The exact route is the
-    semigroup exp(t L) of each model, chained from t = 0 (_exact_chain)
-    over one grid, the sorted union of every time's step times
-    t / n * k, k = 1..n (n = 1 without n_steps), and item k is the state
-    at times[k] / n * n; a uniform grid forms one step map and a
-    repeated time none.  It evolves direct sums of the models' parity
+    nondecreasing; n_steps is an integer >= 1.  Item [j][k] is models[j]
+    at times[k]: stepped_propagate's map, which at n_steps = 1 is
+    propagate's.  The exact route is the semigroup exp(t L) of each
+    model, chained from t = 0 (_exact_chain) over one grid, the sorted
+    union of every time's step times t / n * k, k = 1..n, and item k is
+    the state at times[k] / n * n; a uniform grid forms one step map and
+    a repeated time none.  It evolves direct sums of the models' parity
     blocks, each over the models whose blocks have norms within
     DIRECT_SUM_NORM_RATIO, one chain per chunk of the fewest that fit in
     the available memory, and raises MemoryError before building
@@ -695,12 +687,13 @@ def propagate_sweep(models, rho0, times, method: str = "exact",
     which estimates the dense step map's memory first; such an item has
     the bits of a call with that model and time alone.
     """
-    _check_method(method)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     models = _check_models(models)
     dim = models[0].dim
     rho0 = _check_state(rho0, dim)
     times = _check_grid(times)
-    n = 1 if n_steps is None else _check_steps(n_steps)
+    n = _check_steps(n_steps)
     if method == "exact":
         ends = Counter(t / n * n for t in times)     # items per grid time
         grid = sorted({t / n * k for t in times for k in range(1, n + 1)})
@@ -718,7 +711,8 @@ def propagate_sweep(models, rho0, times, method: str = "exact",
                   else lambda *args: splitting(method, *args))
         rhos = _columns([(p, t) for p in models for t in times], rho0, n, kernel)
     states = iter(rhos)
-    return [[_result(next(states), method, t) for t in times] for _ in models]
+    return [[PropagationResult(rho_t=next(states), method=method, t=float(t))
+             for t in times] for _ in models]
 
 
 def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
@@ -737,7 +731,7 @@ def stepped_propagate(params: ModelParams, rho0, t: float, n_steps: int,
     (_step_map_pass), after estimating that map's memory; it raises
     MemoryError if the estimate exceeds the available memory.
     """
-    return propagate_sweep((params,), rho0, (t,), method, _check_steps(n_steps))[0][0]
+    return propagate_sweep((params,), rho0, (t,), method, n_steps)[0][0]
 
 
 def propagate(params: ModelParams, rho0, t: float, method: str = "exact") -> PropagationResult:
@@ -752,7 +746,3 @@ def propagate(params: ModelParams, rho0, t: float, method: str = "exact") -> Pro
     operator_series_solution.
     """
     return propagate_sweep((params,), rho0, (t,), method)[0][0]
-
-
-def _result(rho_t: np.ndarray, method: str, t: float) -> PropagationResult:
-    return PropagationResult(rho_t=rho_t, method=method, t=float(t))

@@ -106,7 +106,7 @@ def test_config_round_trip_is_lossless():
     (lambda c: c.update(margin=-2), "margin"),
     (lambda c: c.update(sweep={"param": "dim", "values": [4]}), "sweep.param"),
     (lambda c: c.update(sweep={"param": "mu", "values": []}), "nonempty"),
-    (lambda c: c.update(convergence={"method": "series",
+    (lambda c: c.update(convergence={"method": "stepped",
                                      "t_values": [0.1, 0.2]}), "convergence.method"),
     (lambda c: c.update(convergence={"method": "factorized"}), "exactly one"),
 ])
@@ -281,6 +281,45 @@ def test_convergence_reports_exactness_without_two_photon(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "# exact_within_noise = true" in out
     assert "# slope = nan" in out
+
+
+@pytest.mark.parametrize("study", [
+    {"t_values": [0.4, 0.1, 0.2, 0.1]},
+    {"n_steps_values": [4, 1, 2, 8], "t_final": 1.3},
+], ids=["local", "global"])
+def test_series_convergence_matches_factorized(tmp_path, capsys, study):
+    """The series route evaluates the factorized map, so its study has
+    the factorized study's table to roundoff."""
+    model = {"omega": 1.0, "mu": 0.5, "nu": 0.2, "kappa_re": 0.12,
+             "kappa_im": 0.06, "theta": 0.3, "dim": 10}
+    tables = {}
+    for method in ("series", "factorized"):
+        path = write_config(tmp_path, model=model,
+                            convergence=dict(study, method=method))
+        assert main(["convergence", "--config", path]) == EXIT_OK
+        tables[method] = csv_rows(capsys.readouterr().out)
+    series, factorized = tables["series"], tables["factorized"]
+    assert [r[1] for r in series] == ["series"] * 4
+    assert [r[2] for r in series] == [r[2] for r in factorized]
+    for a, b in zip(series, factorized):
+        assert float(a[3]) > 1e-6
+        np.testing.assert_allclose([float(x) for x in a[3:]],
+                                   [float(x) for x in b[3:]],
+                                   rtol=0, atol=1e-14)
+
+
+def test_closed_form_weight_overflow_exits_3_with_one_line(tmp_path, capsys):
+    """At (mu - nu) t / 2 = 1000 the closed-form weights overflow a
+    double; the run stops with one error line, no traceback."""
+    for method in ("factorized", "alternative", "series"):
+        path = write_config(tmp_path, methods=["exact", method],
+                            model={"omega": 1.0, "mu": 1.0, "nu": 0.0, "dim": 6},
+                            times=[0.0, 2000.0])
+        assert main(["simulate", "--config", path]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: the closed-form weights "
+                              "overflow at (mu - nu) t / 2 = 1000"), err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_convergence_requires_its_section(tmp_path, capsys):
@@ -731,7 +770,7 @@ def test_cli_reads_only_the_sweep_driver_and_method_names_of_propagators():
     read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "propagators"}
-    assert read == {"propagate_sweep", "METHODS", "SUPEROP_METHODS"}
+    assert read == {"propagate_sweep", "METHODS"}
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module
                 and node.module.endswith("propagators")]

@@ -148,17 +148,18 @@ def test_convergence_global_mode_evaluates_each_distinct_n_once(monkeypatch):
     from qdamp import propagators
 
     calls = []
-    stepped = propagators.stepped_propagate
+    sweep = propagators.propagate_sweep
 
-    def counted(*args, n_steps, **kwargs):
-        calls.append(n_steps)
-        return stepped(*args, n_steps=n_steps, **kwargs)
+    def counted(models, rho0, times, method, n_steps=1):
+        calls.append((method, n_steps))
+        return sweep(models, rho0, times, method, n_steps)
 
-    monkeypatch.setattr(propagators, "stepped_propagate", counted)
+    monkeypatch.setattr(propagators, "propagate_sweep", counted)
     p = ModelParams(omega=1.0, mu=0.5, nu=0.2, kappa=0.12 + 0.06j, dim=8)
     tab = convergence_study(p, fock_state(8, 1), method="factorized",
                             n_steps_values=(4, 2, 4, 8), t_final=1.0)
-    assert calls == [4, 2, 8]
+    assert [n for m, n in calls if m == "factorized"] == [4, 2, 8]
+    assert calls.count(("exact", 1)) == 1 and len(calls) == 4
     assert tab.xs == (4.0, 2.0, 4.0, 8.0)
     assert tab.errors_frobenius[0] == tab.errors_frobenius[2]
     assert -1.2 <= tab.slope <= -0.8
@@ -177,9 +178,9 @@ def test_convergence_argument_validation():
         convergence_study(p, rho0, t_values=(0.0, 0.5))
     with pytest.raises(ValueError, match="t_final"):
         convergence_study(p, rho0, n_steps_values=(2, 4))
-    with pytest.raises(ValueError, match="counts >= 1"):
+    with pytest.raises(ValueError, match="n_steps must be an integer >= 1"):
         convergence_study(p, rho0, n_steps_values=(0, 4), t_final=1.0)
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match="n_steps must be an integer >= 1"):
         convergence_study(p, rho0, n_steps_values=[True, 2], t_final=1.0)
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match="n_steps must be an integer >= 1"):
         convergence_study(p, rho0, n_steps_values=[2.7, 4], t_final=1.0)

@@ -66,6 +66,21 @@ class TestModelParams:
             p.require_positivity()
 
 
+@settings(max_examples=200)
+@given(scale=st.floats(-8.0, 6.0), mu=st.floats(0.05, 1.0), nu=st.floats(0.05, 1.0),
+       phase=st.floats(-np.pi, np.pi))
+def test_positivity_slack_is_relative_at_every_rate_scale(scale, mu, nu, phase):
+    """Over rates from 1e-8 to 1e6, a model on the edge |kappa| =
+    sqrt(mu nu) is admitted, and |kappa| 1e-9 above it, or nu = 0 with
+    kappa != 0, is not."""
+    mu, nu = mu * 10.0 ** scale, nu * 10.0 ** scale
+    kappa = np.sqrt(mu * nu) * np.exp(1j * phase)
+    edge = ModelParams(omega=1.0, mu=mu, nu=nu, kappa=kappa, dim=4)
+    assert edge.positivity_satisfied
+    assert not replace(edge, kappa=kappa * (1.0 + 1e-9)).positivity_satisfied
+    assert not replace(edge, nu=0.0).positivity_satisfied
+
+
 def _direct_rhs(p: ModelParams, rho: np.ndarray) -> np.ndarray:
     """Master-equation right-hand side by plain matrix products."""
     ops = p.fock_ops()

@@ -4,11 +4,13 @@ Tolerances are pinned from measured headroom; structural identities
 (kappa independence, adjoint swap, semigroup) get roundoff-level bars.
 """
 
+import ast
 import cmath
 import itertools
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from oracles import (exact_superop_extended, form_one, form_two, l_factor_six,
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdamp import propagators
+from qdamp import diagnostics, propagators
 from qdamp.algebra import build_generators
 from qdamp.coefficients import eval_coefficients
 from qdamp.diagnostics import compare_states
@@ -1046,7 +1048,7 @@ def test_closed_form_grid_evaluates_each_distinct_positive_time_once(monkeypatch
     is a copy of its first column."""
     p, rho0 = _readme_model(12), coherent_state(12, 0.8)
     times = [0.0, 0.0, 0.5, 0.5, 0.5, 1.25]
-    for method in propagators.CLOSED_FORM_METHODS:
+    for method in ("factorized", "alternative"):
         pref, stages = propagators._closed_form([p], [0.0], method)
         at_zero = propagators._apply(stages, vec(rho0)[:, None], 12) * pref
         assert at_zero[:, 0].tobytes() == vec(rho0).tobytes()
@@ -1058,7 +1060,7 @@ def test_closed_form_grid_evaluates_each_distinct_positive_time_once(monkeypatch
         return real(models, ts, method)
 
     monkeypatch.setattr(propagators, "_closed_form", recording)
-    for method in propagators.CLOSED_FORM_METHODS:
+    for method in ("factorized", "alternative"):
         columns.clear()
         grid = propagate_sweep([p], rho0, times, method)[0]
         assert columns == [[0.5, 1.25]]
@@ -1448,3 +1450,48 @@ def test_stepped_validates_step_count():
         stepped_propagate(p, rho0, 1.0, True)
     with pytest.raises(ValueError, match="unknown method"):
         stepped_propagate(p, rho0, 1.0, n_steps=2, method="spectral")
+    with pytest.raises(ValueError, match="n_steps must be an integer >= 1, got None"):
+        propagate_sweep([p], rho0, [1.0], "factorized", None)
+
+
+@pytest.mark.parametrize("mu, nu, t", [(1.0, 0.0, 2000.0), (1.0, 0.0, 1420.5),
+                                       (400.0, 100.0, 5.0), (100.0, 1000.0, 2.0)])
+def test_closed_form_routes_raise_when_their_weights_overflow(mu, nu, t):
+    """cosh, sinh or exp of (mu - nu) t / 2 overflows a double from about
+    709.8 on (at t = 1420.5 exp does, cosh does not): each closed-form
+    route, and a one-step splitting, raises NumericalError; the exact
+    route and an 8-step splitting stay in range."""
+    p = ModelParams(omega=1.0, mu=mu, nu=nu, kappa=0.0, dim=6)
+    rho0 = fock_state(6, 1)
+    match = r"overflow at \(mu - nu\) t / 2 = "
+    for method in ("factorized", "alternative", "series"):
+        with pytest.raises(NumericalError, match=match):
+            propagate(p, rho0, t, method)
+        with pytest.raises(NumericalError, match=match):
+            stepped_propagate(p, rho0, t, 1, method)
+    for res in (propagate(p, rho0, t), stepped_propagate(p, rho0, t, 8)):
+        assert np.isfinite(res.rho_t).all()
+
+
+def test_only_the_sweep_driver_evaluates_a_route():
+    """In propagators, only propagate_sweep names the exact chain, the
+    column driver and the three column kernels, and convergence_study
+    reaches the routes through propagate_sweep alone."""
+    kernels = {"_exact_chain", "_columns", "_series_pass", "_closed_form_pass",
+               "_step_map_pass"}
+    tree = ast.parse(Path(propagators.__file__).read_text(encoding="utf-8"))
+    named = {}
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id in kernels:
+                named.setdefault(sub.id, set()).add(getattr(node, "name", None))
+    assert named == {name: {"propagate_sweep"} for name in kernels}
+
+    tree = ast.parse(Path(diagnostics.__file__).read_text(encoding="utf-8"))
+    study = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "convergence_study")
+    called = [node.func.attr for node in ast.walk(study)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "propagators"]
+    assert set(called) == {"propagate_sweep", "_check_steps"}

@@ -3,8 +3,9 @@
     python tools/csv_digest.py
 
 The set is the four benchmark workloads (perfbench.workloads.build) at
-seeds 0 and 3, a global convergence study and a t-sweep with repeated
-and zero times, the last two on the README model at dim 12, and
+seeds 0 and 3, a global convergence study, a local one with a repeated
+time, a global one of the series route and a t-sweep with repeated and
+zero times, these four on the README model at dim 12, and
 verify-algebra at dim 8 with margin 0 (a FAIL report) and at dim 12
 with margin 2 and theta 0.3.  Each run
 calls qdamp.cli.main in this process with its output on stdout; the
@@ -38,6 +39,12 @@ def runs():
     base = workloads.build("readme-simulate", 0, dim=12).config
     yield "convergence-global", "convergence", dict(
         base, convergence={"method": "factorized", "n_steps_values": [1, 2, 4, 8],
+                           "t_final": 1.0}), []
+    yield "convergence-local", "convergence", dict(
+        base, convergence={"method": "alternative",
+                           "t_values": [0.4, 0.1, 0.2, 0.1]}), []
+    yield "convergence-series", "convergence", dict(
+        base, convergence={"method": "series", "n_steps_values": [1, 2, 4, 8],
                            "t_final": 1.0}), []
     yield "t-sweep", "sweep", dict(
         base, methods=list(workloads.ALL_METHODS),

@@ -50,14 +50,14 @@ def main(argv=None) -> None:
     parser.add_argument("--dims", type=int, nargs="+", default=[16, 24, 32, 48, 64])
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
-    for n_steps in (None, STEPS):
+    for n_steps in (1, STEPS):
         table(args.dims, args.repeats, n_steps)
 
 
 def table(dims, repeats: int, n_steps) -> None:
-    """One row per d of each route's median ms, over n_steps steps if given."""
-    last = " 9 x state_diagnostics |" if n_steps is None else ""
-    steps = "one pass" if n_steps is None else f"{n_steps} steps"
+    """One row per d of each route's median ms, over n_steps steps."""
+    last = " 9 x state_diagnostics |" if n_steps == 1 else ""
+    steps = "one pass" if n_steps == 1 else f"{n_steps} steps"
     print(f"\nREADME grid, {steps} per route, median ms:\n")
     print("| d  | " + " | ".join(METHODS) + " |" + last)
     print("|---:|" + "---:|" * (len(METHODS) + bool(last)))
