@@ -44,6 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import FockOperators, build_fock_ops
+from .linalg import check_margin
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,7 @@ def interior_mask(dim: int, margin: int) -> np.ndarray:
     margin >= dim yields an empty interior (all False); that degenerate case
     is legal and simply means no slot survives projection.
     """
-    if not isinstance(margin, (int, np.integer)) or margin < 0:
-        raise ValueError(f"margin must be an integer >= 0, got {margin!r}")
-    keep = np.arange(dim) <= dim - 1 - margin
+    keep = np.arange(dim) <= dim - 1 - check_margin(margin)
     return np.kron(keep, keep).astype(bool)
 
 
@@ -290,8 +289,9 @@ def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
     identity is the Frobenius norm of P ([A, B] + C) P with P the
     interior projector at the given margin; margin 2 is enough to remove
     every truncation artifact because no generator moves a slot index by
-    more than 2.
+    more than 2.  The margin is checked before any commutator is formed.
     """
+    margin = check_margin(margin)
     if isinstance(ops_or_gen, SuperOpGenerators):
         gen = ops_or_gen
         ops = build_fock_ops(gen.dim, gen.theta)
@@ -305,5 +305,5 @@ def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
                for label, a, b, c in rows]
     threshold = np.finfo(float).eps * max(_frobenius(a) * _frobenius(b)  # eps is 2u
                                           for _, a, b, _ in rows)
-    return AlgebraReport(dim=d, margin=int(margin), empty_interior=margin >= d,
+    return AlgebraReport(dim=d, margin=margin, empty_interior=margin >= d,
                          threshold=threshold, entries=entries)

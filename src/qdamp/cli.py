@@ -10,6 +10,12 @@ Output: simulate, convergence and sweep each write one CSV to --out,
 otherwise to the config's "output", otherwise to stdout.  A comment line
 in it begins with "# ".  verify-algebra prints its report to stdout.
 
+Config values are checked at load: the loader checks the JSON's shape
+(keys, types, lists) and hands each value to the function that owns its
+rule (ModelParams, the fock state builders, check_time, check_steps,
+check_margin, convergence_points, _sweep_points), whose ValueError it
+raises again as a ConfigError that names the config key.
+
 Exit codes: 0 success, 1 config/parse error, a value the library
 rejects or an output path that cannot be written (also a FAIL verdict,
 a residual above the report's threshold), 2 positivity rejection in
@@ -30,9 +36,11 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .algebra import verify_algebra
-from .diagnostics import compare_states, convergence_study, state_diagnostics
+from .coefficients import check_steps, check_time
+from .diagnostics import (compare_states, convergence_points,
+                          convergence_study, state_diagnostics)
 from .fock import build_fock_ops, coherent_state, fock_state, thermal_state
-from .linalg import NumericalError
+from .linalg import NumericalError, check_margin
 from .liouvillian import ModelParams, PositivityError
 from . import propagators
 
@@ -41,7 +49,6 @@ EXIT_CONFIG = 1
 EXIT_POSITIVITY = 2
 EXIT_NUMERICAL = 3
 
-MIN_DIM = 2
 MAX_DIM = 64
 
 SIMULATE_COLUMNS = (
@@ -90,12 +97,22 @@ def _as_int(v, where: str) -> int:
     return v
 
 
-@dataclass(frozen=True)
+def _checked(key: str, check, *args, **kwargs):
+    """check(*args, **kwargs), its ValueError raised again as a
+    ConfigError that names the config key."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+@dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Validated run description, built by from_dict from the JSON config."""
+    """Validated run description, built by from_dict from the JSON config;
+    rho0 is the initial density matrix."""
 
     model: ModelParams
-    initial_state: dict
+    rho0: np.ndarray
     times: tuple
     methods: tuple
     n_steps: int = 8
@@ -114,94 +131,71 @@ class RunConfig:
         m = raw["model"]
         _require_keys(m, "model", required=("omega", "mu", "nu", "dim"),
                       optional=("kappa_re", "kappa_im", "theta"))
-        try:
-            model = ModelParams(
-                omega=_as_float(m["omega"], "model.omega"),
-                mu=_as_float(m["mu"], "model.mu"),
-                nu=_as_float(m["nu"], "model.nu"),
-                kappa=complex(_as_float(m.get("kappa_re", 0.0), "model.kappa_re"),
-                              _as_float(m.get("kappa_im", 0.0), "model.kappa_im")),
-                dim=_as_int(m["dim"], "model.dim"),
-                theta=_as_float(m.get("theta", 0.0), "model.theta"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"model: {exc}") from exc
-
-        state = RunConfig._parse_state(raw["initial_state"], model.dim)
-        times = RunConfig._parse_times(raw["times"])
-        methods = RunConfig._parse_methods(raw["methods"])
-
-        n_steps = _as_int(raw.get("n_steps", 8), "n_steps")
-        if n_steps < 1:
-            raise ConfigError("n_steps must be >= 1")
+        model = _checked(
+            "model", ModelParams,
+            omega=_as_float(m["omega"], "model.omega"),
+            mu=_as_float(m["mu"], "model.mu"),
+            nu=_as_float(m["nu"], "model.nu"),
+            kappa=complex(_as_float(m.get("kappa_re", 0.0), "model.kappa_re"),
+                          _as_float(m.get("kappa_im", 0.0), "model.kappa_im")),
+            dim=_as_int(m["dim"], "model.dim"),
+            theta=_as_float(m.get("theta", 0.0), "model.theta"))
         positivity = raw.get("positivity", "strict")
         if positivity not in ("strict", "permissive"):
             raise ConfigError("positivity must be 'strict' or 'permissive'")
-        margin = _as_int(raw.get("margin", 4), "margin")
-        if margin < 0:
-            raise ConfigError("margin must be >= 0")
         output = raw.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError("output must be a path string")
-
-        sweep = raw.get("sweep")
+        sweep, conv = raw.get("sweep"), raw.get("convergence")
+        cfg = RunConfig(
+            model=model,
+            rho0=RunConfig._parse_state(raw["initial_state"], model.dim),
+            times=RunConfig._parse_times(raw["times"]),
+            methods=RunConfig._parse_methods(raw["methods"]),
+            n_steps=_checked("n_steps", check_steps,
+                             _as_int(raw.get("n_steps", 8), "n_steps")),
+            positivity=positivity,
+            margin=_checked("margin", check_margin,
+                            _as_int(raw.get("margin", 4), "margin")),
+            output=output,
+            sweep=None if sweep is None else RunConfig._parse_sweep(sweep),
+            convergence=None if conv is None else RunConfig._parse_convergence(conv))
         if sweep is not None:
-            _require_keys(sweep, "sweep", required=("param", "values"))
-            if sweep["param"] not in SWEEP_PARAMS:
-                raise ConfigError(
-                    f"sweep.param must be one of {list(SWEEP_PARAMS)}")
-            vals = sweep["values"]
-            if not isinstance(vals, list) or not vals:
-                raise ConfigError("sweep.values must be a nonempty list")
-            vals = [_as_float(v, "sweep.values") for v in vals]
-            if sweep["param"] == "kappa_abs" and any(v < 0 for v in vals):
-                raise ConfigError("sweep.values for kappa_abs must be >= 0")
-            sweep = {"param": sweep["param"], "values": vals}
-
-        conv = raw.get("convergence")
-        if conv is not None:
-            conv = RunConfig._parse_convergence(conv)
-
-        return RunConfig(model=model, initial_state=state, times=times,
-                         methods=methods, n_steps=n_steps,
-                         positivity=positivity, margin=margin, output=output,
-                         sweep=sweep, convergence=conv)
+            _checked("sweep.values", _sweep_points, cfg)
+        return cfg
 
     @staticmethod
-    def _parse_state(s: dict, dim: int) -> dict:
+    def _parse_state(s: dict, dim: int) -> np.ndarray:
         _require_keys(s, "initial_state", required=("kind",),
                       optional=("n", "alpha_re", "alpha_im", "nbar"))
-        kind = s.get("kind")
-        if kind not in STATE_KINDS:
-            raise ConfigError(f"initial_state.kind must be one of {list(STATE_KINDS)}")
+        kind = s["kind"]
         if kind == "fock":
-            n = _as_int(s.get("n", 0), "initial_state.n")
-            if not 0 <= n < dim:
-                raise ConfigError(f"initial_state.n must be in 0..{dim - 1}")
-            return {"kind": "fock", "n": n}
-        if kind == "coherent":
-            return {"kind": "coherent",
-                    "alpha_re": _as_float(s.get("alpha_re", 0.0), "initial_state.alpha_re"),
-                    "alpha_im": _as_float(s.get("alpha_im", 0.0), "initial_state.alpha_im")}
-        nbar = _as_float(s.get("nbar", 0.0), "initial_state.nbar")
-        if nbar < 0:
-            raise ConfigError("initial_state.nbar must be >= 0")
-        return {"kind": "thermal", "nbar": nbar}
+            build, arg = fock_state, _as_int(s.get("n", 0), "initial_state.n")
+        elif kind == "coherent":
+            build, arg = coherent_state, complex(
+                _as_float(s.get("alpha_re", 0.0), "initial_state.alpha_re"),
+                _as_float(s.get("alpha_im", 0.0), "initial_state.alpha_im"))
+        elif kind == "thermal":
+            build, arg = thermal_state, _as_float(s.get("nbar", 0.0),
+                                                  "initial_state.nbar")
+        else:
+            raise ConfigError(f"initial_state.kind must be one of {list(STATE_KINDS)}")
+        return _checked("initial_state", build, dim, arg)
 
     @staticmethod
     def _parse_times(t) -> tuple:
         if isinstance(t, dict):
             _require_keys(t, "times", required=("t_max", "n_points"))
-            t_max = _as_float(t["t_max"], "times.t_max")
+            t_max = _checked("times.t_max", check_time,
+                             _as_float(t["t_max"], "times.t_max"))
             n_points = _as_int(t["n_points"], "times.n_points")
-            if t_max <= 0 or n_points < 1:
-                raise ConfigError("times requires t_max > 0 and n_points >= 1")
-            return tuple(float(x) for x in np.linspace(0.0, t_max, n_points))
-        if not isinstance(t, list) or not t:
+            if n_points < 1:
+                raise ConfigError("times.n_points must be >= 1")
+            out = [float(x) for x in np.linspace(0.0, t_max, n_points)]
+        elif isinstance(t, list) and t:
+            out = [_checked("times", check_time, _as_float(v, "times")) for v in t]
+        else:
             raise ConfigError("times must be a nonempty list or {t_max, n_points}")
-        out = [_as_float(v, "times") for v in t]
-        if any(v < 0 for v in out):
-            raise ConfigError("times must be nonnegative")
         if any(b <= a for a, b in zip(out, out[1:])):
             raise ConfigError("times must be strictly increasing")
         return tuple(out)
@@ -220,42 +214,33 @@ class RunConfig:
         return tuple(ms)
 
     @staticmethod
+    def _parse_sweep(s: dict) -> dict:
+        _require_keys(s, "sweep", required=("param", "values"))
+        if s["param"] not in SWEEP_PARAMS:
+            raise ConfigError(f"sweep.param must be one of {list(SWEEP_PARAMS)}")
+        if not isinstance(s["values"], list) or not s["values"]:
+            raise ConfigError("sweep.values must be a nonempty list")
+        return {"param": s["param"],
+                "values": [_as_float(v, "sweep.values") for v in s["values"]]}
+
+    @staticmethod
     def _parse_convergence(c: dict) -> dict:
         _require_keys(c, "convergence", required=("method",),
                       optional=("t_values", "n_steps_values", "t_final"))
-        method = c.get("method")
-        if method not in propagators.METHODS:
+        if c["method"] not in propagators.METHODS:
             raise ConfigError("convergence.method must be one of "
                               f"{list(propagators.METHODS)}")
-        has_local = "t_values" in c
-        has_global = "n_steps_values" in c
-        if has_local == has_global:
-            raise ConfigError("convergence needs exactly one of t_values or "
-                              "n_steps_values")
-        if has_local:
-            ts = c["t_values"]
-            if not isinstance(ts, list) or not ts:
-                raise ConfigError("convergence.t_values must be a nonempty list")
-            return {"method": method,
-                    "t_values": [_as_float(v, "convergence.t_values") for v in ts]}
-        ns = c["n_steps_values"]
-        if not isinstance(ns, list) or not ns:
-            raise ConfigError("convergence.n_steps_values must be a nonempty list")
-        t_final = _as_float(c.get("t_final", 1.0), "convergence.t_final")
-        if t_final <= 0:
-            raise ConfigError("convergence.t_final must be > 0")
-        return {"method": method,
-                "n_steps_values": [_as_int(v, "convergence.n_steps_values") for v in ns],
-                "t_final": t_final}
-
-    def initial_density_matrix(self) -> np.ndarray:
-        s = self.initial_state
-        if s["kind"] == "fock":
-            return fock_state(self.model.dim, s["n"])
-        if s["kind"] == "coherent":
-            return coherent_state(self.model.dim,
-                                  complex(s["alpha_re"], s["alpha_im"]))
-        return thermal_state(self.model.dim, s["nbar"])
+        out = {"method": c["method"]}
+        for key, parse in (("t_values", _as_float), ("n_steps_values", _as_int)):
+            if key in c:
+                if not isinstance(c[key], list):
+                    raise ConfigError(f"convergence.{key} must be a list")
+                out[key] = [parse(v, f"convergence.{key}") for v in c[key]]
+        if "n_steps_values" in out:
+            out["t_final"] = _as_float(c.get("t_final", 1.0), "convergence.t_final")
+        _checked("convergence", convergence_points, out.get("t_values"),
+                 out.get("n_steps_values"), out.get("t_final"))
+        return out
 
 
 def load_config(path: str) -> RunConfig:
@@ -269,19 +254,19 @@ def load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _states(cfg: RunConfig, models: Sequence[ModelParams], rho0: np.ndarray,
+def _states(cfg: RunConfig, models: Sequence[ModelParams],
             times: Sequence[float]) -> dict:
     """Each method's states at every point, the methods in sorted order.
 
     The points are models x times, model after model, and each method is
-    one propagate_sweep call; stepped is the factorized splitting in
-    cfg.n_steps steps.
+    one propagate_sweep call from cfg.rho0 (no swept parameter changes
+    dim); stepped is the factorized splitting in cfg.n_steps steps.
     """
     out = {}
     for m in sorted(cfg.methods):
         method, n_steps = ("factorized", cfg.n_steps) if m == "stepped" else (m, 1)
         out[m] = [r.rho_t for per_model in propagators.propagate_sweep(
-            models, rho0, times, method, n_steps) for r in per_model]
+            models, cfg.rho0, times, method, n_steps) for r in per_model]
     return out
 
 
@@ -324,17 +309,15 @@ def _write_csv(stream: TextIO, header: Sequence[str], rows: list) -> None:
 def cmd_simulate(cfg: RunConfig) -> tuple:
     if cfg.positivity == "strict":
         cfg.model.require_positivity()
-    rho0 = cfg.initial_density_matrix()
-    states = _states(cfg, [cfg.model], rho0, cfg.times)
+    states = _states(cfg, [cfg.model], cfg.times)
     return SIMULATE_COLUMNS, [row for at_t in _rows(cfg, cfg.times, states)
                               for row in at_t]
 
 
 def cmd_verify_algebra(dim: int, margin: int, theta: float) -> int:
-    if not MIN_DIM <= dim <= MAX_DIM:
-        raise ConfigError(f"dim must be in {MIN_DIM}..{MAX_DIM}")
-    if margin < 0:
-        raise ConfigError("margin must be >= 0")
+    """verify_algebra's report; its owners check dim, margin and theta."""
+    if dim > MAX_DIM:
+        raise ConfigError(f"dim must be in 2..{MAX_DIM}")
     report = verify_algebra(build_fock_ops(dim, theta=theta), margin=margin)
     print(report.to_text())
     return EXIT_OK if report.all_within() else EXIT_CONFIG
@@ -346,8 +329,7 @@ def cmd_convergence(cfg: RunConfig) -> tuple:
                           "section in the config")
     if cfg.positivity == "strict":
         cfg.model.require_positivity()
-    table = convergence_study(cfg.model, cfg.initial_density_matrix(),
-                              **cfg.convergence)
+    table = convergence_study(cfg.model, cfg.rho0, **cfg.convergence)
     rows = [[table.mode, table.method, _fmt(x), _fmt(ef), _fmt(et)]
             for x, ef, et in zip(table.xs, table.errors_frobenius,
                                  table.errors_trace_distance)]
@@ -357,12 +339,25 @@ def cmd_convergence(cfg: RunConfig) -> tuple:
 
 
 def _swept_model(model: ModelParams, param: str, value: float) -> ModelParams:
+    """model with param set to value; ValueError for a negative kappa_abs
+    or a model that ModelParams rejects."""
     if param == "kappa_abs":
+        if value < 0:
+            raise ValueError(f"kappa_abs must be >= 0, got {value}")
         phase = np.exp(1j * np.angle(model.kappa)) if model.kappa != 0 else 1.0
         return replace(model, kappa=value * phase)
     if param == "kappa_arg":
         return replace(model, kappa=abs(model.kappa) * np.exp(1j * value))
     return replace(model, **{param: value})
+
+
+def _sweep_points(cfg: RunConfig) -> list:
+    """Each swept value's point (model, time): the model at the value for
+    t, else the value's model (_swept_model) at the last time."""
+    param = cfg.sweep["param"]
+    return [(cfg.model, check_time(v)) if param == "t"
+            else (_swept_model(cfg.model, param, v), cfg.times[-1])
+            for v in cfg.sweep["values"]]
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple:
@@ -371,19 +366,17 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
                           "config")
     param = cfg.sweep["param"]
     values = cfg.sweep["values"]
-    rho0 = cfg.initial_density_matrix()   # no sweep parameter changes dim
 
     def admissible(model: ModelParams) -> bool:
         return cfg.positivity != "strict" or model.positivity_satisfied
 
-    # each value is a point (model, time); one pass per method over the
-    # distinct admissible models x the distinct times
-    points = [(cfg.model, v) if param == "t"
-              else (_swept_model(cfg.model, param, v), cfg.times[-1]) for v in values]
+    # one pass per method over the distinct admissible models x the
+    # distinct times
+    points = _sweep_points(cfg)
     kept = [(model, t) for model, t in points if admissible(model)]
     models = list(dict.fromkeys(model for model, _ in kept))
     times = sorted({t for _, t in kept})
-    states = _states(cfg, models, rho0, times) if models else {}
+    states = _states(cfg, models, times) if models else {}
     grid = [(model, t) for model in models for t in times]
     at = dict(zip(grid, _rows(cfg, [t for _, t in grid], states)))
     rows = []

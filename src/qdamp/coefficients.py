@@ -12,7 +12,9 @@ scale**(-n1-n2-1) is the diagonal core of the jump-family factor.  The
 first three have removable singularities at mu == nu, handled by a short
 Taylor branch in x (switched at |x| <= 1e-6, far above the distance where
 the direct formulas lose digits).  cosh, sinh and exp overflow a double
-from |x| of about 709.8 on, and eval_coefficients raises NumericalError.
+from |x| of about 709.8 on: hyperbolic_weights raises NumericalError once
+one of its three does, and eval_coefficients once any weight does, the
+prefactor included, both with one message.
 
 Phase group (complex, driven by omega and the two-photon rate kappa):
   squeeze_up(t)   = conj(kappa) * h(t)
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 from .linalg import NumericalError
@@ -55,12 +58,27 @@ class CoefficientSet:
     squeeze_down: complex
 
 
+def _overflow(x: float) -> NumericalError:
+    """The error of closed-form weights that overflow at x = (mu - nu) t / 2."""
+    return NumericalError(
+        f"the closed-form weights overflow at (mu - nu) t / 2 = {x:.6g} "
+        "(a double holds cosh and exp up to about 709.8); the exact route, "
+        "or more steps of a splitting, stay in range")
+
+
 def hyperbolic_weights(mu: float, nu: float, t: float) -> tuple[float, float, float]:
-    """(decay, pump, scale) at time t; valid on both sides of mu == nu."""
+    """(decay, pump, scale) at time t; valid on both sides of mu == nu.
+    NumericalError if one of them overflows or is not finite."""
     x = 0.5 * (mu - nu) * t
     if abs(x) <= HYPERBOLIC_BRANCH_AT:
         return hyperbolic_weights_limit(mu, nu, t)
-    return _weights(mu, nu, t, math.sinh(x) / x, math.cosh(x))
+    try:
+        weights = _weights(mu, nu, t, math.sinh(x) / x, math.cosh(x))
+    except OverflowError:
+        raise _overflow(x) from None
+    if not all(math.isfinite(w) for w in weights):
+        raise _overflow(x)
+    return weights
 
 
 def hyperbolic_weights_limit(mu: float, nu: float, t: float) -> tuple[float, float, float]:
@@ -99,22 +117,29 @@ def check_time(t) -> float:
     return t
 
 
+def check_steps(n_steps) -> int:
+    """n_steps as an int; ValueError unless it is an integer >= 1."""
+    # bool is an int subclass, but True is not a step count
+    if (isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral)
+            or n_steps < 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    return int(n_steps)
+
+
 def eval_coefficients(params, t: float) -> CoefficientSet:
     """Evaluate all seven weights for a model at time t >= 0;
     NumericalError if one overflows or is not finite."""
     t = check_time(t)
     x = 0.5 * (params.mu - params.nu) * t
+    hyperbolic = hyperbolic_weights(params.mu, params.nu, t)
     try:
-        hyperbolic = hyperbolic_weights(params.mu, params.nu, t) + (math.exp(x),)
+        prefactor = math.exp(x)
     except OverflowError:
-        hyperbolic = (math.inf,) * 4
+        raise _overflow(x) from None
     kernel = phase_kernel(params.omega, t)
     kappa = complex(params.kappa)
-    c = CoefficientSet(t, *hyperbolic, kappa.conjugate() * kernel,
+    c = CoefficientSet(t, *hyperbolic, prefactor, kappa.conjugate() * kernel,
                        -2j * params.omega * t, kappa * kernel)
     if not all(cmath.isfinite(w) for w in vars(c).values()):
-        raise NumericalError(
-            f"the closed-form weights overflow at (mu - nu) t / 2 = {x:.6g} "
-            "(a double holds cosh and exp up to about 709.8); the exact route, "
-            "or more steps of a splitting, stay in range")
+        raise _overflow(x)
     return c

@@ -2,16 +2,19 @@
 
 Nothing here repairs a state.  Hermiticity violations, negative
 eigenvalues and trace drift are measured and reported; deciding what to do
-about them is the caller's job.
+about them is the caller's job.  convergence_points holds the rules of
+a study's arguments, for convergence_study and the config loader alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix, hermitian_eigenvalues
+from .coefficients import check_steps
+from .linalg import as_complex_matrix, check_margin, hermitian_eigenvalues
 
 SLOPE_FIT_FLOOR = 1e-12    # error points below this are excluded from fits
 NOISE_FLOOR = 1e-13        # all errors below this: method is exact within noise
@@ -39,8 +42,7 @@ def state_diagnostics(rho: np.ndarray, margin: int = 4) -> DiagnosticsRecord:
     d = rho.shape[0]
     if rho.shape[1] != d:
         raise ValueError(f"rho must be square, got {rho.shape}")
-    if not isinstance(margin, (int, np.integer)) or margin < 0:
-        raise ValueError(f"margin must be an integer >= 0, got {margin!r}")
+    margin = check_margin(margin)
     diag = np.real(np.diag(rho))
     eigs = hermitian_eigenvalues(rho)
     return DiagnosticsRecord(
@@ -102,19 +104,43 @@ def _fit_slope(xs, errs):
     return float(coeffs[0]), float(np.sqrt(np.mean(resid ** 2))), exact
 
 
+def convergence_points(t_values=None, n_steps_values=None,
+                       t_final: float | None = None) -> tuple:
+    """A study's (mode, xs, points), each point a (time, step count).
+
+    ValueError unless exactly one of t_values (at least two positive
+    finite times) or n_steps_values (at least two counts that pass
+    check_steps, with a positive finite t_final) is given.
+    """
+    if (t_values is None) == (n_steps_values is None):
+        raise ValueError("give exactly one of t_values or n_steps_values")
+    if t_values is not None:
+        xs = [float(t) for t in t_values]
+        if len(xs) < 2 or not all(0.0 < t < math.inf for t in xs):
+            raise ValueError("t_values needs at least two positive times, "
+                             f"all finite, got {xs}")
+        return "local_time", xs, [(t, 1) for t in xs]
+    if t_final is None or not 0.0 < float(t_final) < math.inf:
+        raise ValueError("n_steps mode needs a positive finite t_final, "
+                         f"got {t_final!r}")
+    xs = [check_steps(n) for n in n_steps_values]
+    if len(xs) < 2:
+        raise ValueError("n_steps_values needs at least two counts")
+    return "global_steps", xs, [(float(t_final), n) for n in xs]
+
+
 def convergence_study(params, rho0, method: str = "factorized", *,
                       t_values=None, n_steps_values=None,
                       t_final: float | None = None) -> ConvergenceTable:
     """Measure approximation error against the exact propagator.
 
-    Exactly one of t_values / n_steps_values must be given.  With t_values
-    the method is applied in a single shot at each time (local error, slope
+    The arguments follow convergence_points' rules.  With t_values the
+    method is applied in a single shot at each time (local error, slope
     near +2 for the splittings).  With n_steps_values the fixed horizon
     t_final is divided into n equal steps (global error, slope near -1).
     Every state comes from propagate_sweep: one approximate pass over the
     sorted distinct times per distinct n (local mode is the single n = 1),
-    then one exact pass over those times.  The step counts are checked as
-    propagate_sweep checks its n_steps.
+    then one exact pass over those times.
     Error points at the numerical noise floor are excluded from the slope
     fit, and a slope needs two distinct x among the rest; otherwise it is
     omitted.  If every point is below the floor the table reports
@@ -122,24 +148,7 @@ def convergence_study(params, rho0, method: str = "factorized", *,
     """
     from . import propagators  # deferred: propagators imports this module
 
-    if (t_values is None) == (n_steps_values is None):
-        raise ValueError("give exactly one of t_values or n_steps_values")
-
-    if t_values is not None:
-        xs = [float(t) for t in t_values]
-        if len(xs) < 2 or any(t <= 0 for t in xs):
-            raise ValueError("t_values needs at least two positive times")
-        mode = "local_time"
-        points = [(t, 1) for t in xs]
-    else:
-        if t_final is None or float(t_final) <= 0:
-            raise ValueError("n_steps mode needs a positive t_final")
-        xs = [propagators._check_steps(n) for n in n_steps_values]
-        if len(xs) < 2:
-            raise ValueError("n_steps_values needs at least two counts")
-        mode = "global_steps"
-        points = [(float(t_final), n) for n in xs]
-
+    mode, xs, points = convergence_points(t_values, n_steps_values, t_final)
     times = sorted({t for t, _ in points})
     approx = {n: propagators.propagate_sweep([params], rho0, times, method, n)[0]
               for n in dict.fromkeys(n for _, n in points)}

@@ -13,7 +13,9 @@ interior projections rather than pretending it is not there.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+
 import numpy as np
 
 from .linalg import as_complex_matrix
@@ -31,10 +33,16 @@ class FockOperators:
     identity: np.ndarray
 
 
+def check_dim(dim) -> int:
+    """dim as an int; ValueError unless it is an integer >= 2."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 2:
+        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
+    return int(dim)
+
+
 def build_fock_ops(dim: int, theta: float = 0.0) -> FockOperators:
     """Construct the truncated ladder operators at dimension dim >= 2."""
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
-        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
+    dim = check_dim(dim)
     theta = float(theta)
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
@@ -46,7 +54,7 @@ def build_fock_ops(dim: int, theta: float = 0.0) -> FockOperators:
     # later grading arguments see integer entries with no roundoff dust.
     n_op = np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)
     identity = np.eye(dim, dtype=np.complex128)
-    return FockOperators(dim=int(dim), theta=theta, a=a, a_dag=a_dag,
+    return FockOperators(dim=dim, theta=theta, a=a, a_dag=a_dag,
                          n_op=n_op, identity=identity)
 
 

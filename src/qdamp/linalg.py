@@ -1,6 +1,8 @@
 """Complex linear-algebra helpers and the NumericalError they raise.
 
-Input coercion (fock, diagnostics, propagators), the dense matrix
+Input coercion and checks: as_complex_matrix (fock, diagnostics,
+propagators) and check_margin, the one rule for an interior margin
+(algebra, diagnostics, the command line).  Then the dense matrix
 exponential (the exact route's step map for parity blocks of at most
 propagators.DENSE_BLOCK_ROWS rows, and the test oracle exact_superop),
 the action of a sparse matrix exponential on a vector (the exact route's
@@ -25,6 +27,7 @@ and all Kronecker identities downstream assume it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +62,14 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"{name} contains NaN or Inf entries")
     return out
+
+
+def check_margin(margin) -> int:
+    """margin as an int; ValueError unless it is an integer >= 0."""
+    if (isinstance(margin, bool) or not isinstance(margin, numbers.Integral)
+            or margin < 0):
+        raise ValueError(f"margin must be an integer >= 0, got {margin!r}")
+    return int(margin)
 
 
 def expm(m: np.ndarray) -> np.ndarray:

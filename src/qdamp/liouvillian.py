@@ -46,7 +46,7 @@ import scipy.sparse as sp
 # build_generators (the dense view) is not called here; perfbench's tracer
 # wraps it under this module's name, so the name stays importable.
 from .algebra import build_generators, cached_generators  # noqa: F401
-from .fock import FockOperators, build_fock_ops
+from .fock import FockOperators, build_fock_ops, check_dim
 
 # relative: strict mode admits mu*nu (1 + slack) >= |kappa|^2 at any rate scale
 POSITIVITY_SLACK = 1e-12
@@ -85,9 +85,7 @@ class ModelParams:
         object.__setattr__(self, "kappa", k)
         if self.mu < 0.0 or self.nu < 0.0:
             raise ValueError(f"rates must be >= 0, got mu={self.mu}, nu={self.nu}")
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
-            raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", check_dim(self.dim))
 
     @property
     def positivity_satisfied(self) -> bool:

@@ -93,7 +93,7 @@ import scipy.sparse as sp
 # build_generators (the dense view) is not called here; perfbench's tracer
 # wraps it under this module's name, so the name stays importable.
 from .algebra import SuperOpGenerators, build_generators, cached_generators  # noqa: F401
-from .coefficients import check_time, eval_coefficients
+from .coefficients import check_steps, check_time, eval_coefficients
 from .diagnostics import DiagnosticsRecord, state_diagnostics
 from .linalg import as_complex_matrix, expm, taylor_apply, taylor_plan
 # build_liouvillian is not called here either; the tracer wraps it too.
@@ -178,14 +178,6 @@ def _check_state(rho0, dim: int) -> np.ndarray:
     if abs(tr - 1.0) > STATE_TRACE_TOL:
         raise ValueError(f"rho0 trace must be 1 within {STATE_TRACE_TOL}, got {tr}")
     return rho0
-
-
-def _check_steps(n_steps) -> int:
-    # bool is an int subclass, but True is not a step count
-    if (isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer))
-            or n_steps < 1):
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    return int(n_steps)
 
 
 def _check_models(models) -> list:
@@ -693,7 +685,7 @@ def propagate_sweep(models, rho0, times, method: str = "exact",
     dim = models[0].dim
     rho0 = _check_state(rho0, dim)
     times = _check_grid(times)
-    n = _check_steps(n_steps)
+    n = check_steps(n_steps)
     if method == "exact":
         ends = Counter(t / n * n for t in times)     # items per grid time
         grid = sorted({t / n * k for t in times for k in range(1, n + 1)})

@@ -72,7 +72,7 @@ def test_config_round_trip_is_lossless():
     cfg = RunConfig.from_dict(raw)
     assert cfg.model == ModelParams(omega=1.5, mu=0.5, nu=0.2,
                                     kappa=0.1 - 0.05j, dim=10, theta=0.3)
-    assert cfg.initial_state == raw["initial_state"]
+    assert cfg.rho0.tobytes() == coherent_state(10, 0.4 - 0.2j).tobytes()
     assert cfg.times == (0.0, 0.5)
     assert cfg.methods == ("exact", "factorized")
     assert (cfg.n_steps, cfg.positivity, cfg.margin, cfg.output) == (
@@ -92,7 +92,10 @@ def test_config_round_trip_is_lossless():
     (lambda c: c["model"].update(mu="fast"), "must be a number"),
     (lambda c: c["model"].update(dim=8.5), "must be an integer"),
     (lambda c: c.update(times=[0.5, 0.5]), "strictly increasing"),
-    (lambda c: c.update(times=[-1.0, 0.5]), "nonnegative"),
+    (lambda c: c.update(times=[-1.0, 0.5]), "finite and >= 0"),
+    (lambda c: c.update(times=[0.0, math.inf]), "finite"),
+    (lambda c: c.update(times={"t_max": -1.0, "n_points": 3}), "t_max"),
+    (lambda c: c.update(times={"t_max": 1.0, "n_points": 0}), "n_points"),
     (lambda c: c.update(times=[]), "nonempty"),
     (lambda c: c.update(times={"t_max": 1.0}), "missing key"),
     (lambda c: c.update(methods=["exact", "exact"]), "repeat"),
@@ -101,6 +104,10 @@ def test_config_round_trip_is_lossless():
     (lambda c: c.update(initial_state={"kind": "squeezed"}), "kind"),
     (lambda c: c.update(initial_state={"kind": "fock", "n": 10}), "0..9"),
     (lambda c: c.update(initial_state={"kind": "thermal", "nbar": -1.0}), "nbar"),
+    (lambda c: c.update(initial_state={"kind": "thermal", "nbar": math.nan}),
+     "nbar must be finite"),
+    (lambda c: c.update(initial_state=3), "must be an object"),
+    (lambda c: c.update(output=3), "output"),
     (lambda c: c.update(n_steps=0), "n_steps"),
     (lambda c: c.update(positivity="maybe"), "positivity"),
     (lambda c: c.update(margin=-2), "margin"),
@@ -109,6 +116,25 @@ def test_config_round_trip_is_lossless():
     (lambda c: c.update(convergence={"method": "stepped",
                                      "t_values": [0.1, 0.2]}), "convergence.method"),
     (lambda c: c.update(convergence={"method": "factorized"}), "exactly one"),
+    (lambda c: c.update(convergence={"method": "factorized", "t_values": []}),
+     "t_values"),
+    (lambda c: c.update(convergence={"method": "factorized", "t_values": [0.5]}),
+     "two positive times"),
+    (lambda c: c.update(convergence={"method": "factorized",
+                                     "t_values": [0.0, 0.5]}), "two positive times"),
+    (lambda c: c.update(convergence={"method": "factorized",
+                                     "n_steps_values": []}), "n_steps_values"),
+    (lambda c: c.update(convergence={"method": "factorized",
+                                     "n_steps_values": [4]}), "two counts"),
+    (lambda c: c.update(convergence={"method": "factorized",
+                                     "n_steps_values": [0, 2]}),
+     "n_steps must be an integer >= 1"),
+    (lambda c: c.update(convergence={"method": "factorized",
+                                     "n_steps_values": [2, 4], "t_final": 0.0}),
+     "t_final"),
+    (lambda c: c.update(convergence={"method": "factorized",
+                                     "n_steps_values": [2, 4],
+                                     "t_final": math.nan}), "t_final"),
 ])
 def test_config_rejects(mutate, match):
     raw = base_config()
@@ -125,11 +151,11 @@ def test_times_grid_expansion():
 def test_initial_state_kinds():
     coh = RunConfig.from_dict(base_config(
         initial_state={"kind": "coherent", "alpha_re": 0.8, "alpha_im": -0.3}))
-    np.testing.assert_allclose(coh.initial_density_matrix(),
+    np.testing.assert_allclose(coh.rho0,
                                coherent_state(10, 0.8 - 0.3j), atol=1e-14)
     th = RunConfig.from_dict(base_config(
         initial_state={"kind": "thermal", "nbar": 1.2}))
-    np.testing.assert_allclose(th.initial_density_matrix(),
+    np.testing.assert_allclose(th.rho0,
                                thermal_state(10, 1.2), atol=1e-14)
 
 
@@ -213,6 +239,10 @@ def test_verify_algebra_empty_interior_note(capsys):
 def test_verify_algebra_dim_bounds(capsys):
     assert main(["verify-algebra", "--dim", "99"]) == EXIT_CONFIG
     assert "dim must be in 2..64" in capsys.readouterr().err
+    assert main(["verify-algebra", "--dim", "1"]) == EXIT_CONFIG
+    assert "dim must be an integer >= 2" in capsys.readouterr().err
+    assert main(["verify-algebra", "--margin", "-1"]) == EXIT_CONFIG
+    assert "margin must be an integer >= 0" in capsys.readouterr().err
 
 
 def test_verify_algebra_passes_at_dim_24(capsys):
@@ -540,8 +570,15 @@ def test_exit_code_for_strict_positivity_rejection(tmp_path, capsys):
     ("simulate", {"times": [math.nan]}),
     ("simulate", {"times": [0.0, math.inf]}),
     ("sweep", {"sweep": {"param": "t", "values": [0.5, math.nan]}}),
+    ("convergence", {"convergence": {"method": "factorized",
+                                     "t_values": [0.0, 0.5]}}),
+    ("convergence", {"convergence": {"method": "factorized",
+                                     "n_steps_values": [2, 4],
+                                     "t_final": math.nan}}),
+    ("simulate", {"initial_state": {"kind": "thermal", "nbar": math.nan}}),
 ], ids=["mu<0", "t<0", "omega=inf", "kappa_abs<0", "one_t_value",
-        "zero_steps", "t=nan", "t=inf", "sweep_t=nan"])
+        "zero_steps", "t=nan", "t=inf", "sweep_t=nan", "t_value=0",
+        "t_final=nan", "nbar=nan"])
 def test_rejected_values_exit_with_one_error_line(tmp_path, capsys, command,
                                                   overrides):
     path = write_config(tmp_path, **overrides)

@@ -1,8 +1,11 @@
 """The README quick start and the demos run as published; the exports resolve."""
+import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -52,7 +55,59 @@ def test_csv_digest_prints_one_digest_per_run():
     assert len({ln.split()[1] for ln in lines}) == 14
 
 
-def test_every_export_resolves_once():
+PUBLIC = {
+    "ModelParams", "PositivityError", "NumericalError",
+    "FockOperators", "build_fock_ops", "fock_state", "coherent_state",
+    "thermal_state",
+    "build_liouvillian_trace_exact", "vec", "unvec",
+    "METHODS", "PropagationResult", "propagate", "propagate_sweep",
+    "stepped_propagate",
+    "DiagnosticsRecord", "state_diagnostics", "compare_states",
+    "ConvergenceTable", "convergence_study",
+    "AlgebraReport", "verify_algebra",
+}
+
+
+def test_every_export_resolves_once(monkeypatch):
+    """The package exports its user API and nothing else; the names the
+    benchmark's tracer wraps stay attributes of their modules."""
     missing = [name for name in qdamp.__all__ if not hasattr(qdamp, name)]
     assert not missing
     assert len(set(qdamp.__all__)) == len(qdamp.__all__)
+    assert set(qdamp.__all__) == PUBLIC
+    names = {name for name, value in vars(qdamp).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert names == PUBLIC
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import tracer
+    unresolved = [(module, attr) for module, attr, _ in tracer.SPANS + tracer.COUNTS
+                  if not hasattr(importlib.import_module(f"qdamp.{module}"), attr)]
+    assert not unresolved
+
+
+# each input rule and the module whose one function holds it
+RULE_OWNERS = {"margin": ("linalg.py", "check_margin"),
+               "dim": ("fock.py", "check_dim"),
+               "n_steps": ("coefficients.py", "check_steps")}
+
+
+def test_each_input_rule_is_checked_in_its_owner_alone():
+    """A margin, dimension or step count is compared with a number only
+    inside its owner's check function; every other caller calls it.  A
+    chained comparison is read pair by pair."""
+    found = set()
+    for path in sorted((ROOT / "src" / "qdamp").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Compare):
+                    continue
+                operands = [node.left, *node.comparators]
+                for pair in zip(operands, operands[1:]):   # a < b < c is two
+                    named = {getattr(o, "id", getattr(o, "attr", None)) for o in pair}
+                    if any(isinstance(o, ast.Constant) for o in pair):
+                        found |= {(rule, path.name, func.name)
+                                  for rule in named & set(RULE_OWNERS)}
+    assert found == {(rule, *owner) for rule, owner in RULE_OWNERS.items()}

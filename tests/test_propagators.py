@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from qdamp import diagnostics, propagators
 from qdamp.algebra import build_generators
-from qdamp.coefficients import eval_coefficients
+from qdamp.coefficients import eval_coefficients, hyperbolic_weights
 from qdamp.diagnostics import compare_states
 from qdamp.fock import build_fock_ops, coherent_state, fock_state
 from qdamp.linalg import TAYLOR_THETA, NumericalError, expm
@@ -1458,12 +1458,15 @@ def test_stepped_validates_step_count():
                                        (400.0, 100.0, 5.0), (100.0, 1000.0, 2.0)])
 def test_closed_form_routes_raise_when_their_weights_overflow(mu, nu, t):
     """cosh, sinh or exp of (mu - nu) t / 2 overflows a double from about
-    709.8 on (at t = 1420.5 exp does, cosh does not): each closed-form
-    route, and a one-step splitting, raises NumericalError; the exact
-    route and an 8-step splitting stay in range."""
+    709.8 on (at t = 1420.5 exp does, cosh does not, and the scale sums
+    to inf): each closed-form route, a one-step splitting and
+    hyperbolic_weights raise NumericalError; the exact route and an
+    8-step splitting stay in range."""
     p = ModelParams(omega=1.0, mu=mu, nu=nu, kappa=0.0, dim=6)
     rho0 = fock_state(6, 1)
     match = r"overflow at \(mu - nu\) t / 2 = "
+    with pytest.raises(NumericalError, match=match):
+        hyperbolic_weights(mu, nu, t)
     for method in ("factorized", "alternative", "series"):
         with pytest.raises(NumericalError, match=match):
             propagate(p, rho0, t, method)
@@ -1494,4 +1497,4 @@ def test_only_the_sweep_driver_evaluates_a_route():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and isinstance(node.func.value, ast.Name)
               and node.func.value.id == "propagators"]
-    assert set(called) == {"propagate_sweep", "_check_steps"}
+    assert set(called) == {"propagate_sweep"}
