@@ -40,7 +40,7 @@ from .coefficients import check_steps, check_time
 from .diagnostics import (compare_states, convergence_points,
                           convergence_study, state_diagnostics)
 from .fock import build_fock_ops, coherent_state, fock_state, thermal_state
-from .linalg import NumericalError, check_margin
+from .linalg import NumericalError, check_margin, check_real
 from .liouvillian import ModelParams, PositivityError
 from . import propagators
 
@@ -115,12 +115,17 @@ class RunConfig:
     rho0: np.ndarray
     times: tuple
     methods: tuple
-    n_steps: int = 8
-    positivity: str = "strict"
-    margin: int = 4
+    n_steps: int
+    positivity: str
+    margin: int
     output: Optional[str] = None
     sweep: Optional[dict] = None
     convergence: Optional[dict] = None
+
+    def admits(self, model: ModelParams) -> bool:
+        """Whether the positivity mode lets model run: permissive admits
+        every model, strict those with mu*nu >= |kappa|^2."""
+        return self.positivity != "strict" or model.positivity_satisfied
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
@@ -307,7 +312,7 @@ def _write_csv(stream: TextIO, header: Sequence[str], rows: list) -> None:
 
 
 def cmd_simulate(cfg: RunConfig) -> tuple:
-    if cfg.positivity == "strict":
+    if not cfg.admits(cfg.model):
         cfg.model.require_positivity()
     states = _states(cfg, [cfg.model], cfg.times)
     return SIMULATE_COLUMNS, [row for at_t in _rows(cfg, cfg.times, states)
@@ -327,7 +332,7 @@ def cmd_convergence(cfg: RunConfig) -> tuple:
     if cfg.convergence is None:
         raise ConfigError("convergence subcommand needs a 'convergence' "
                           "section in the config")
-    if cfg.positivity == "strict":
+    if not cfg.admits(cfg.model):
         cfg.model.require_positivity()
     table = convergence_study(cfg.model, cfg.rho0, **cfg.convergence)
     rows = [[table.mode, table.method, _fmt(x), _fmt(ef), _fmt(et)]
@@ -339,15 +344,16 @@ def cmd_convergence(cfg: RunConfig) -> tuple:
 
 
 def _swept_model(model: ModelParams, param: str, value: float) -> ModelParams:
-    """model with param set to value; ValueError for a negative kappa_abs
-    or a model that ModelParams rejects."""
+    """model with param set to value; ValueError for a non-finite kappa_abs or
+    kappa_arg, a negative kappa_abs or a model that ModelParams rejects."""
     if param == "kappa_abs":
-        if value < 0:
+        if check_real(value, param) < 0:
             raise ValueError(f"kappa_abs must be >= 0, got {value}")
         phase = np.exp(1j * np.angle(model.kappa)) if model.kappa != 0 else 1.0
         return replace(model, kappa=value * phase)
     if param == "kappa_arg":
-        return replace(model, kappa=abs(model.kappa) * np.exp(1j * value))
+        phase = np.exp(1j * check_real(value, param))
+        return replace(model, kappa=abs(model.kappa) * phase)
     return replace(model, **{param: value})
 
 
@@ -366,14 +372,10 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
                           "config")
     param = cfg.sweep["param"]
     values = cfg.sweep["values"]
-
-    def admissible(model: ModelParams) -> bool:
-        return cfg.positivity != "strict" or model.positivity_satisfied
-
-    # one pass per method over the distinct admissible models x the
+    # one pass per method over the distinct admitted models x the
     # distinct times
     points = _sweep_points(cfg)
-    kept = [(model, t) for model, t in points if admissible(model)]
+    kept = [(model, t) for model, t in points if cfg.admits(model)]
     models = list(dict.fromkeys(model for model, _ in kept))
     times = sorted({t for _, t in kept})
     states = _states(cfg, models, times) if models else {}

@@ -38,7 +38,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .linalg import NumericalError
+from .linalg import NumericalError, check_real
 
 HYPERBOLIC_BRANCH_AT = 1e-6   # on x = (mu - nu) t / 2
 PHASE_BRANCH_AT = 1e-9        # on omega * t
@@ -111,8 +111,8 @@ def phase_kernel_limit(omega: float, t: float) -> complex:
 
 def check_time(t) -> float:
     """t as a float; ValueError unless it is finite and >= 0."""
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
+    t = check_real(t, "t", "finite and >= 0")
+    if t < 0.0:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     return t
 
@@ -137,9 +137,8 @@ def eval_coefficients(params, t: float) -> CoefficientSet:
     except OverflowError:
         raise _overflow(x) from None
     kernel = phase_kernel(params.omega, t)
-    kappa = complex(params.kappa)
-    c = CoefficientSet(t, *hyperbolic, prefactor, kappa.conjugate() * kernel,
-                       -2j * params.omega * t, kappa * kernel)
+    c = CoefficientSet(t, *hyperbolic, prefactor, params.kappa.conjugate() * kernel,
+                       -2j * params.omega * t, params.kappa * kernel)
     if not all(cmath.isfinite(w) for w in vars(c).values()):
         raise _overflow(x)
     return c

@@ -8,13 +8,13 @@ a study's arguments, for convergence_study and the config loader alike.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import check_steps
-from .linalg import as_complex_matrix, check_margin, hermitian_eigenvalues
+from .linalg import (NumericalError, as_complex_matrix, check_margin, check_real,
+                     hermitian_eigenvalues)
 
 SLOPE_FIT_FLOOR = 1e-12    # error points below this are excluded from fits
 NOISE_FLOOR = 1e-13        # all errors below this: method is exact within noise
@@ -37,22 +37,30 @@ def state_diagnostics(rho: np.ndarray, margin: int = 4) -> DiagnosticsRecord:
 
     tail_mass is the population on the top `margin` Fock levels; it is the
     number to watch when deciding whether a truncation was large enough.
+    NumericalError if a value overflows (a finite state of huge entries).
     """
     rho = as_complex_matrix(rho, "rho")
     d = rho.shape[0]
     if rho.shape[1] != d:
         raise ValueError(f"rho must be square, got {rho.shape}")
     margin = check_margin(margin)
-    diag = np.real(np.diag(rho))
-    eigs = hermitian_eigenvalues(rho)
-    return DiagnosticsRecord(
-        trace=complex(np.trace(rho)),
-        herm_residual=float(np.linalg.norm(rho - rho.conj().T)),
-        min_eigenvalue=float(eigs[0]),
-        purity=float(np.real(np.trace(rho @ rho))),
-        mean_n=float(np.arange(d) @ diag),
-        tail_mass=float(diag[max(d - margin, 0):].sum()),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = np.real(np.diag(rho))
+        eigs = hermitian_eigenvalues(rho)
+        record = DiagnosticsRecord(
+            trace=complex(np.trace(rho)),
+            herm_residual=float(np.linalg.norm(rho - rho.conj().T)),
+            min_eigenvalue=float(eigs[0]),
+            purity=float(np.real(np.trace(rho @ rho))),
+            mean_n=float(np.arange(d) @ diag),
+            tail_mass=float(diag[max(d - margin, 0):].sum()),
+        )
+    values = vars(record)
+    overflowed = [name for name, ok in zip(values, np.isfinite(list(values.values())))
+                  if not ok]
+    if overflowed:
+        raise NumericalError(f"the state's {', '.join(overflowed)} overflowed")
+    return record
 
 
 def compare_states(rho_a: np.ndarray, rho_b: np.ndarray) -> tuple[float, float]:
@@ -60,16 +68,19 @@ def compare_states(rho_a: np.ndarray, rho_b: np.ndarray) -> tuple[float, float]:
 
     The trace distance is half the absolute eigenvalue sum of the
     Hermitian part of the difference; for valid density matrices it lies
-    in [0, 1].
+    in [0, 1].  NumericalError if one of them overflows.
     """
     rho_a = as_complex_matrix(rho_a, "rho_a")
     rho_b = as_complex_matrix(rho_b, "rho_b")
     if rho_a.shape != rho_b.shape:
         raise ValueError(f"states must share a shape, got {rho_a.shape} vs {rho_b.shape}")
-    delta = rho_a - rho_b
-    frob = float(np.linalg.norm(delta))
-    eigs = hermitian_eigenvalues(delta)
-    return frob, float(0.5 * np.abs(eigs).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = rho_a - rho_b
+        frob = float(np.linalg.norm(delta))
+        tdist = float(0.5 * np.abs(hermitian_eigenvalues(delta)).sum())
+    if not np.isfinite([frob, tdist]).all():
+        raise NumericalError("the distance between the states overflowed")
+    return frob, tdist
 
 
 @dataclass(frozen=True)
@@ -115,12 +126,12 @@ def convergence_points(t_values=None, n_steps_values=None,
     if (t_values is None) == (n_steps_values is None):
         raise ValueError("give exactly one of t_values or n_steps_values")
     if t_values is not None:
-        xs = [float(t) for t in t_values]
-        if len(xs) < 2 or not all(0.0 < t < math.inf for t in xs):
+        xs = [check_real(t, "t_values") for t in t_values]
+        if len(xs) < 2 or not all(t > 0.0 for t in xs):
             raise ValueError("t_values needs at least two positive times, "
                              f"all finite, got {xs}")
         return "local_time", xs, [(t, 1) for t in xs]
-    if t_final is None or not 0.0 < float(t_final) < math.inf:
+    if check_real(t_final, "t_final") <= 0.0:
         raise ValueError("n_steps mode needs a positive finite t_final, "
                          f"got {t_final!r}")
     xs = [check_steps(n) for n in n_steps_values]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix
+from .linalg import check_complex, check_real
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,7 @@ def check_dim(dim) -> int:
 def build_fock_ops(dim: int, theta: float = 0.0) -> FockOperators:
     """Construct the truncated ladder operators at dimension dim >= 2."""
     dim = check_dim(dim)
-    theta = float(theta)
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
+    theta = check_real(theta, "theta")
     a = np.zeros((dim, dim), dtype=np.complex128)
     for k in range(dim - 1):
         a[k, k + 1] = np.exp(1j * theta) * np.sqrt(k + 1.0)
@@ -72,27 +70,25 @@ def coherent_state(dim: int, alpha: complex) -> np.ndarray:
 
     Renormalization keeps the state a valid density matrix at any
     truncation; for |alpha|**2 well below dim the correction is tiny.
+    ValueError unless alpha is finite and sum |alpha|^2n / n!, n < dim, is.
     """
-    alpha = complex(alpha)
-    if not (np.isfinite(alpha.real) and np.isfinite(alpha.imag)):
-        raise ValueError("alpha must be finite")
+    alpha = check_complex(alpha, "alpha")
     # recurrence instead of alpha**n / sqrt(n!): factorials overflow floats
     # near n = 170 and plain integers leave int64 already at n = 21
     psi = np.empty(dim, dtype=np.complex128)
     psi[0] = 1.0
-    for n in range(1, dim):
-        psi[n] = psi[n - 1] * alpha / np.sqrt(n)
-    norm2 = float(np.vdot(psi, psi).real)
-    if norm2 <= 0.0:
-        raise ValueError("coherent state underflowed to zero at this truncation")
-    rho = np.outer(psi, psi.conj()) / norm2
-    return as_complex_matrix(rho, "coherent state")
+    with np.errstate(over="ignore", invalid="ignore"):   # the check of norm2 reports it
+        for n in range(1, dim):
+            psi[n] = psi[n - 1] * alpha / np.sqrt(n)
+        norm2 = float(np.vdot(psi, psi).real)
+    check_real(norm2, f"sum |alpha|^2n / n!, n < {dim}, at alpha = {alpha}")
+    return np.outer(psi, psi.conj()) / norm2
 
 
 def thermal_state(dim: int, nbar: float) -> np.ndarray:
     """Truncated thermal state with mean occupation nbar >= 0, renormalized."""
-    nbar = float(nbar)
-    if not np.isfinite(nbar) or nbar < 0.0:
+    nbar = check_real(nbar, "nbar")
+    if nbar < 0.0:
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
     if nbar == 0.0:
         return fock_state(dim, 0)

@@ -37,7 +37,6 @@ the master equation's right-hand side by plain matrix products.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,7 @@ import scipy.sparse as sp
 # wraps it under this module's name, so the name stays importable.
 from .algebra import build_generators, cached_generators  # noqa: F401
 from .fock import FockOperators, build_fock_ops, check_dim
+from .linalg import check_complex, check_real
 
 # relative: strict mode admits mu*nu (1 + slack) >= |kappa|^2 at any rate scale
 POSITIVITY_SLACK = 1e-12
@@ -69,32 +69,24 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("omega", "mu", "nu", "theta"):
-            v = getattr(self, name)
-            if isinstance(v, complex):
-                raise ValueError(f"{name} must be real, got {v!r}")
-            try:
-                fv = float(v)
-            except (TypeError, ValueError):
-                raise ValueError(f"{name} must be a real number, got {v!r}") from None
-            if not math.isfinite(fv):
-                raise ValueError(f"{name} must be finite, got {fv}")
-            object.__setattr__(self, name, fv)
-        k = complex(self.kappa)
-        if not (math.isfinite(k.real) and math.isfinite(k.imag)):
-            raise ValueError("kappa must be finite")
-        object.__setattr__(self, "kappa", k)
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
+        object.__setattr__(self, "kappa", check_complex(self.kappa, "kappa"))
         if self.mu < 0.0 or self.nu < 0.0:
             raise ValueError(f"rates must be >= 0, got mu={self.mu}, nu={self.nu}")
         object.__setattr__(self, "dim", check_dim(self.dim))
 
     @property
     def positivity_satisfied(self) -> bool:
-        return self.mu * self.nu * (1.0 + POSITIVITY_SLACK) >= abs(self.kappa) ** 2
+        # k * k, not k ** 2, which raises OverflowError where the product
+        # is inf (from |kappa| of about 1.3e154 on)
+        k = abs(self.kappa)
+        return self.mu * self.nu * (1.0 + POSITIVITY_SLACK) >= k * k
 
     def require_positivity(self) -> None:
         if not self.positivity_satisfied:
             raise PositivityError(
-                f"mu*nu = {self.mu * self.nu:.6g} < |kappa|^2 = {abs(self.kappa) ** 2:.6g}; "
+                f"mu*nu = {self.mu * self.nu:.6g} < |kappa|^2 = "
+                f"{abs(self.kappa) * abs(self.kappa):.6g}; "
                 "the map is not completely positive (use permissive mode to proceed)")
 
     def fock_ops(self) -> FockOperators:

@@ -95,7 +95,7 @@ import scipy.sparse as sp
 from .algebra import SuperOpGenerators, build_generators, cached_generators  # noqa: F401
 from .coefficients import check_steps, check_time, eval_coefficients
 from .diagnostics import DiagnosticsRecord, state_diagnostics
-from .linalg import as_complex_matrix, expm, taylor_apply, taylor_plan
+from .linalg import NumericalError, as_complex_matrix, expm, taylor_apply, taylor_plan
 # build_liouvillian is not called here either; the tracer wraps it too.
 from .liouvillian import (ModelParams, build_liouvillian,  # noqa: F401
                           build_liouvillian_trace_exact)
@@ -152,8 +152,11 @@ EXPM_WORKSPACE = 8
 # d^2 x n state block per pass (_columns) and hold about five such
 # blocks, so a long grid or sweep does not grow their working memory.
 CLOSED_FORM_BLOCK_BYTES = 2 ** 24
-# The kernel's memory report, read for the memory estimates.
+# The kernel's memory report and the cgroup v2 directory whose memory.max
+# and memory.current give a container's limit, read for the memory
+# estimates.
 MEMINFO = "/proc/meminfo"
+CGROUP = "/sys/fs/cgroup"
 
 METHODS = ("exact", "factorized", "alternative", "series")
 
@@ -507,12 +510,21 @@ def _window(o: int, k: int, d: int) -> tuple:
 
 
 def _available_memory() -> int:
-    """Bytes of memory the kernel reports available for new allocations.
+    """Bytes of memory available for new allocations: the kernel's figure,
+    capped by the cgroup's headroom.
 
     MemAvailable in MEMINFO counts the page cache the kernel would
     reclaim.  Where the file or the field is missing, the free physical
-    pages from sysconf stand in; they leave that cache out.
+    pages from sysconf stand in; they leave that cache out.  The cap is
+    memory.max less memory.current in CGROUP (cgroup v2); "max" there, or
+    files that are missing or unreadable, mean no limit.
     """
+    avail, headroom = _system_memory(), _cgroup_headroom()
+    return avail if headroom is None else min(avail, headroom)
+
+
+def _system_memory() -> int:
+    """MemAvailable, else the free physical pages (_available_memory)."""
     try:
         with open(MEMINFO, encoding="ascii") as fh:
             for line in fh:
@@ -521,6 +533,19 @@ def _available_memory() -> int:
     except OSError:
         pass
     return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _cgroup_headroom() -> int | None:
+    """memory.max less memory.current, at least 0; None for no limit."""
+    try:
+        with open(os.path.join(CGROUP, "memory.max"), encoding="ascii") as fh:
+            limit = fh.read().strip()
+        if limit == "max":
+            return None
+        with open(os.path.join(CGROUP, "memory.current"), encoding="ascii") as fh:
+            return max(int(limit) - int(fh.read()), 0)
+    except (OSError, ValueError):
+        return None
 
 
 def _require_memory(route: str, dim: int, need: int) -> int:
@@ -611,8 +636,7 @@ def _exact_chain(models: list, rho0: np.ndarray, times: list):
     plans or the dense exponentials, is formed only when a time is not
     one more step of the current map (within GAP_ULPS ulps of that
     time), so a uniform grid, np.linspace ones included, forms one and a
-    repeated time none.  Only one step map is alive at a time.  A
-    non-finite result raises NumericalError.
+    repeated time none.  Only one step map is alive at a time.
     """
     dim, n = models[0].dim, len(models)
     size = dim * dim
@@ -657,6 +681,8 @@ def _check_grid(times) -> list[float]:
     return times
 
 
+# a route whose state overflows says so once, at the end, not by numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def propagate_sweep(models, rho0, times, method: str = "exact",
                     n_steps: int = 1) -> list[list[PropagationResult]]:
     """Evolve rho0 under each of models to each of times, one pass per route.
@@ -677,7 +703,9 @@ def propagate_sweep(models, rho0, times, method: str = "exact",
     call, by _series_pass, _closed_form_pass, or for a splitting's chain
     longer than d^2 / SLOTS_PER_MATRIX_FREE_STEP steps _step_map_pass,
     which estimates the dense step map's memory first; such an item has
-    the bits of a call with that model and time alone.
+    the bits of a call with that model and time alone.  Every route runs
+    without numpy's floating-point warnings, and a state that is not
+    finite raises NumericalError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -702,6 +730,9 @@ def propagate_sweep(models, rho0, times, method: str = "exact",
         kernel = (_series_pass if method == "series"
                   else lambda *args: splitting(method, *args))
         rhos = _columns([(p, t) for p in models for t in times], rho0, n, kernel)
+    if not all(np.isfinite(rho).all() for rho in rhos):
+        raise NumericalError(f"the {method} route produced non-finite entries "
+                             "(overflow?)")
     states = iter(rhos)
     return [[PropagationResult(rho_t=next(states), method=method, t=float(t))
              for t in times] for _ in models]

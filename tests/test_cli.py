@@ -558,34 +558,78 @@ def test_exit_code_for_strict_positivity_rejection(tmp_path, capsys):
     assert main(["simulate", "--config", path, "--permissive"]) == EXIT_OK
 
 
-@pytest.mark.parametrize("command, overrides", [
-    ("sweep", {"sweep": {"param": "mu", "values": [-0.1]}}),
-    ("sweep", {"sweep": {"param": "t", "values": [-1.0]}}),
-    ("sweep", {"sweep": {"param": "omega", "values": [math.inf]}}),
-    ("sweep", {"sweep": {"param": "kappa_abs", "values": [-0.1]}}),
-    ("convergence", {"convergence": {"method": "factorized",
-                                     "t_values": [0.5]}}),
-    ("convergence", {"convergence": {"method": "factorized",
-                                     "n_steps_values": [0, 4]}}),
-    ("simulate", {"times": [math.nan]}),
-    ("simulate", {"times": [0.0, math.inf]}),
-    ("sweep", {"sweep": {"param": "t", "values": [0.5, math.nan]}}),
-    ("convergence", {"convergence": {"method": "factorized",
-                                     "t_values": [0.0, 0.5]}}),
-    ("convergence", {"convergence": {"method": "factorized",
-                                     "n_steps_values": [2, 4],
-                                     "t_final": math.nan}}),
-    ("simulate", {"initial_state": {"kind": "thermal", "nbar": math.nan}}),
-], ids=["mu<0", "t<0", "omega=inf", "kappa_abs<0", "one_t_value",
-        "zero_steps", "t=nan", "t=inf", "sweep_t=nan", "t_value=0",
-        "t_final=nan", "nbar=nan"])
+MODEL = base_config()["model"]
+CONVERGENCE = {"method": "factorized"}
+# each numeric config key: value -> (command, overrides that set it)
+NUMERIC_KEYS = {
+    **{f"model.{key}": lambda v, key=key: ("simulate", {"model": {**MODEL, key: v}})
+       for key in ("omega", "mu", "nu", "kappa_re", "kappa_im", "theta", "dim")},
+    "initial_state.n": lambda v: (
+        "simulate", {"initial_state": {"kind": "fock", "n": v}}),
+    **{f"initial_state.{key}": lambda v, key=key: (
+        "simulate", {"initial_state": {"kind": "coherent", key: v}})
+       for key in ("alpha_re", "alpha_im")},
+    "initial_state.nbar": lambda v: (
+        "simulate", {"initial_state": {"kind": "thermal", "nbar": v}}),
+    "times": lambda v: ("simulate", {"times": [0.0, v]}),
+    "times.t_max": lambda v: ("simulate", {"times": {"t_max": v, "n_points": 3}}),
+    "times.n_points": lambda v: ("simulate", {"times": {"t_max": 1.0, "n_points": v}}),
+    "n_steps": lambda v: ("simulate", {"n_steps": v}),
+    "margin": lambda v: ("simulate", {"margin": v}),
+    **{f"sweep.{param}": lambda v, param=param: (
+        "sweep", {"sweep": {"param": param, "values": [v]}})
+       for param in cli.SWEEP_PARAMS},
+    "convergence.t_values": lambda v: (
+        "convergence", {"convergence": {**CONVERGENCE, "t_values": [0.5, v]}}),
+    "convergence.n_steps_values": lambda v: (
+        "convergence", {"convergence": {**CONVERGENCE, "n_steps_values": [2, v]}}),
+    "convergence.t_final": lambda v: (
+        "convergence", {"convergence": {**CONVERGENCE, "n_steps_values": [2, 4],
+                                        "t_final": v}}),
+}
+REJECTED = [
+    ("mu<0", "sweep", {"sweep": {"param": "mu", "values": [-0.1]}}),
+    ("t<0", "sweep", {"sweep": {"param": "t", "values": [-1.0]}}),
+    ("omega=inf", "sweep", {"sweep": {"param": "omega", "values": [math.inf]}}),
+    ("kappa_abs<0", "sweep", {"sweep": {"param": "kappa_abs", "values": [-0.1]}}),
+    ("one_t_value", "convergence", {"convergence": {"method": "factorized",
+                                                    "t_values": [0.5]}}),
+    ("zero_steps", "convergence", {"convergence": {"method": "factorized",
+                                                   "n_steps_values": [0, 4]}}),
+    ("t=nan", "simulate", {"times": [math.nan]}),
+    ("t=inf", "simulate", {"times": [0.0, math.inf]}),
+    ("sweep_t=nan", "sweep", {"sweep": {"param": "t", "values": [0.5, math.nan]}}),
+    ("t_value=0", "convergence", {"convergence": {"method": "factorized",
+                                                  "t_values": [0.0, 0.5]}}),
+    ("t_final=nan", "convergence", {"convergence": {"method": "factorized",
+                                                    "n_steps_values": [2, 4],
+                                                    "t_final": math.nan}}),
+    ("nbar=nan", "simulate", {"initial_state": {"kind": "thermal", "nbar": math.nan}}),
+    # the amplitudes alpha^n / sqrt(n!) overflow a double at dim 10
+    ("alpha_re=1e200", "simulate", {"initial_state": {"kind": "coherent",
+                                                      "alpha_re": 1e200}}),
+] + [(f"{key}={v}", *at(v)) for key, at in NUMERIC_KEYS.items()
+     for v in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("command, overrides, code", [
+    *((command, overrides, EXIT_CONFIG) for _, command, overrides in REJECTED),
+    # finite states of entries near 1e177, whose diagnostics overflow
+    *(("simulate", {"model": {**MODEL, "kappa_re": 1e30}, "methods": [method],
+                    "positivity": "permissive"}, EXIT_NUMERICAL)
+      for method in ("factorized", "alternative", "series")),
+    # |kappa|^2 is inf, which mu*nu does not reach
+    ("simulate", {"model": {**MODEL, "kappa_re": 1e200}}, EXIT_POSITIVITY),
+], ids=[name for name, _, _ in REJECTED]
+    + [f"{method}_kappa_re=1e30" for method in ("factorized", "alternative", "series")]
+    + ["strict_kappa_re=1e200"])
 def test_rejected_values_exit_with_one_error_line(tmp_path, capsys, command,
-                                                  overrides):
+                                                  overrides, code):
+    """Exactly one stderr line, no numpy warning or traceback before it."""
     path = write_config(tmp_path, **overrides)
-    assert main([command, "--config", path]) == EXIT_CONFIG
+    assert main([command, "--config", path]) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_exit_code_for_numerical_failure(tmp_path, capsys, monkeypatch):
@@ -602,7 +646,7 @@ def test_exit_code_for_non_finite_sparse_exponential(tmp_path, capsys,
                                                      monkeypatch):
     # d = 12 has parity blocks of 72 rows, so exact runs on the Taylor
     # kernel; a NaN shift makes every step's scale factor, and so the
-    # state, non-finite
+    # state, non-finite, which propagate_sweep reports
     plan = propagators.taylor_plan
     monkeypatch.setattr(propagators, "taylor_plan",
                         lambda block, gap: replace(plan(block, gap), shift=np.nan))
@@ -610,7 +654,8 @@ def test_exit_code_for_non_finite_sparse_exponential(tmp_path, capsys,
                         model={"omega": 1.0, "mu": 0.5, "nu": 0.2, "dim": 12})
     assert main(["simulate", "--config", path]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert err.startswith("error: numerical failure: taylor_apply")
+    assert err.startswith("error: numerical failure: the exact route produced "
+                          "non-finite entries")
     assert err.count("\n") == 1
 
 

@@ -11,6 +11,7 @@ from qdamp.diagnostics import (
     state_diagnostics,
 )
 from qdamp.fock import fock_state, thermal_state
+from qdamp.linalg import NumericalError
 from qdamp.liouvillian import ModelParams
 
 
@@ -65,6 +66,16 @@ def test_compare_states_basics():
     assert tdist == pytest.approx(1.0)   # orthogonal pure states
     with pytest.raises(ValueError, match="shape"):
         compare_states(fock_state(4, 0), fock_state(5, 0))
+
+
+def test_diagnostics_and_distances_raise_when_a_value_overflows():
+    """A finite state of entries near 1e200: its purity and the distance to
+    its negative overflow a double, with no numpy warning first."""
+    rho = np.full((4, 4), 1e200, dtype=complex)
+    with pytest.raises(NumericalError, match="the state's purity overflowed"):
+        state_diagnostics(rho)
+    with pytest.raises(NumericalError, match="the distance between the states"):
+        compare_states(rho, -rho)
 
 
 def test_compare_states_symmetry(rng):

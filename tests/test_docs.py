@@ -85,29 +85,53 @@ def test_every_export_resolves_once(monkeypatch):
     assert not unresolved
 
 
-# each input rule and the module whose one function holds it
-RULE_OWNERS = {"margin": ("linalg.py", "check_margin"),
-               "dim": ("fock.py", "check_dim"),
-               "n_steps": ("coefficients.py", "check_steps")}
+# each input rule and the functions that hold it; "finite" is the rule
+# that a number is finite (tested by an isfinite call or a comparison with
+# inf), the others compare the named value with a number
+RULE_OWNERS = {"margin": {("linalg.py", "check_margin")},
+               "dim": {("fock.py", "check_dim")},
+               "n_steps": {("coefficients.py", "check_steps")},
+               "finite": {("linalg.py", "check_real"), ("linalg.py", "check_complex")}}
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _raises_numerical_error(func, makers) -> bool:
+    """Whether func raises NumericalError or a helper's (one of makers)."""
+    return any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+               and _name(node.exc.func) in makers for node in ast.walk(func))
 
 
 def test_each_input_rule_is_checked_in_its_owner_alone():
-    """A margin, dimension or step count is compared with a number only
-    inside its owner's check function; every other caller calls it.  A
-    chained comparison is read pair by pair."""
+    """A margin, dimension or step count is compared with a number, and a
+    number is tested for being finite, only inside the rule's owners;
+    every other caller calls them.  A chained comparison is read pair by
+    pair.  A function that raises NumericalError, directly or through a
+    helper annotated to return one, tests a computed result, not an
+    input, and may test it for being finite."""
     found = set()
     for path in sorted((ROOT / "src" / "qdamp").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for func in ast.walk(tree):
-            if not isinstance(func, ast.FunctionDef):
-                continue
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        makers = {"NumericalError"} | {f.name for f in funcs
+                                       if _name(f.returns) == "NumericalError"}
+        for func in funcs:
+            exempt = _raises_numerical_error(func, makers)
             for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and _name(node.func) == "isfinite"
+                        and not exempt):
+                    found.add(("finite", path.name, func.name))
                 if not isinstance(node, ast.Compare):
                     continue
                 operands = [node.left, *node.comparators]
                 for pair in zip(operands, operands[1:]):   # a < b < c is two
-                    named = {getattr(o, "id", getattr(o, "attr", None)) for o in pair}
+                    named = {_name(o) for o in pair}
+                    if "inf" in named and not exempt:
+                        found.add(("finite", path.name, func.name))
                     if any(isinstance(o, ast.Constant) for o in pair):
                         found |= {(rule, path.name, func.name)
                                   for rule in named & set(RULE_OWNERS)}
-    assert found == {(rule, *owner) for rule, owner in RULE_OWNERS.items()}
+    assert found == {(rule, *owner) for rule, owners in RULE_OWNERS.items()
+                     for owner in owners}

@@ -1,13 +1,65 @@
 """Numerics kernel: conversion, products, exponentials, eigensolves."""
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-from qdamp.linalg import (NumericalError, as_complex_matrix, expm,
-                          hermitian_eigenvalues)
+from qdamp.coefficients import check_time
+from qdamp.diagnostics import convergence_points
+from qdamp.fock import build_fock_ops, coherent_state, thermal_state
+from qdamp.linalg import (NumericalError, as_complex_matrix, check_complex,
+                          check_real, expm, hermitian_eigenvalues)
+from qdamp.liouvillian import ModelParams
 
 ATOL = 1e-13
+
+
+def _model(**changes):
+    return ModelParams(**{"omega": 1.0, "mu": 0.5, "nu": 0.2, "kappa": 0.1,
+                          "dim": 4, **changes})
+
+
+# each library input that must be a finite number: (where, its name in
+# the message, whether it may be complex, the call that takes it)
+FINITE_INPUTS = [
+    *((f"ModelParams.{name}", name, name == "kappa",
+       lambda v, name=name: _model(**{name: v}))
+      for name in ("omega", "mu", "nu", "theta", "kappa")),
+    ("build_fock_ops", "theta", False, lambda v: build_fock_ops(4, v)),
+    ("coherent_state", "alpha", True, lambda v: coherent_state(4, v)),
+    ("thermal_state", "nbar", False, lambda v: thermal_state(4, v)),
+    ("check_time", "t", False, check_time),
+    ("t_values", "t_values", False, lambda v: convergence_points(t_values=[0.5, v])),
+    ("t_final", "t_final", False,
+     lambda v: convergence_points(n_steps_values=[2, 4], t_final=v)),
+]
+NOT_FINITE = [math.nan, math.inf, -math.inf, True, "0.5", None]
+
+
+@pytest.mark.parametrize("where, name, is_complex, call", FINITE_INPUTS,
+                         ids=[where for where, *_ in FINITE_INPUTS])
+def test_every_number_input_rejects_what_is_not_finite(where, name, is_complex,
+                                                       call):
+    """Each input names itself in one ValueError for NaN, +-inf, a bool,
+    a string or None, and a real input for a complex number too."""
+    bad = NOT_FINITE + ([complex(0.1, math.nan), complex(math.inf, 0.0)]
+                        if is_complex else [0.5j])
+    for value in bad:
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            call(value)
+
+
+def test_check_real_and_check_complex_take_numpy_scalars():
+    assert check_real(np.float32(0.5), "x") == 0.5
+    assert type(check_real(np.int64(3), "x")) is float
+    assert check_complex(np.complex128(1 - 2j), "x") == 1 - 2j
+    assert type(check_complex(2, "x")) is complex
+    with pytest.raises(ValueError, match=r"^x must be finite, got .*nan"):
+        check_real(np.float64("nan"), "x")
+    with pytest.raises(ValueError, match=r"^x must be >= 0, got inf$"):
+        check_real(math.inf, "x", ">= 0")
 
 
 def test_as_complex_matrix_upcasts_real_input():
