@@ -86,9 +86,11 @@ def _require_keys(d: dict, where: str, required: Sequence[str],
 
 
 def _as_float(v, where: str) -> float:
+    """v as a float; an integer must have a finite one (check_real), while
+    a float, finite or not, is left to the check of the key that reads it."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    return float(v)
+    return v if isinstance(v, float) else _checked(where, check_real, v, "value")
 
 
 def _as_int(v, where: str) -> int:

@@ -65,18 +65,27 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def check_real(value, name: str, rule: str = "finite") -> float:
     """value as a float; ValueError, saying name must be rule, unless it
-    is a finite real number (numpy's count, bool does not)."""
-    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value)):
-        return float(value)
+    is a finite real number (numpy's count, bool does not).  An integer
+    beyond the double range is not: it has no finite float."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.inf
+        if math.isfinite(out):
+            return out
     raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def check_complex(value, name: str) -> complex:
     """check_real's rule for a complex value."""
-    if (isinstance(value, numbers.Complex) and not isinstance(value, bool)
-            and np.isfinite(value)):
-        return complex(value)
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        try:
+            out = complex(value)
+        except OverflowError:
+            out = complex(math.inf)
+        if np.isfinite(out):
+            return out
     raise ValueError(f"{name} must be finite, got {value!r}")
 
 

@@ -24,19 +24,28 @@ states with no population at the truncation edge this is invisible.
 build_liouvillian_trace_exact, the generator of the exact route, keeps
 a a+ as the truncated product, which restores exact trace annihilation:
 it is build_liouvillian plus the diagonal
-(nu d / 2)(1[n1 = d-1] + 1[n2 = d-1]).  Both read one weighted sum
-(_weighted_sum) of algebra.cached_generators, the CSR generators built
-once per (dim, theta).  build_liouvillian densifies it; the trace-exact
-generator stays CSR (about 9 nonzeros per row), since the exact route
-slices its parity blocks and applies them sparse, and callers that need
-a dense matrix call .toarray() on it.  The tests check them
-against the literal forms I and II, built from Kronecker products of the
-ladder matrices without those generators (tests/oracles.py), and against
-the master equation's right-hand side by plain matrix products.
+(nu d / 2)(1[n1 = d-1] + 1[n2 = d-1]).  The families depend on dim and
+theta alone and the rates only weight them, so every such generator at
+one (dim, theta) has one sparsity pattern.  generator_template builds it
+once, from the CSR generators of algebra.cached_generators and without
+densifying, with the positions of each family's entries in it and its
+two parity classes of n1 + n2 (every family moves n1 + n2 by 0 or +-2).
+A model is then only its stored entries (_entries): each family's CSR
+data times its rate, scatter-added in one fixed order, which keeps the
+bits of the sequential CSR sum of the scaled families.
+build_liouvillian densifies them; the trace-exact generator is the
+template's CSR matrix with them (about 9 nonzeros per row), whose data
+the exact route cuts into its parity blocks by the template's classes.
+Callers that need a dense matrix call .toarray().  The tests check them against the literal forms
+I and II, built from Kronecker products of the ladder matrices without
+those generators, against the sequential CSR sum, bit for bit
+(tests/oracles.py), and against the master equation's right-hand side
+by plain matrix products.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,22 +102,143 @@ class ModelParams:
         return build_fock_ops(self.dim, self.theta)
 
 
-def _weighted_sum(p: ModelParams) -> sp.csr_array:
-    """build_liouvillian in CSR: the rates times the generator families."""
-    g = cached_generators(p.dim, p.theta)
-    eye2 = sp.eye_array(p.dim * p.dim, dtype=np.complex128, format="csr")
-    return (0.5 * (p.mu - p.nu) * eye2
-            - (p.mu + p.nu) * g.jump_z
-            + p.nu * g.jump_plus
-            + p.mu * g.jump_minus
-            - 2j * p.omega * g.squeeze_z
-            + p.kappa.conjugate() * g.squeeze_plus
-            + p.kappa * g.squeeze_minus)
+# The generator families of the weighted sum, after the identity; _rates
+# gives the weight of each, and their entries are added in this order.
+_FAMILIES = ("jump_z", "jump_plus", "jump_minus", "squeeze_z", "squeeze_plus",
+             "squeeze_minus")
+
+
+def _rates(p: ModelParams) -> tuple:
+    """The weight of the identity, then of each of _FAMILIES."""
+    return (0.5 * (p.mu - p.nu), -(p.mu + p.nu), p.nu, p.mu, -2j * p.omega,
+            p.kappa.conjugate(), p.kappa)
+
+
+@dataclass(frozen=True, eq=False)
+class ParityClass:
+    """The slots of vec(rho) whose n1 + n2 has one parity, ascending, and
+    the CSR pattern of the generator's block on them.
+
+    entries picks the block's stored entries, in CSR order, out of the
+    generator's; diagonal picks each row's diagonal entry out of the
+    block's.
+    """
+
+    slots: np.ndarray
+    entries: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    diagonal: np.ndarray
+
+    def direct_sum(self, blocks) -> sp.csr_array:
+        """The CSR direct sum of the blocks, in order, each given by its
+        entries (a generator's entries[self.entries])."""
+        count, rows, nnz = len(blocks), self.slots.size, self.indices.size
+        # 32-bit indices while they fit, as scipy.sparse's own constructors
+        # take them; they halve the index memory of every product
+        index = np.int32 if count * nnz < 2 ** 31 else np.int64
+        offsets = np.arange(count, dtype=index)[:, None]
+        indptr = np.append((self.indptr[:-1] + nnz * offsets).ravel(),
+                           index(count * nnz))
+        return sp.csr_array((np.concatenate(blocks),
+                             (self.indices + rows * offsets).ravel(), indptr),
+                            shape=(count * rows, count * rows))
+
+
+@dataclass(frozen=True, eq=False)
+class GeneratorTemplate:
+    """The CSR pattern of every trace-exact generator at one (dim, theta).
+
+    terms pairs each term of the weighted sum (the identity, then
+    _FAMILIES) with the positions of its stored entries in the pattern;
+    the entries are the term's own CSR data.  diagonal is the position
+    of each slot's diagonal entry, and edge each slot's count
+    1[n1 = d-1] + 1[n2 = d-1].  classes are the even and the odd parity
+    class.
+    """
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    terms: tuple
+    diagonal: np.ndarray
+    edge: np.ndarray
+    classes: tuple
+
+    def csr(self, entries: np.ndarray) -> sp.csr_array:
+        """The CSR matrix of this pattern with the given stored entries."""
+        size = self.indptr.size - 1
+        return sp.csr_array((entries, self.indices, self.indptr), shape=(size, size))
+
+
+def _keys(m) -> np.ndarray:
+    """row * d^2 + col of each stored entry of a d^2 x d^2 CSR matrix, in
+    its CSR order; ascending for a canonical one."""
+    rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
+    return rows * m.shape[0] + m.indices
+
+
+@functools.lru_cache(maxsize=8)
+def generator_template(dim: int, theta: float) -> GeneratorTemplate:
+    """The GeneratorTemplate at (dim, theta), built once from the CSR
+    entries of algebra.cached_generators, then shared; no dense matrix is
+    formed.  Callers never modify its arrays in place."""
+    g = cached_generators(dim, theta)
+    size = dim * dim
+    terms = [sp.eye_array(size, dtype=np.complex128, format="csr")]
+    terms += [getattr(g, name) for name in _FAMILIES]
+    # the union of the terms' patterns, in CSR order: no entry of a sum of
+    # positive weights cancels
+    union = sum(abs(m) for m in terms)
+    index = union.indices.dtype
+    rows = np.repeat(np.arange(size, dtype=index), np.diff(union.indptr))
+    cols = union.indices
+    # every generator moves n1 + n2 by 0 or +-2, so a class's rows reach
+    # only its own columns
+    parity = (np.add.outer(np.arange(dim), np.arange(dim)) % 2).astype(np.int8).reshape(-1)
+    local = np.empty(size, dtype=index)     # a slot's index in its class
+    classes = []
+    for k in (0, 1):
+        slots = np.flatnonzero(parity == k)
+        local[slots] = np.arange(slots.size)
+        entries = np.flatnonzero(parity[rows] == k).astype(index)
+        r, c = local[rows[entries]], local[cols[entries]]
+        classes.append(ParityClass(
+            slots, entries, c, np.searchsorted(r, np.arange(slots.size + 1)).astype(index),
+            np.flatnonzero(r == c).astype(index)))
+    keys = _keys(union)
+    top = (np.arange(dim) == dim - 1).astype(np.float64)
+    return GeneratorTemplate(
+        indices=cols, indptr=union.indptr,
+        terms=tuple((np.searchsorted(keys, _keys(m)).astype(index), m) for m in terms),
+        diagonal=np.flatnonzero(rows == cols).astype(index),
+        edge=np.add.outer(top, top).reshape(-1), classes=tuple(classes))
+
+
+def _entries(p: ModelParams, edge: bool) -> np.ndarray:
+    """The generator's stored entries in its template's pattern.
+
+    Each term's CSR data times its rate, array first, as scipy.sparse
+    scales a matrix, added onto zeros in _rates' order, then with edge the
+    trace-exact diagonal.  numpy rounds a complex product by operand
+    order, and with FMA by where the entry sits in its array; so these
+    are the entries of the CSR sum of the scaled terms, bit for bit.
+    Sums onto +0 hold no -0, so no entry differs from that sum's in the
+    sign of a zero either; an entry the sum drops as exactly 0 is a
+    stored 0 here.
+    """
+    tpl = generator_template(p.dim, p.theta)
+    out = np.zeros(tpl.indices.size, dtype=np.complex128)
+    for (positions, term), rate in zip(tpl.terms, _rates(p)):
+        out[positions] += term.data * rate
+    if edge:
+        out[tpl.diagonal] += 0.5 * p.nu * p.dim * tpl.edge
+    return out
 
 
 def build_liouvillian(params: ModelParams) -> np.ndarray:
     """The dense d^2 x d^2 generator: the rates times the generator families."""
-    return _weighted_sum(params).toarray()
+    tpl = generator_template(params.dim, params.theta)
+    return tpl.csr(_entries(params, edge=False)).toarray()
 
 
 def build_liouvillian_trace_exact(params: ModelParams) -> sp.csr_array:
@@ -118,7 +248,5 @@ def build_liouvillian_trace_exact(params: ModelParams) -> sp.csr_array:
     a a+ equals n + 1 - d on the top level, which build_liouvillian
     drops.  With it, vec(identity) annihilates every column exactly.
     """
-    d = params.dim
-    top = (np.arange(d) == d - 1).astype(np.float64)
-    edge = 0.5 * params.nu * d * np.add.outer(top, top).reshape(-1)
-    return _weighted_sum(params) + sp.diags_array(edge)
+    tpl = generator_template(params.dim, params.theta)
+    return tpl.csr(_entries(params, edge=True))

@@ -54,9 +54,14 @@ liouvillian (CSR, about 9 nonzeros per row).  Every generator moves
 n1 + n2 by 0 or +-2, so L couples no slot of even n1 + n2 to one of odd
 n1 + n2 (the weak-symmetry reduction of Buca and Prosen, NJP 14 073007,
 2012): the route cuts L into its two parity blocks and chains the states
-over a time grid through exp(gap L_even) and exp(gap L_odd).  Above
+over a time grid through exp(gap L_even) and exp(gap L_odd).  All
+models of one (dim, theta) share the pattern of liouvillian's
+generator_template, blocks included, so a model enters as its stored
+entries alone, cut by the template's parity classes, and no slice of a
+CSR generator is formed.  Above
 DENSE_BLOCK_ROWS rows (d > 10) the blocks of models whose blocks have
-close norms form one direct sum per class, applied to those models'
+close norms form one direct sum per class, the class pattern offset per
+model with the models' entries joined, applied to those models'
 states as one vector by linalg's Taylor kernel (Al-Mohy and Higham, SIAM
 J. Sci. Comput. 33:488, 2011): taylor_plan fixes the shift, degree and
 step count of exp(gap sum) from the sum's exact 1-norm once per gap, and
@@ -97,8 +102,8 @@ from .coefficients import check_steps, check_time, eval_coefficients
 from .diagnostics import DiagnosticsRecord, state_diagnostics
 from .linalg import NumericalError, as_complex_matrix, expm, taylor_apply, taylor_plan
 # build_liouvillian is not called here either; the tracer wraps it too.
-from .liouvillian import (ModelParams, build_liouvillian,  # noqa: F401
-                          build_liouvillian_trace_exact)
+from .liouvillian import (ModelParams, ParityClass, build_liouvillian,  # noqa: F401
+                          build_liouvillian_trace_exact, generator_template)
 from .vectorize import unvec, vec
 
 STATE_TRACE_TOL = 1e-10
@@ -138,16 +143,18 @@ SLOTS_PER_MATRIX_FREE_STEP = 16
 # ratio of its smallest (_direct_sums).
 DIRECT_SUM_NORM_RATIO = 1.5
 # Peak memory of the exact route per model, in units of its CSR generator
-# (184 bytes per slot of vec(rho)): the generator, its two blocks, the
-# step map's shifted blocks (the Taylor plans), the Taylor vectors,
-# the cached generators and the grid's states.  ru_maxrss in a child
-# process over the README grid, the cached generators' first build included:
-#   d      11     16     24       32       48       64       128
-#   units  65-73  31-35  13.6-15  7.7-8.3  5.7-6.2  5.7-5.9  5.5-5.6
-# that build is most of it below d = 48, 1.44-1.63 MB at any d, so
+# (184 bytes per slot of vec(rho)): the model's entries and its blocks'
+# entries, the direct sums, the step map's shifted blocks (the Taylor
+# plans), the Taylor vectors, the cached generators and their template
+# (1.1 units, kept once built) and the grid's states.  ru_maxrss in a
+# child process over the README grid, one BLAS thread, the first build
+# of the cached generators and of the template included:
+#   d      11     16     24     32       48       64       96       128
+#   units  71-73  33-36  15-16  8.4-9.4  6.8-7.4  7.3-7.7  7.0-7.1  6.6-6.7
+# those builds are most of it below d = 48, 1.57-1.76 MB at d <= 32, so
 # _exact_memory takes at least 2 MiB; per model of an 8-model sweep,
-# 3.5-3.6 units at d = 32, 3.4 at d = 48..128.
-EXPM_WORKSPACE = 8
+# 3.5-3.8 units at d = 32..128.  10 keeps 2 units above every figure.
+EXPM_WORKSPACE = 10
 # The closed-form and series kernels take at most this many bytes of
 # d^2 x n state block per pass (_columns) and hold about five such
 # blocks, so a long grid or sweep does not grow their working memory.
@@ -237,17 +244,6 @@ def _index_difference(dim: int) -> np.ndarray:
     """n1 - n2 per flat slot."""
     levels = np.arange(dim, dtype=np.float64)
     return np.subtract.outer(levels, levels).reshape(-1)
-
-
-def _parity_classes(dim: int) -> list[np.ndarray]:
-    """Flat slots with n1 + n2 even, then those with it odd.
-
-    Every generator moves n1 + n2 by 0 or +-2, so the trace-exact
-    generator couples no slot of one class to a slot of the other and
-    exp(t L) is the exponential of each diagonal block on its own.
-    """
-    parity = _total_index(dim) % 2
-    return [np.flatnonzero(parity == k) for k in (0, 1)]
 
 
 def _dense_blocks(dim: int) -> bool:
@@ -585,21 +581,20 @@ def _exact_chunks(models: list) -> list[list]:
     return [models[i:i + size] for i in range(0, len(models), size)]
 
 
-def _shifted_norm(block) -> float:
-    """The 1-norm of a CSR block shifted by its mean diagonal, from its
-    entries: each column's sum of absolute values, with the diagonal
-    entry's |b_ii| replaced by |b_ii - mean|.  It can differ from
-    taylor_plan's norm, taken after scaling by the gap, in the last
-    bits."""
-    diag = block.diagonal()
-    sums = np.bincount(block.indices, weights=np.abs(block.data),
-                       minlength=block.shape[0])
+def _shifted_norm(cls: ParityClass, block: np.ndarray) -> float:
+    """The 1-norm of a parity block, given by its entries in cls's
+    pattern, shifted by its mean diagonal: each column's sum of absolute
+    values, with the diagonal entry's |b_ii| replaced by |b_ii - mean|.
+    It can differ from taylor_plan's norm, taken after scaling by the
+    gap, in the last bits."""
+    diag = block[cls.diagonal]
+    sums = np.bincount(cls.indices, weights=np.abs(block), minlength=cls.slots.size)
     return (sums + np.abs(diag - diag.mean()) - np.abs(diag)).max()
 
 
-def _direct_sums(parts: list) -> list:
-    """(slots, block) per CSR direct sum of the blocks in parts, pairs of
-    the slots of the state vector and the CSR block acting on them.
+def _direct_sums(cls: ParityClass, blocks: list, size: int) -> list:
+    """(slots, direct sum) per CSR direct sum of the class's blocks, one
+    block's entries per model, model j's state at slots j * size + cls.slots.
 
     A Taylor plan takes one shift, step count and degree for its whole
     matrix, all set by its largest norm, so only blocks whose
@@ -608,16 +603,15 @@ def _direct_sums(parts: list) -> list:
     about that ratio times its own steps.  The ratios do not depend on
     the step, so the sums serve every step of a chain.
     """
-    norms = [_shifted_norm(block) for _, block in parts]
+    norms = [_shifted_norm(cls, block) for block in blocks]
     groups = []
-    for j in sorted(range(len(parts)), key=norms.__getitem__):
+    for j in sorted(range(len(blocks)), key=norms.__getitem__):
         if groups and norms[j] <= DIRECT_SUM_NORM_RATIO * norms[groups[-1][0]]:
             groups[-1].append(j)
         else:
             groups.append([j])
-    return [(np.concatenate([parts[j][0] for j in group]),
-             parts[group[0]][1] if len(group) == 1
-             else sp.block_diag([parts[j][1] for j in group], format="csr"))
+    return [(np.concatenate([cls.slots + j * size for j in group]),
+             cls.direct_sum([blocks[j] for j in group]))
             for group in groups]
 
 
@@ -626,8 +620,10 @@ def _exact_chain(models: list, rho0: np.ndarray, times: list):
     exp(t L_j) vec(rho0) for models[j].  The yielded array is updated in
     place for the next time.
 
-    The states are one vector, model after model.  Each model's
-    trace-exact generator is cut into its parity blocks.  Above
+    The states are one vector, model after model.  Every trace-exact
+    generator at one (dim, theta) has the pattern of its
+    generator_template, so each model is only its stored entries, cut
+    into its parity blocks by the template's classes.  Above
     DENSE_BLOCK_ROWS rows the blocks of one class form CSR direct sums
     over the models of close norm (_direct_sums), and each step applies
     a sum's exponential to those models' states of that class, one
@@ -641,16 +637,16 @@ def _exact_chain(models: list, rho0: np.ndarray, times: list):
     dim, n = models[0].dim, len(models)
     size = dim * dim
     dense = _dense_blocks(dim)
-    gens = [build_liouvillian_trace_exact(p) for p in models]
+    entries = [build_liouvillian_trace_exact(p).data for p in models]
     # blocks pairs the slots of v with the block acting on them: per
     # class, one dense block per model, or the direct sums
     blocks = []
-    for cls in _parity_classes(dim):
-        parts = [(cls + j * size, gen[np.ix_(cls, cls)])
-                 for j, gen in enumerate(gens)]
-        blocks += ([(idx, block.toarray()) for idx, block in parts] if dense
-                   else _direct_sums(parts))
-    del gens, parts     # free the generators before the exponentials
+    for cls in generator_template(dim, models[0].theta).classes:
+        parts = [data[cls.entries] for data in entries]
+        blocks += ([(cls.slots + j * size, cls.direct_sum([part]).toarray())
+                    for j, part in enumerate(parts)] if dense
+                   else _direct_sums(cls, parts, size))
+    del entries, parts     # free the entries before the exponentials
     # v holds the states at start + count * gap, and steps the step map:
     # (slots, exp(gap block)) per dense block, or (slots, Taylor plan) per
     # direct sum.  v is a new array, not the caller's rho0.

@@ -12,6 +12,12 @@ other formulas, so agreement to roundoff tests the decomposition:
             each squeeze exponential split into its commuting pair and
             sym halves, each exponentiated densely by scipy's expm.
 
+weighted_sum and trace_exact_generator are the sequential CSR sum of the
+generator: every family scaled by scipy, then added one matrix at a
+time.  The program reads each model's entries off a cached sparsity
+template (liouvillian.generator_template), and the tests check that it
+keeps their bits.
+
 Also here: sandwich_sum, a ladder sum of the series route as d x d
 matrix products, against which its windowed kernel
 (propagators._ladder_sum) is checked; and exact_superop_extended, the
@@ -30,8 +36,9 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from qdamp.algebra import build_generators
+from qdamp.algebra import build_generators, cached_generators
 from qdamp.coefficients import eval_coefficients
 from qdamp.liouvillian import ModelParams, build_liouvillian_trace_exact
 
@@ -70,6 +77,28 @@ def form_two(p: ModelParams) -> np.ndarray:
     out += kc * (_sandwich(ad, ad) - 0.5 * (np.kron(ad2, one) + np.kron(one, ad2.T)))
     out += k * (_sandwich(a, a) - 0.5 * (np.kron(a2, one) + np.kron(one, a2.T)))
     return out
+
+
+def weighted_sum(p: ModelParams) -> sp.csr_array:
+    """Form III in CSR: the rates times the generator families, summed in
+    order by scipy.sparse."""
+    g = cached_generators(p.dim, p.theta)
+    eye2 = sp.eye_array(p.dim * p.dim, dtype=np.complex128, format="csr")
+    return (0.5 * (p.mu - p.nu) * eye2
+            - (p.mu + p.nu) * g.jump_z
+            + p.nu * g.jump_plus
+            + p.mu * g.jump_minus
+            - 2j * p.omega * g.squeeze_z
+            + p.kappa.conjugate() * g.squeeze_plus
+            + p.kappa * g.squeeze_minus)
+
+
+def trace_exact_generator(p: ModelParams) -> sp.csr_array:
+    """weighted_sum plus the diagonal (nu d / 2)(1[n1 = d-1] + 1[n2 = d-1])."""
+    d = p.dim
+    top = (np.arange(d) == d - 1).astype(np.float64)
+    edge = 0.5 * p.nu * d * np.add.outer(top, top).reshape(-1)
+    return weighted_sum(p) + sp.diags_array(edge)
 
 
 def l_factor_six(p: ModelParams, t: float) -> np.ndarray:

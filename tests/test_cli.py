@@ -632,6 +632,21 @@ def test_rejected_values_exit_with_one_error_line(tmp_path, capsys, command,
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("key, where", [("model.omega", "model.omega"),
+                                        ("times.t_max", "times.t_max"),
+                                        ("sweep.mu", "sweep.values")])
+def test_an_integer_beyond_the_double_range_is_one_error_line(tmp_path, capsys,
+                                                              key, where):
+    """A JSON integer literal with no finite double, a 1 and 400 zeros."""
+    command, overrides = NUMERIC_KEYS[key](10 ** 400)
+    path = write_config(tmp_path, **overrides)
+    assert f'1{"0" * 400}' in Path(path).read_text()
+    assert main([command, "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: value must be finite, got 1000")
+    assert err.count("\n") == 1, err
+
+
 def test_exit_code_for_numerical_failure(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericalError("synthetic breakdown")

@@ -62,6 +62,14 @@ def test_check_real_and_check_complex_take_numpy_scalars():
         check_real(math.inf, "x", ">= 0")
 
 
+@pytest.mark.parametrize("check", [check_real, check_complex])
+def test_an_integer_beyond_the_double_range_is_not_finite(check):
+    for value in (10 ** 400, -10 ** 400):
+        with pytest.raises(ValueError, match=r"^x must be finite, got -?1000"):
+            check(value, "x")
+    assert check(2 ** 1023, "x") == 2.0 ** 1023
+
+
 def test_as_complex_matrix_upcasts_real_input():
     m = as_complex_matrix([[1, 2], [3, 4]], "m")
     assert m.dtype == np.complex128

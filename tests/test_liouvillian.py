@@ -5,14 +5,16 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_admissible_params, random_density, stiff_models
-from oracles import form_one, form_two
+from oracles import form_one, form_two, trace_exact_generator, weighted_sum
+from qdamp import propagators
 from qdamp.liouvillian import (ModelParams, PositivityError,
                                build_liouvillian,
-                               build_liouvillian_trace_exact)
+                               build_liouvillian_trace_exact, generator_template)
 from qdamp.vectorize import unvec, vec
 
 FORM_TOL = 1e-12
@@ -193,3 +195,69 @@ def test_phase_absorbs_into_kappa():
     rotated = replace(p, theta=0.0, kappa=p.kappa * np.exp(2j * p.theta))
     gap = np.linalg.norm(build_liouvillian(p) - build_liouvillian(rotated))
     assert gap <= 1e-12
+
+
+@st.composite
+def _models_at_seams(draw):
+    """One to four models at one d in 2..16 (both sides of the exact
+    route's dense-block rule, d <= 10) and a drawn theta, each at a drawn
+    seam: mu = nu, nu = 0 (no edge term), kappa = 0, omega = 0, or none."""
+    d = draw(st.integers(2, 16))
+    theta = draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)))
+    models = []
+    for _ in range(draw(st.integers(1, 4))):
+        p = ModelParams(omega=draw(st.floats(-3.0, 3.0)), mu=draw(st.floats(0.0, 5.0)),
+                        nu=draw(st.floats(0.0, 5.0)),
+                        kappa=complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))),
+                        dim=d, theta=theta)
+        seam = draw(st.sampled_from(["mu=nu", "nu=0", "kappa=0", "omega=0", None]))
+        models.append({"mu=nu": replace(p, nu=p.mu), "nu=0": replace(p, nu=0.0),
+                       "kappa=0": replace(p, kappa=0.0), "omega=0": replace(p, omega=0.0),
+                       None: p}[seam])
+    return models
+
+
+def _shifted_norm(m) -> float:
+    """The 1-norm of the CSR block m shifted by its mean diagonal, from the
+    dense matrix."""
+    dense = m.toarray()
+    shift = np.trace(dense) / dense.shape[0] * np.eye(dense.shape[0])
+    return np.abs(dense - shift).sum(axis=0).max()
+
+
+@settings(max_examples=60)
+@given(models=_models_at_seams())
+def test_template_entries_are_the_sequential_sum_bit_for_bit(models):
+    """The generators, their parity blocks and the exact route's direct
+    sums read off the cached template equal those of the sequential CSR
+    sum (tests/oracles.py): equal arrays, not close ones.  Each direct
+    sum is scipy's block_diag of its models' oracle blocks, and the
+    groups follow the norm rule: ascending, each within
+    DIRECT_SUM_NORM_RATIO of its first, each first beyond that of the
+    group before."""
+    d = models[0].dim
+    size = d * d
+    oracles = [trace_exact_generator(p) for p in models]
+    for p, want in zip(models, oracles):
+        assert np.array_equal(build_liouvillian_trace_exact(p).toarray(), want.toarray())
+        assert np.array_equal(build_liouvillian(p), weighted_sum(p).toarray())
+    ratio = propagators.DIRECT_SUM_NORM_RATIO
+    for cls in generator_template(d, models[0].theta).classes:
+        blocks = [build_liouvillian_trace_exact(p).data[cls.entries] for p in models]
+        wants = [want[np.ix_(cls.slots, cls.slots)] for want in oracles]
+        for block, want in zip(blocks, wants):
+            assert np.array_equal(cls.direct_sum([block]).toarray(), want.toarray())
+        norms = [_shifted_norm(want) for want in wants]
+        sums = propagators._direct_sums(cls, blocks, size)
+        # a sum's slots are cls.slots + j * size for each of its models j
+        groups = [[int(i) // size for i in slots[::cls.slots.size]] for slots, _ in sums]
+        assert sorted(j for group in groups for j in group) == list(range(len(models)))
+        for (slots, block), group in zip(sums, groups):
+            assert np.array_equal(slots, np.concatenate([cls.slots + j * size for j in group]))
+            want = scipy.sparse.block_diag([wants[j] for j in group], format="csr")
+            assert np.array_equal(block.toarray(), want.toarray())
+            first = norms[group[0]]
+            assert all(first * (1 - 1e-12) <= norms[j] <= ratio * first * (1 + 1e-12)
+                       for j in group)
+        firsts = [norms[group[0]] for group in groups]
+        assert all(ratio * a * (1 - 1e-12) < b for a, b in zip(firsts, firsts[1:]))

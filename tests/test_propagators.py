@@ -29,7 +29,7 @@ from qdamp.diagnostics import compare_states
 from qdamp.fock import build_fock_ops, coherent_state, fock_state
 from qdamp.linalg import TAYLOR_THETA, NumericalError, expm
 from qdamp.liouvillian import (ModelParams, build_liouvillian,
-                               build_liouvillian_trace_exact)
+                               build_liouvillian_trace_exact, generator_template)
 from qdamp.propagators import (
     METHODS,
     PropagationResult,
@@ -857,9 +857,9 @@ def test_taylor_kernel_matches_scipys_expm_multiply(no_norm_estimate, dim):
     import scipy.sparse.linalg
     gen = build_liouvillian_trace_exact(_readme_model(dim))
     rng = np.random.default_rng(dim)
-    for cls in propagators._parity_classes(dim):
-        block = gen[np.ix_(cls, cls)]
-        x = rng.normal(size=cls.size) + 1j * rng.normal(size=cls.size)
+    for cls in generator_template(dim, 0.0).classes:
+        block = gen[np.ix_(cls.slots, cls.slots)]
+        x = rng.normal(size=cls.slots.size) + 1j * rng.normal(size=cls.slots.size)
         for gap in (0.01, 0.25, 1.0):
             got = propagators.taylor_apply(propagators.taylor_plan(block, gap), x)
             want = scipy.sparse.linalg.expm_multiply(gap * block, x)
@@ -1035,13 +1035,16 @@ def test_exact_direct_sums_hold_only_blocks_of_close_norm():
     dim, size = 12, 144
     models = [replace(_readme_model(dim), mu=mu)
               for mu in (0.4, 0.5, 0.6, 40.0, 45.0, 400.0)]
-    for cls in propagators._parity_classes(dim):
-        parts = [(cls + j * size, build_liouvillian_trace_exact(p)[np.ix_(cls, cls)])
+    for cls in generator_template(dim, 0.0).classes:
+        parts = [(cls.slots + j * size,
+                  build_liouvillian_trace_exact(p)[np.ix_(cls.slots, cls.slots)])
                  for j, p in enumerate(models)]
+        blocks = [build_liouvillian_trace_exact(p).data[cls.entries] for p in models]
         norms = [_shifted_norm(b) for _, b in parts]
-        for _, b in parts:
-            assert propagators._shifted_norm(b) == pytest.approx(_shifted_norm(b), rel=1e-13)
-        sums = propagators._direct_sums(parts)
+        for (_, b), entries in zip(parts, blocks):
+            assert propagators._shifted_norm(cls, entries) == pytest.approx(
+                _shifted_norm(b), rel=1e-13)
+        sums = propagators._direct_sums(cls, blocks, size)
         members = [sorted({int(i) // size for i in slots}) for slots, _ in sums]
         assert members == [[0, 1, 2], [3, 4], [5]]
         for (slots, block), group in zip(sums, members):
@@ -1217,9 +1220,11 @@ def test_ladder_sum_is_the_matrix_sandwich_and_each_column_its_own_call(problem)
 
 def test_exact_memory_covers_the_measured_peaks():
     """Peak RSS of the exact route over the README grid in a child
-    process, the cached generators' first build included: the largest
-    of 13 runs per d with ru_maxrss (see EXPM_WORKSPACE)."""
-    for dim, peak_mb in ((11, 1.63), (16, 1.63), (24, 1.63), (32, 1.57), (48, 2.62)):
+    process, one BLAS thread, the first build of the cached generators
+    and their template included: the largest of 3 to 6 runs per d with
+    ru_maxrss (see EXPM_WORKSPACE)."""
+    for dim, peak_mb in ((11, 1.63), (16, 1.70), (24, 1.70), (32, 1.76), (48, 3.15),
+                         (64, 5.80), (96, 11.99), (128, 19.98)):
         assert propagators._exact_memory(dim) >= peak_mb * 1e6, dim
 
 

@@ -5,7 +5,10 @@
 The set is the four benchmark workloads (perfbench.workloads.build) at
 seeds 0 and 3, a global convergence study, a local one with a repeated
 time, a global one of the series route and a t-sweep with repeated and
-zero times, these four on the README model at dim 12, and
+zero times, these four on the README model at dim 12, a permissive
+mu-sweep over geomspace(0.01, 20, 8) of the README model at dim 16 and
+theta 0.3 by the exact and factorized routes (its exact chain splits
+into several direct sums, over complex generator entries), and
 verify-algebra at dim 8 with margin 0 (a FAIL report) and at dim 12
 with margin 2 and theta 0.3.  Each run
 calls qdamp.cli.main in this process with its output on stdout; the
@@ -20,6 +23,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -49,6 +54,11 @@ def runs():
     yield "t-sweep", "sweep", dict(
         base, methods=list(workloads.ALL_METHODS),
         sweep={"param": "t", "values": [1.0, 0.0, 0.5, 1.0, 0.0, 2.0]}), []
+    wide = workloads.build("readme-simulate", 0, dim=16).config
+    yield "mu-sweep-wide-norm", "sweep", dict(
+        wide, model=dict(wide["model"], theta=0.3), methods=["exact", "factorized"],
+        positivity="permissive",
+        sweep={"param": "mu", "values": [float(v) for v in np.geomspace(0.01, 20.0, 8)]}), []
     yield "verify-algebra/dim-8-margin-0", "verify-algebra", None, [
         "--dim", "8", "--margin", "0"]
     yield "verify-algebra/dim-12-theta-0.3", "verify-algebra", None, [
