@@ -32,7 +32,13 @@ Truncation breaks a few of the relations at the highest Fock levels, in a
 completely localized way.  Every generator moves each of the two slot
 indices by at most 2, so restricting a residual to interior_mask at
 margin 2 removes exactly the affected entries; verify_algebra reports the
-projected residuals, computed on the CSR generators.
+projected residuals, computed on the CSR generators.  It evaluates the
+23-row identity table as six CSR products, one per row group (each
+family's three rows, the commuting pairs, the sandwich rows): [A, B] + C
+on the direct sums of the group's A, B and C, whose diagonal blocks are
+the rows' own products entry for entry.  Each residual is read from its
+block's stored entries whose row and column slots are both interior, the
+one rule projected_residual also applies to a sparse input.
 """
 
 from __future__ import annotations
@@ -169,18 +175,41 @@ def projected_residual(delta, dim: int, margin: int) -> float:
     """Frobenius norm of P @ delta @ P without materializing P.
 
     delta is a dense ndarray or a scipy.sparse array.  A sparse one is
-    measured on its summed stored entries, which spares the program the
-    import of scipy.sparse.linalg and the scipy.linalg it pulls in (about
-    0.14 s and 8.6 MB at start-up).
+    measured on its stored entries whose row and column slots are both
+    interior, in CSR order (_interior_norms), so no submatrix is built and
+    the program is spared the import of scipy.sparse.linalg and the
+    scipy.linalg it pulls in (about 0.14 s and 8.6 MB at start-up).
     """
     mask = interior_mask(dim, margin)
+    if np.shape(delta) != (mask.size, mask.size):
+        raise ValueError(f"delta must be {mask.size} x {mask.size} at dim {dim}, "
+                         f"got {np.shape(delta)}")
     if not mask.any():
         return 0.0
     if sp.issparse(delta):
-        sub = sp.csr_array(delta[np.ix_(mask, mask)])
-        sub.sum_duplicates()
-        return float(np.linalg.norm(sub.data))
+        return _interior_norms(sp.csr_array(delta), mask)[0]
     return float(np.linalg.norm(np.asarray(delta)[np.ix_(mask, mask)]))
+
+
+def _interior_norms(delta: sp.csr_array, mask: np.ndarray) -> list[float]:
+    """Frobenius norm of each mask.size-square diagonal block of delta,
+    over the stored entries whose row and column slots are both in mask.
+
+    The entries are read in CSR order; a non-canonical delta (unsorted
+    indices or duplicates) is summed on a copy first, so the caller's
+    array is left as it is.  The one residual rule: projected_residual
+    reads one block, verify_algebra a direct sum of a row group's.
+    """
+    if not delta.has_canonical_format:
+        delta = delta.copy()
+        delta.sum_duplicates()
+    n, indptr = mask.size, delta.indptr
+    rows = np.arange(delta.shape[0])
+    keep = (np.repeat(mask[rows % n], np.diff(indptr))
+            & mask[delta.indices % n])
+    kept = delta.data[keep]
+    bounds = np.concatenate(([0], np.cumsum(keep)))[indptr[::n]]
+    return [float(np.linalg.norm(kept[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -229,7 +258,9 @@ _COMMUTING = (("pair_plus", "sym_plus"), ("pair_minus", "sym_minus"),
 
 
 def _identity_table(g: SuperOpGenerators, ops: FockOperators):
-    """Every identity as a row (label, A, B, C), meaning [A, B] + C = 0.
+    """Every identity as a row (label, A, B, C), meaning [A, B] + C = 0,
+    in row groups: each family's three rows, the commuting pairs, and the
+    sandwich rows.
 
     C is None for a pair that commutes.  Inside each family z raises plus
     by one and lowers minus by one, and [plus, minus] closes on z as
@@ -237,17 +268,17 @@ def _identity_table(g: SuperOpGenerators, ops: FockOperators):
     explicit sandwich combinations, listed last; those are CSR Kronecker
     products whatever the type of the generators.
     """
-    rows = []
+    groups = []
     for family, closing in _FAMILIES:
         z, plus, minus = (f"{family}_{s}" for s in ("z", "plus", "minus"))
         gz, gp, gm = (getattr(g, name) for name in (z, plus, minus))
         close = "" if closing is None else f" {'+' if closing > 0 else '-'} 2 {z}"
-        rows += [(f"[{z}, {plus}] - {plus}", gz, gp, -gp),
-                 (f"[{z}, {minus}] + {minus}", gz, gm, gm),
-                 (f"[{plus}, {minus}]{close}", gp, gm,
-                  None if closing is None else closing * gz)]
-    rows += [(f"[{a}, {b}]", getattr(g, a), getattr(g, b), None)
-             for a, b in _COMMUTING]
+        groups.append([(f"[{z}, {plus}] - {plus}", gz, gp, -gp),
+                       (f"[{z}, {minus}] + {minus}", gz, gm, gm),
+                       (f"[{plus}, {minus}]{close}", gp, gm,
+                        None if closing is None else closing * gz)])
+    groups.append([(f"[{a}, {b}]", getattr(g, a), getattr(g, b), None)
+                   for a, b in _COMMUTING])
 
     a, a_dag, one = ops.a, ops.a_dag, ops.identity
     a2 = a @ a
@@ -258,7 +289,7 @@ def _identity_table(g: SuperOpGenerators, ops: FockOperators):
     ad2_right = _kron(one, ad2.T)              # X -> X (a+)^2
     a2_left = _kron(a2, one)                   # X -> a^2 X
     a2_right = _kron(one, a2.T)                # X -> X a^2
-    return rows + [
+    groups.append([
         ("[jump_z, squeeze_plus] + (ad2_left - ad2_right)/2",
          g.jump_z, g.squeeze_plus, 0.5 * (ad2_left - ad2_right)),
         ("[jump_z, squeeze_minus] - (a2_left - a2_right)/2",
@@ -271,12 +302,25 @@ def _identity_table(g: SuperOpGenerators, ops: FockOperators):
          g.jump_minus, g.squeeze_plus, -(ad2_right - ad_x_ad)),
         ("[jump_minus, squeeze_minus] - (a2_left - a_x_a)",
          g.jump_minus, g.squeeze_minus, -(a2_left - a_x_a)),
-    ]
+    ])
+    return groups
 
 
-def _frobenius(m) -> float:
-    """Frobenius norm of a generator, dense or CSR (one entry per slot)."""
-    return float(np.linalg.norm(m.data if sp.issparse(m) else m))
+def _direct_sum(blocks, size: int) -> sp.csr_array:
+    """The CSR direct sum of size x size CSR blocks, in order, built by
+    offsetting and concatenating their buffers; None is a zero block."""
+    blocks = [sp.csr_array((size, size)) if b is None else b for b in blocks]
+    count = len(blocks) * size
+    starts = np.cumsum([0] + [b.nnz for b in blocks])
+    # 32-bit indices while they fit, as scipy.sparse's own constructors take
+    # them; they cut the memory of every product and sum
+    index = np.int32 if max(starts[-1], count) < 2 ** 31 else np.int64
+    indptr = np.concatenate([b.indptr[:-1] + s for b, s in zip(blocks, starts)]
+                            + [starts[-1:]]).astype(index)
+    indices = np.concatenate([b.indices.astype(index) + size * k
+                              for k, b in enumerate(blocks)])
+    return sp.csr_array((np.concatenate([b.data for b in blocks]), indices, indptr),
+                        shape=(count, count))
 
 
 def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
@@ -284,26 +328,38 @@ def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
 
     Accepts either FockOperators, whose dim and theta select the CSR
     generators of cached_generators, or an existing SuperOpGenerators,
-    CSR or dense (the ladder operators for the right-hand sides are then
-    rebuilt from its dim and theta).  The residual for each
-    identity is the Frobenius norm of P ([A, B] + C) P with P the
-    interior projector at the given margin; margin 2 is enough to remove
-    every truncation artifact because no generator moves a slot index by
-    more than 2.  The margin is checked before any commutator is formed.
+    CSR or dense (a dense one is converted to CSR once; the ladder
+    operators for the right-hand sides are rebuilt from its dim and
+    theta).  The residual for each identity is the Frobenius norm of
+    P ([A, B] + C) P with P the interior projector at the given margin;
+    margin 2 is enough to remove every truncation artifact because no
+    generator moves a slot index by more than 2.  The margin is checked
+    before any commutator is formed.
+
+    Each row group of _identity_table is one CSR product: [A, B] + C with
+    A, B and C the direct sums of the group's rows, whose diagonal blocks
+    are the rows' own [A, B] + C entry for entry.  Each residual is read
+    from its block's stored entries under one interior mask
+    (_interior_norms).
     """
     margin = check_margin(margin)
     if isinstance(ops_or_gen, SuperOpGenerators):
-        gen = ops_or_gen
+        gen = replace(ops_or_gen, **{f: sp.csr_array(getattr(ops_or_gen, f))
+                                     for f in _MATRIX_FIELDS})
         ops = build_fock_ops(gen.dim, gen.theta)
     else:
         ops = ops_or_gen
         gen = cached_generators(ops.dim, ops.theta)
     d = gen.dim
-    rows = _identity_table(gen, ops)
-    entries = [IdentityResidual(label, projected_residual(
-                   commutator(a, b) if c is None else commutator(a, b) + c, d, margin))
-               for label, a, b, c in rows]
-    threshold = np.finfo(float).eps * max(_frobenius(a) * _frobenius(b)  # eps is 2u
-                                          for _, a, b, _ in rows)
+    mask = interior_mask(d, margin)
+    entries, norms = [], []
+    for group in _identity_table(gen, ops):
+        labels, a, b, c = zip(*group)
+        delta = commutator(_direct_sum(a, d * d), _direct_sum(b, d * d))
+        if any(m is not None for m in c):
+            delta = delta + _direct_sum(c, d * d)
+        entries += map(IdentityResidual, labels, _interior_norms(delta, mask))
+        norms += [np.linalg.norm(x.data) * np.linalg.norm(y.data) for x, y in zip(a, b)]
+    threshold = np.finfo(float).eps * max(norms)  # eps is 2u
     return AlgebraReport(dim=d, margin=margin, empty_interior=margin >= d,
-                         threshold=threshold, entries=entries)
+                         threshold=float(threshold), entries=entries)

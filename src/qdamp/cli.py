@@ -258,6 +258,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:   # e.g. an integer literal past int's digit limit
+        raise ConfigError(f"config {path} cannot be read: {exc}") from exc
     return RunConfig.from_dict(raw)
 
 

@@ -38,7 +38,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .linalg import NumericalError, check_real
+from .linalg import NumericalError, check_real, shown
 
 HYPERBOLIC_BRANCH_AT = 1e-6   # on x = (mu - nu) t / 2
 PHASE_BRANCH_AT = 1e-9        # on omega * t
@@ -122,7 +122,7 @@ def check_steps(n_steps) -> int:
     # bool is an int subclass, but True is not a step count
     if (isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral)
             or n_steps < 1):
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+        raise ValueError(f"n_steps must be an integer >= 1, got {shown(n_steps)}")
     return int(n_steps)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_complex, check_real
+from .linalg import check_complex, check_real, shown
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class FockOperators:
 def check_dim(dim) -> int:
     """dim as an int; ValueError unless it is an integer >= 2."""
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 2:
-        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
+        raise ValueError(f"dim must be an integer >= 2, got {shown(dim)}")
     return int(dim)
 
 

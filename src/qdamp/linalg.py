@@ -47,6 +47,14 @@ TAYLOR_THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 TAYLOR_TOL = 2.0 ** -53
+# The most matvecs (degree * steps) a Taylor plan may take.  taylor_apply
+# pays about one sparse matvec per planned term, about 5 us at d = 16 and
+# 15 us at d = 64 (one BLAS thread, 2-vCPU VM), so 2e7 of them run for
+# minutes, and a larger plan would look like a hang: mu = nu = 1e6 plans
+# 2.4e8 at d = 16, and kappa 1e30 about 5e30.  taylor_plan refuses such a
+# plan with NumericalError.  The largest plan the test suite makes is
+# 1.7e5 (stiff rates of 1e3 at d <= 12), and tools/csv_digest.py's 5.1e3.
+TAYLOR_MAX_MATVECS = 2 * 10 ** 7
 
 
 class NumericalError(RuntimeError):
@@ -63,6 +71,15 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return out
 
 
+def shown(value) -> str:
+    """repr(value) for an error message; an integer too long for repr
+    (sys.get_int_max_str_digits) is shown by its bit length instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def check_real(value, name: str, rule: str = "finite") -> float:
     """value as a float; ValueError, saying name must be rule, unless it
     is a finite real number (numpy's count, bool does not).  An integer
@@ -74,7 +91,7 @@ def check_real(value, name: str, rule: str = "finite") -> float:
             out = math.inf
         if math.isfinite(out):
             return out
-    raise ValueError(f"{name} must be {rule}, got {value!r}")
+    raise ValueError(f"{name} must be {rule}, got {shown(value)}")
 
 
 def check_complex(value, name: str) -> complex:
@@ -86,14 +103,14 @@ def check_complex(value, name: str) -> complex:
             out = complex(math.inf)
         if np.isfinite(out):
             return out
-    raise ValueError(f"{name} must be finite, got {value!r}")
+    raise ValueError(f"{name} must be finite, got {shown(value)}")
 
 
 def check_margin(margin) -> int:
     """margin as an int; ValueError unless it is an integer >= 0."""
     if (isinstance(margin, bool) or not isinstance(margin, numbers.Integral)
             or margin < 0):
-        raise ValueError(f"margin must be an integer >= 0, got {margin!r}")
+        raise ValueError(f"margin must be an integer >= 0, got {shown(margin)}")
     return int(margin)
 
 
@@ -129,8 +146,8 @@ def taylor_plan(block, gap: float) -> TaylorPlan:
     s = ceil(norm / theta_m), norm the exact 1-norm of the shifted
     matrix, the plan takes the least m s, the first such m on a tie: the
     fewest matvecs that meet TAYLOR_TOL.  That is scipy's expm_multiply
-    below its norm-estimate bound, bit for bit.  A non-finite norm raises
-    NumericalError.
+    below its norm-estimate bound, bit for bit.  A non-finite norm, or a
+    plan of more than TAYLOR_MAX_MATVECS matvecs, raises NumericalError.
     """
     scaled = gap * block
     rows = scaled.shape[0]
@@ -144,6 +161,10 @@ def taylor_plan(block, gap: float) -> TaylorPlan:
     degree, steps = min(((deg, math.ceil(norm / theta))
                          for deg, theta in TAYLOR_THETA.items()),
                         key=lambda pair: pair[0] * pair[1])
+    if degree * steps > TAYLOR_MAX_MATVECS:
+        raise NumericalError(
+            f"the Taylor step over {gap} needs {steps:.1e} steps of degree {degree} "
+            f"(1-norm {norm:.1e}), more than {TAYLOR_MAX_MATVECS:.0e} matvecs")
     return TaylorPlan(shifted, shift, degree, steps)
 
 

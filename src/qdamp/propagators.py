@@ -159,11 +159,13 @@ EXPM_WORKSPACE = 10
 # d^2 x n state block per pass (_columns) and hold about five such
 # blocks, so a long grid or sweep does not grow their working memory.
 CLOSED_FORM_BLOCK_BYTES = 2 ** 24
-# The kernel's memory report and the cgroup v2 directory whose memory.max
-# and memory.current give a container's limit, read for the memory
-# estimates.
+# The kernel's memory report, the cgroup mount (cgroup v2: memory.max and
+# memory.current give a container's limit; cgroup v1: the memory
+# controller's hierarchy under memory/) and the file naming the process's
+# own cgroups, read for the memory estimates.
 MEMINFO = "/proc/meminfo"
 CGROUP = "/sys/fs/cgroup"
+PROC_CGROUP = "/proc/self/cgroup"
 
 METHODS = ("exact", "factorized", "alternative", "series")
 
@@ -512,8 +514,7 @@ def _available_memory() -> int:
     MemAvailable in MEMINFO counts the page cache the kernel would
     reclaim.  Where the file or the field is missing, the free physical
     pages from sysconf stand in; they leave that cache out.  The cap is
-    memory.max less memory.current in CGROUP (cgroup v2); "max" there, or
-    files that are missing or unreadable, mean no limit.
+    the cgroup's limit less its usage (_cgroup_headroom).
     """
     avail, headroom = _system_memory(), _cgroup_headroom()
     return avail if headroom is None else min(avail, headroom)
@@ -532,16 +533,44 @@ def _system_memory() -> int:
 
 
 def _cgroup_headroom() -> int | None:
-    """memory.max less memory.current, at least 0; None for no limit."""
+    """The cgroup's memory limit less its usage, at least 0; None for no limit.
+
+    cgroup v2: memory.max less memory.current in CGROUP.  Where memory.max
+    is missing, cgroup v1: memory.limit_in_bytes less memory.usage_in_bytes
+    of the process's own memory cgroup, at its PROC_CGROUP path under
+    CGROUP/memory, or at that mount's root where PROC_CGROUP names no
+    mounted path (a container that sees only its own cgroup).  "max", v1's unlimited
+    sentinel (2^62 or more, a page-rounded 2^63 - 1), and files that are
+    missing or unreadable mean no limit.
+    """
     try:
-        with open(os.path.join(CGROUP, "memory.max"), encoding="ascii") as fh:
-            limit = fh.read().strip()
-        if limit == "max":
+        if os.path.exists(os.path.join(CGROUP, "memory.max")):
+            where, files = CGROUP, ("memory.max", "memory.current")
+        else:
+            where, files = _v1_memory_cgroup(), ("memory.limit_in_bytes",
+                                                 "memory.usage_in_bytes")
+        limit, usage = (_read_text(os.path.join(where, f)) for f in files)
+        if limit == "max" or int(limit) >= 2 ** 62:
             return None
-        with open(os.path.join(CGROUP, "memory.current"), encoding="ascii") as fh:
-            return max(int(limit) - int(fh.read()), 0)
+        return max(int(limit) - int(usage), 0)
     except (OSError, ValueError):
         return None
+
+
+def _v1_memory_cgroup() -> str:
+    """The directory of this process's cgroup v1 memory cgroup (_cgroup_headroom)."""
+    root = os.path.join(CGROUP, "memory")
+    for line in _read_text(PROC_CGROUP).splitlines():
+        _, controllers, path = line.split(":", 2)
+        if "memory" in controllers.split(","):
+            own = os.path.join(root, path.lstrip("/"))
+            return own if os.path.isdir(own) else root
+    return root
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="ascii") as fh:
+        return fh.read().strip()
 
 
 def _require_memory(route: str, dim: int, need: int) -> int:

@@ -6,7 +6,10 @@ import numpy.testing as npt
 import pytest
 
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import verify_algebra_by_rows
 from qdamp.algebra import (build_generators, commutator, interior_mask,
                            projected_residual, sparse_generators,
                            verify_algebra)
@@ -114,6 +117,48 @@ def test_projected_residual_reads_sparse_input(rng):
     for margin in (0, 1, 3, 4):
         assert projected_residual(sp.csr_array(delta), 4, margin) == pytest.approx(
             projected_residual(delta, 4, margin), rel=1e-14, abs=0.0)
+
+
+def test_projected_residual_reads_non_canonical_csr_like_its_dense_form(rng):
+    # duplicate entries, unsorted indices within rows and explicit zeros:
+    # the duplicates are summed before the interior entries are read
+    d, n = 4, 16
+    rows = rng.integers(0, n, size=120)
+    cols = rng.integers(0, n, size=120)
+    vals = rng.normal(size=120) + 1j * rng.normal(size=120)
+    vals[::7] = 0.0
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(n + 1))
+    delta = sp.csr_array((vals[order], cols[order], indptr), shape=(n, n))
+    assert not delta.has_canonical_format
+    assert not delta.has_sorted_indices
+    before = (delta.data.copy(), delta.indices.copy(), delta.indptr.copy())
+    dense = delta.toarray()
+    for margin in range(0, d + 1):
+        assert projected_residual(delta, d, margin) == pytest.approx(
+            projected_residual(dense, d, margin), rel=1e-14, abs=0.0), margin
+    # the caller's array is summed on a copy, not in place
+    for got, want in zip((delta.data, delta.indices, delta.indptr), before):
+        npt.assert_array_equal(got, want)
+
+
+def test_projected_residual_rejects_a_delta_of_the_wrong_size():
+    for delta in (np.zeros((9, 9)), sp.csr_array((9, 9))):
+        with pytest.raises(ValueError, match="16 x 16"):
+            projected_residual(delta, 4, 1)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_grouped_report_is_the_per_identity_report_byte_for_byte(data):
+    # one direct-sum product per row group, read from stored entries, prints
+    # what one commutator and one fancy-indexed residual per row print,
+    # truncation artifacts (margin < 2) and the empty interior included
+    dim = data.draw(st.integers(2, 24), label="dim")
+    theta = data.draw(st.floats(-np.pi, np.pi), label="theta")
+    margin = data.draw(st.integers(0, dim), label="margin")
+    ops = build_fock_ops(dim, theta)
+    assert verify_algebra(ops, margin).to_text() == verify_algebra_by_rows(ops, margin).to_text()
 
 
 def test_z_generators_coincide():

@@ -620,9 +620,15 @@ REJECTED = [
       for method in ("factorized", "alternative", "series")),
     # |kappa|^2 is inf, which mu*nu does not reach
     ("simulate", {"model": {**MODEL, "kappa_re": 1e200}}, EXIT_POSITIVITY),
+    # above d = 10 the exact route's Taylor plans would take 2.4e8 and 5e30
+    # matvecs; TAYLOR_MAX_MATVECS refuses them before any step runs
+    ("simulate", {"model": {**MODEL, "mu": 1e6, "nu": 1e6, "dim": 16},
+                  "methods": ["exact"]}, EXIT_NUMERICAL),
+    ("simulate", {"model": {**MODEL, "kappa_re": 1e30, "dim": 16}, "methods": ["exact"],
+                  "positivity": "permissive"}, EXIT_NUMERICAL),
 ], ids=[name for name, _, _ in REJECTED]
     + [f"{method}_kappa_re=1e30" for method in ("factorized", "alternative", "series")]
-    + ["strict_kappa_re=1e200"])
+    + ["strict_kappa_re=1e200", "exact_dim16_mu=nu=1e6", "exact_dim16_kappa_re=1e30"])
 def test_rejected_values_exit_with_one_error_line(tmp_path, capsys, command,
                                                   overrides, code):
     """Exactly one stderr line, no numpy warning or traceback before it."""
@@ -644,6 +650,18 @@ def test_an_integer_beyond_the_double_range_is_one_error_line(tmp_path, capsys,
     assert main([command, "--config", path]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: value must be finite, got 1000")
+    assert err.count("\n") == 1, err
+
+
+def test_an_integer_literal_past_the_digit_limit_is_one_error_line(tmp_path, capsys):
+    # json.load cannot turn a literal of more than 4300 digits into an int
+    path = Path(write_config(tmp_path))
+    text = path.read_text()
+    assert '"omega": 1.0' in text
+    path.write_text(text.replace('"omega": 1.0', '"omega": 1' + "0" * 5000))
+    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path} cannot be read: ")
     assert err.count("\n") == 1, err
 
 

@@ -50,9 +50,9 @@ def test_csv_digest_prints_one_digest_per_run():
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 15
+    assert len(lines) == 16
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", ln) for ln in lines), lines
-    assert len({ln.split()[1] for ln in lines}) == 15
+    assert len({ln.split()[1] for ln in lines}) == 16
 
 
 PUBLIC = {

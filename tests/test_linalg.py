@@ -68,6 +68,9 @@ def test_an_integer_beyond_the_double_range_is_not_finite(check):
         with pytest.raises(ValueError, match=r"^x must be finite, got -?1000"):
             check(value, "x")
     assert check(2 ** 1023, "x") == 2.0 ** 1023
+    # past the int-to-str digit limit the message shows the bit length
+    with pytest.raises(ValueError, match=r"^x must be finite, got an integer of 16610 bits$"):
+        check(10 ** 5000, "x")
 
 
 def test_as_complex_matrix_upcasts_real_input():

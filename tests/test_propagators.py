@@ -27,7 +27,7 @@ from qdamp.algebra import build_generators
 from qdamp.coefficients import eval_coefficients, hyperbolic_weights
 from qdamp.diagnostics import compare_states
 from qdamp.fock import build_fock_ops, coherent_state, fock_state
-from qdamp.linalg import TAYLOR_THETA, NumericalError, expm
+from qdamp.linalg import TAYLOR_MAX_MATVECS, TAYLOR_THETA, NumericalError, expm
 from qdamp.liouvillian import (ModelParams, build_liouvillian,
                                build_liouvillian_trace_exact, generator_template)
 from qdamp.propagators import (
@@ -662,6 +662,44 @@ def test_available_memory_is_capped_by_the_cgroup_limit(monkeypatch, tmp_path,
     assert propagators._available_memory() == avail
 
 
+V1_UNLIMITED = "9223372036854771712\n"   # 2^63 - 1 rounded down to a page
+
+
+@pytest.mark.parametrize("proc, own, root, headroom", [
+    ("4:memory:/a/b\n", ("6000000000\n", "1000000000\n"), None, 5000000000),
+    ("5:cpuacct,memory:/a/b\n0::/\n", ("6000000000\n", "6500000000\n"), None, 0),
+    ("4:memory:/a/b\n", (V1_UNLIMITED, "1000000000\n"), None, None),
+    ("4:memory:/a/b\n", ("6000000000\n", None), None, None),
+    ("4:memory:/docker/c\n", None, ("6000000000\n", "2000000000\n"), 4000000000),
+    ("4:memory:/docker/c\n", None, (V1_UNLIMITED, "2000000000\n"), None),
+    (None, ("6000000000\n", "1000000000\n"), None, None),
+    ("3:cpu:/a/b\n", ("6000000000\n", "1000000000\n"), None, None),
+], ids=["limit_below", "over_limit", "unlimited", "no_usage", "path_not_mounted",
+        "root_unlimited", "no_proc_file", "no_memory_controller"])
+def test_available_memory_is_capped_by_the_cgroup_v1_limit(monkeypatch, tmp_path, proc,
+                                                           own, root, headroom):
+    """Without cgroup v2's memory.max, the v1 memory.limit_in_bytes less
+    memory.usage_in_bytes of the process's own memory cgroup, or of the
+    mount's root where that path is not mounted; the unlimited sentinel,
+    a missing file or no memory line is no limit."""
+    meminfo, cgroup = tmp_path / "meminfo", tmp_path / "cgroup"
+    meminfo.write_text(MEMINFO)
+    for where, files in ((cgroup / "memory" / "a" / "b", own), (cgroup / "memory", root)):
+        where.mkdir(parents=True, exist_ok=True)
+        for name, text in zip(("memory.limit_in_bytes", "memory.usage_in_bytes"),
+                              files or ()):
+            if text is not None:
+                (where / name).write_text(text)
+    if proc is not None:
+        (tmp_path / "proc_cgroup").write_text(proc)
+    monkeypatch.setattr(propagators, "MEMINFO", str(meminfo))
+    monkeypatch.setattr(propagators, "CGROUP", str(cgroup))
+    monkeypatch.setattr(propagators, "PROC_CGROUP", str(tmp_path / "proc_cgroup"))
+    assert propagators._cgroup_headroom() == headroom
+    assert propagators._available_memory() == (
+        7000000 * 1024 if headroom is None else min(7000000 * 1024, headroom))
+
+
 @pytest.mark.parametrize("content", [None, "MemTotal:        8000000 kB\n"],
                          ids=["no_file", "no_field"])
 def test_available_memory_falls_back_to_free_pages(monkeypatch, tmp_path,
@@ -894,6 +932,19 @@ def test_gap_steps_stay_within_the_exact_norm_bound():
     assert plan.steps > 1000    # the last gap needs many steps
     zero = propagators.taylor_plan(block, 0.0)
     assert (zero.degree, zero.steps) == (0, 1)
+
+
+def test_a_plan_past_the_matvec_bound_raises():
+    # the plan's matvec count grows with the gap; a plan of half the bound
+    # is made, one of twice the bound refused
+    block = build_liouvillian_trace_exact(
+        ModelParams(omega=1.0, mu=1e3, nu=1e3, kappa=0.0, dim=12))
+    plan = propagators.taylor_plan(block, 1.0)
+    gap = TAYLOR_MAX_MATVECS / (plan.degree * plan.steps)
+    half = propagators.taylor_plan(block, 0.5 * gap)
+    assert TAYLOR_MAX_MATVECS / 4 < half.degree * half.steps <= TAYLOR_MAX_MATVECS
+    with pytest.raises(NumericalError, match=r"more than 2e\+07 matvecs$"):
+        propagators.taylor_plan(block, 2.0 * gap)
 
 
 # ------------------------------------------------------ one pass per sweep

@@ -9,8 +9,9 @@ zero times, these four on the README model at dim 12, a permissive
 mu-sweep over geomspace(0.01, 20, 8) of the README model at dim 16 and
 theta 0.3 by the exact and factorized routes (its exact chain splits
 into several direct sums, over complex generator entries), and
-verify-algebra at dim 8 with margin 0 (a FAIL report) and at dim 12
-with margin 2 and theta 0.3.  Each run
+verify-algebra at dim 8 with margin 0 (a FAIL report), at dim 12
+with margin 2 and theta 0.3, and at dim 32 with margin 1 and theta 2.9
+(truncation artifacts in several row groups at a nonzero phase).  Each run
 calls qdamp.cli.main in this process with its output on stdout; the
 line for it is "<sha256 of those bytes>  <name>".  Two checkouts that
 print the same lines write the same bytes on every run in the set.  A
@@ -63,6 +64,8 @@ def runs():
         "--dim", "8", "--margin", "0"]
     yield "verify-algebra/dim-12-theta-0.3", "verify-algebra", None, [
         "--dim", "12", "--margin", "2", "--theta", "0.3"]
+    yield "verify-algebra/dim-32-theta-2.9-margin-1", "verify-algebra", None, [
+        "--dim", "32", "--theta", "2.9", "--margin", "1"]
 
 
 def main() -> int:
