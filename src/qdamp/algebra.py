@@ -31,14 +31,16 @@ which the tests check.
 Truncation breaks a few of the relations at the highest Fock levels, in a
 completely localized way.  Every generator moves each of the two slot
 indices by at most 2, so restricting a residual to interior_mask at
-margin 2 removes exactly the affected entries; verify_algebra reports the
-projected residuals, computed on the CSR generators.  It evaluates the
-23-row identity table as six CSR products, one per row group (each
-family's three rows, the commuting pairs, the sandwich rows): [A, B] + C
-on the direct sums of the group's A, B and C, whose diagonal blocks are
-the rows' own products entry for entry.  Each residual is read from its
-block's stored entries whose row and column slots are both interior, the
-one rule projected_residual also applies to a sparse input.
+margin 2 (read off each slot's levels, vectorize.slot_levels) removes
+exactly the affected entries; verify_algebra reports the projected
+residuals, computed on the CSR generators.  It evaluates the 23-row
+identity table as six CSR products, one per row group (each family's
+three rows, the commuting pairs, the sandwich rows): [A, B] + C on the
+direct sums (linalg.direct_sum) of the group's A, B and C, whose diagonal
+blocks are the rows' own products entry for entry.  Each residual is
+read from its block's stored entries whose row (linalg.entry_rows) and
+column slots are both interior, the one rule projected_residual also
+applies to a sparse input.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import FockOperators, build_fock_ops
-from .linalg import check_margin
+from .linalg import check_margin, direct_sum, entry_rows
+from .vectorize import slot_levels
 
 
 @dataclass(frozen=True)
@@ -162,13 +165,11 @@ def commutator(a, b):
 
 
 def interior_mask(dim: int, margin: int) -> np.ndarray:
-    """Boolean mask over flat slots keeping n1 <= dim-1-margin and n2 likewise.
-
-    margin >= dim yields an empty interior (all False); that degenerate case
-    is legal and simply means no slot survives projection.
-    """
-    keep = np.arange(dim) <= dim - 1 - check_margin(margin)
-    return np.kron(keep, keep).astype(bool)
+    """Boolean mask over the slots of vec keeping n1 and n2 <= dim-1-margin;
+    all False (no slot survives projection) for margin >= dim."""
+    top = dim - 1 - check_margin(margin)
+    n1, n2 = slot_levels(dim)
+    return (n1 <= top) & (n2 <= top)
 
 
 def projected_residual(delta, dim: int, margin: int) -> float:
@@ -184,8 +185,6 @@ def projected_residual(delta, dim: int, margin: int) -> float:
     if np.shape(delta) != (mask.size, mask.size):
         raise ValueError(f"delta must be {mask.size} x {mask.size} at dim {dim}, "
                          f"got {np.shape(delta)}")
-    if not mask.any():
-        return 0.0
     if sp.issparse(delta):
         return _interior_norms(sp.csr_array(delta), mask)[0]
     return float(np.linalg.norm(np.asarray(delta)[np.ix_(mask, mask)]))
@@ -203,12 +202,10 @@ def _interior_norms(delta: sp.csr_array, mask: np.ndarray) -> list[float]:
     if not delta.has_canonical_format:
         delta = delta.copy()
         delta.sum_duplicates()
-    n, indptr = mask.size, delta.indptr
-    rows = np.arange(delta.shape[0])
-    keep = (np.repeat(mask[rows % n], np.diff(indptr))
-            & mask[delta.indices % n])
+    n = mask.size
+    keep = mask[entry_rows(delta) % n] & mask[delta.indices % n]
     kept = delta.data[keep]
-    bounds = np.concatenate(([0], np.cumsum(keep)))[indptr[::n]]
+    bounds = np.concatenate(([0], np.cumsum(keep)))[delta.indptr[::n]]
     return [float(np.linalg.norm(kept[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -306,23 +303,6 @@ def _identity_table(g: SuperOpGenerators, ops: FockOperators):
     return groups
 
 
-def _direct_sum(blocks, size: int) -> sp.csr_array:
-    """The CSR direct sum of size x size CSR blocks, in order, built by
-    offsetting and concatenating their buffers; None is a zero block."""
-    blocks = [sp.csr_array((size, size)) if b is None else b for b in blocks]
-    count = len(blocks) * size
-    starts = np.cumsum([0] + [b.nnz for b in blocks])
-    # 32-bit indices while they fit, as scipy.sparse's own constructors take
-    # them; they cut the memory of every product and sum
-    index = np.int32 if max(starts[-1], count) < 2 ** 31 else np.int64
-    indptr = np.concatenate([b.indptr[:-1] + s for b, s in zip(blocks, starts)]
-                            + [starts[-1:]]).astype(index)
-    indices = np.concatenate([b.indices.astype(index) + size * k
-                              for k, b in enumerate(blocks)])
-    return sp.csr_array((np.concatenate([b.data for b in blocks]), indices, indptr),
-                        shape=(count, count))
-
-
 def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
     """Interior-projected residual for every commutation identity.
 
@@ -355,9 +335,9 @@ def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
     entries, norms = [], []
     for group in _identity_table(gen, ops):
         labels, a, b, c = zip(*group)
-        delta = commutator(_direct_sum(a, d * d), _direct_sum(b, d * d))
+        delta = commutator(direct_sum(a, d * d), direct_sum(b, d * d))
         if any(m is not None for m in c):
-            delta = delta + _direct_sum(c, d * d)
+            delta = delta + direct_sum(c, d * d)
         entries += map(IdentityResidual, labels, _interior_norms(delta, mask))
         norms += [np.linalg.norm(x.data) * np.linalg.norm(y.data) for x, y in zip(a, b)]
     threshold = np.finfo(float).eps * max(norms)  # eps is 2u

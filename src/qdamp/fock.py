@@ -57,9 +57,12 @@ def build_fock_ops(dim: int, theta: float = 0.0) -> FockOperators:
 
 
 def fock_state(dim: int, n: int) -> np.ndarray:
-    """Density matrix of the number state |n><n|."""
+    """Density matrix of |n><n|; ValueError unless n is an integer in 0..dim-1."""
+    dim = check_dim(dim)
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"level n must be an integer, got {shown(n)}")
     if not (0 <= n < dim):
-        raise ValueError(f"level n={n} outside 0..{dim - 1}")
+        raise ValueError(f"level n={shown(int(n))} outside 0..{dim - 1}")
     rho = np.zeros((dim, dim), dtype=np.complex128)
     rho[n, n] = 1.0
     return rho
@@ -72,6 +75,7 @@ def coherent_state(dim: int, alpha: complex) -> np.ndarray:
     truncation; for |alpha|**2 well below dim the correction is tiny.
     ValueError unless alpha is finite and sum |alpha|^2n / n!, n < dim, is.
     """
+    dim = check_dim(dim)
     alpha = check_complex(alpha, "alpha")
     # recurrence instead of alpha**n / sqrt(n!): factorials overflow floats
     # near n = 170 and plain integers leave int64 already at n = 21
@@ -87,6 +91,7 @@ def coherent_state(dim: int, alpha: complex) -> np.ndarray:
 
 def thermal_state(dim: int, nbar: float) -> np.ndarray:
     """Truncated thermal state with mean occupation nbar >= 0, renormalized."""
+    dim = check_dim(dim)
     nbar = check_real(nbar, "nbar")
     if nbar < 0.0:
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")

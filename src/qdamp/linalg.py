@@ -5,8 +5,9 @@ check_complex (a finite number), check_margin (a margin).  Then the dense matrix
 exponential (the exact route's step map for parity blocks of at most
 propagators.DENSE_BLOCK_ROWS rows, and the test oracle exact_superop),
 the action of a sparse matrix exponential on a vector (the exact route's
-step map above that rule: taylor_plan and taylor_apply) and Hermitian
-eigensolves (diagnostics).
+step map above that rule: taylor_plan and taylor_apply), Hermitian
+eigensolves (diagnostics), and the package's one CSR direct sum
+(direct_sum) and row of each stored CSR entry (entry_rows).
 
 The action is the truncated Taylor algorithm of Al-Mohy and Higham
 (SIAM J. Sci. Comput. 33:488, 2011), which needs only sparse matvecs.
@@ -189,6 +190,28 @@ def taylor_apply(plan: TaylorPlan, x: np.ndarray) -> np.ndarray:
             c1 = c2
         out = x = eta * out
     return out
+
+
+def direct_sum(blocks, size: int) -> sp.csr_array:
+    """The CSR direct sum of size x size CSR blocks, in order, built by
+    offsetting and concatenating their buffers; None is a zero block.  Its
+    indices are 32-bit while they fit, as scipy.sparse's own constructors
+    take them; they cut the memory of every product and sum."""
+    blocks = [sp.csr_array((size, size)) if b is None else b for b in blocks]
+    rows = len(blocks) * size
+    starts = np.cumsum([0] + [b.nnz for b in blocks])
+    index = np.int32 if max(starts[-1], rows) < 2 ** 31 else np.int64
+    indptr = np.concatenate([b.indptr[:-1] + s for b, s in zip(blocks, starts)]
+                            + [starts[-1:]]).astype(index)
+    indices = np.concatenate([b.indices.astype(index) + size * k
+                              for k, b in enumerate(blocks)])
+    return sp.csr_array((np.concatenate([b.data for b in blocks]), indices, indptr),
+                        shape=(rows, rows))
+
+
+def entry_rows(m) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix, in CSR order, as int64."""
+    return np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -29,7 +29,8 @@ theta alone and the rates only weight them, so every such generator at
 one (dim, theta) has one sparsity pattern.  generator_template builds it
 once, from the CSR generators of algebra.cached_generators and without
 densifying, with the positions of each family's entries in it and its
-two parity classes of n1 + n2 (every family moves n1 + n2 by 0 or +-2).
+two parity classes of n1 + n2 (vectorize.slot_levels; every family
+moves n1 + n2 by 0 or +-2), whose direct sums are linalg.direct_sum's.
 A model is then only its stored entries (_entries): each family's CSR
 data times its rate, scatter-added in one fixed order, which keeps the
 bits of the sequential CSR sum of the scaled families.
@@ -55,7 +56,8 @@ import scipy.sparse as sp
 # wraps it under this module's name, so the name stays importable.
 from .algebra import build_generators, cached_generators  # noqa: F401
 from .fock import FockOperators, build_fock_ops, check_dim
-from .linalg import check_complex, check_real
+from .linalg import check_complex, check_real, direct_sum, entry_rows
+from .vectorize import slot_levels
 
 # relative: strict mode admits mu*nu (1 + slack) >= |kappa|^2 at any rate scale
 POSITIVITY_SLACK = 1e-12
@@ -131,18 +133,11 @@ class ParityClass:
     diagonal: np.ndarray
 
     def direct_sum(self, blocks) -> sp.csr_array:
-        """The CSR direct sum of the blocks, in order, each given by its
+        """linalg.direct_sum of the blocks, in order, each given by its
         entries (a generator's entries[self.entries])."""
-        count, rows, nnz = len(blocks), self.slots.size, self.indices.size
-        # 32-bit indices while they fit, as scipy.sparse's own constructors
-        # take them; they halve the index memory of every product
-        index = np.int32 if count * nnz < 2 ** 31 else np.int64
-        offsets = np.arange(count, dtype=index)[:, None]
-        indptr = np.append((self.indptr[:-1] + nnz * offsets).ravel(),
-                           index(count * nnz))
-        return sp.csr_array((np.concatenate(blocks),
-                             (self.indices + rows * offsets).ravel(), indptr),
-                            shape=(count * rows, count * rows))
+        n = self.slots.size
+        return direct_sum([sp.csr_array((b, self.indices, self.indptr), shape=(n, n))
+                           for b in blocks], n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,13 +165,6 @@ class GeneratorTemplate:
         return sp.csr_array((entries, self.indices, self.indptr), shape=(size, size))
 
 
-def _keys(m) -> np.ndarray:
-    """row * d^2 + col of each stored entry of a d^2 x d^2 CSR matrix, in
-    its CSR order; ascending for a canonical one."""
-    rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
-    return rows * m.shape[0] + m.indices
-
-
 @functools.lru_cache(maxsize=8)
 def generator_template(dim: int, theta: float) -> GeneratorTemplate:
     """The GeneratorTemplate at (dim, theta), built once from the CSR
@@ -190,11 +178,11 @@ def generator_template(dim: int, theta: float) -> GeneratorTemplate:
     # positive weights cancels
     union = sum(abs(m) for m in terms)
     index = union.indices.dtype
-    rows = np.repeat(np.arange(size, dtype=index), np.diff(union.indptr))
-    cols = union.indices
+    rows, cols = entry_rows(union), union.indices
     # every generator moves n1 + n2 by 0 or +-2, so a class's rows reach
     # only its own columns
-    parity = (np.add.outer(np.arange(dim), np.arange(dim)) % 2).astype(np.int8).reshape(-1)
+    n1, n2 = slot_levels(dim)
+    parity = (n1 + n2) % 2
     local = np.empty(size, dtype=index)     # a slot's index in its class
     classes = []
     for k in (0, 1):
@@ -205,13 +193,14 @@ def generator_template(dim: int, theta: float) -> GeneratorTemplate:
         classes.append(ParityClass(
             slots, entries, c, np.searchsorted(r, np.arange(slots.size + 1)).astype(index),
             np.flatnonzero(r == c).astype(index)))
-    keys = _keys(union)
-    top = (np.arange(dim) == dim - 1).astype(np.float64)
+    keys = rows * size + cols     # int64, ascending: union is canonical
     return GeneratorTemplate(
         indices=cols, indptr=union.indptr,
-        terms=tuple((np.searchsorted(keys, _keys(m)).astype(index), m) for m in terms),
+        terms=tuple((np.searchsorted(keys, entry_rows(m) * size + m.indices)
+                     .astype(index), m) for m in terms),
         diagonal=np.flatnonzero(rows == cols).astype(index),
-        edge=np.add.outer(top, top).reshape(-1), classes=tuple(classes))
+        # a count, not a logical or: the corner slot is on both edges
+        edge=np.add(n1 == dim - 1, n2 == dim - 1, dtype=float), classes=tuple(classes))
 
 
 def _entries(p: ModelParams, edge: bool) -> np.ndarray:

@@ -33,13 +33,14 @@ weights.  So one kernel (_closed_form, _apply) evaluates many columns, a
 column being a model and a time of one dim and theta: a stage is a
 generator with one weight per column, applied to the d^2 x n block of
 states as its terminating series (one sparse matmat per term for all
-columns), or a d^2 x n array, one diagonal per column; per-column
-prefactors multiply last.  Each column has the bits of its one-column
-call, and no d^2 x d^2 matrix is formed.  factorized_superop and
-alternative_superop form the same stages as CSR factors and densify
-their product once; they, su11_factor and l_factor are the algebra-level
-oracles for tests at small d, and the first two the stepped splittings'
-step maps for chains longer than d^2 / SLOTS_PER_MATRIX_FREE_STEP steps.
+columns), or a d^2 x n array, one diagonal per column, built from each
+slot's levels (vectorize.slot_levels); per-column prefactors multiply
+last.  Each column has the bits of its one-column call, and no d^2 x d^2
+matrix is formed.  factorized_superop and alternative_superop form the
+same stages as CSR factors and densify their product once; they,
+su11_factor and l_factor are the algebra-level oracles for tests at
+small d, and the first two the stepped splittings' step maps for chains
+longer than d^2 / SLOTS_PER_MATRIX_FREE_STEP steps.
 
 operator_series_solution evaluates the same factorized map directly on the
 density matrix as nested finite sums of ladder sandwiches, never forming a
@@ -58,10 +59,10 @@ over a time grid through exp(gap L_even) and exp(gap L_odd).  All
 models of one (dim, theta) share the pattern of liouvillian's
 generator_template, blocks included, so a model enters as its stored
 entries alone, cut by the template's parity classes, and no slice of a
-CSR generator is formed.  Above
-DENSE_BLOCK_ROWS rows (d > 10) the blocks of models whose blocks have
-close norms form one direct sum per class, the class pattern offset per
-model with the models' entries joined, applied to those models'
+CSR generator is formed.  Above DENSE_BLOCK_ROWS rows (d > 10) the
+blocks of models whose blocks have close norms form one direct sum per
+class (ParityClass.direct_sum: linalg.direct_sum of the class pattern
+with each model's entries), applied to those models'
 states as one vector by linalg's Taylor kernel (Al-Mohy and Higham, SIAM
 J. Sci. Comput. 33:488, 2011): taylor_plan fixes the shift, degree and
 step count of exp(gap sum) from the sum's exact 1-norm once per gap, and
@@ -104,7 +105,7 @@ from .linalg import NumericalError, as_complex_matrix, expm, taylor_apply, taylo
 # build_liouvillian is not called here either; the tracer wraps it too.
 from .liouvillian import (ModelParams, ParityClass, build_liouvillian,  # noqa: F401
                           build_liouvillian_trace_exact, generator_template)
-from .vectorize import unvec, vec
+from .vectorize import slot_levels, unvec, vec
 
 STATE_TRACE_TOL = 1e-10
 # An exact-route grid time within this many ulps of one more step of the
@@ -236,18 +237,6 @@ def _apply(stages, v: np.ndarray, cap: int) -> np.ndarray:
     return v
 
 
-def _total_index(dim: int) -> np.ndarray:
-    """n1 + n2 per flat slot."""
-    levels = np.arange(dim, dtype=np.float64)
-    return np.add.outer(levels, levels).reshape(-1)
-
-
-def _index_difference(dim: int) -> np.ndarray:
-    """n1 - n2 per flat slot."""
-    levels = np.arange(dim, dtype=np.float64)
-    return np.subtract.outer(levels, levels).reshape(-1)
-
-
 def _dense_blocks(dim: int) -> bool:
     """Whether the parity blocks at dim, of ceil(d^2/2) rows at most,
     are within DENSE_BLOCK_ROWS, so the routes keep their dense step maps."""
@@ -264,7 +253,7 @@ def _jump_stages(cs, g: SuperOpGenerators) -> tuple:
     """su11_factor's product per coefficient set: lowering exponential,
     core, raising exponential."""
     scale = np.array([c.scale for c in cs])
-    core = scale ** -(_total_index(g.dim)[:, None] + 1.0)
+    core = scale ** -(np.add(*slot_levels(g.dim))[:, None] + 1.0)   # n1 + n2
     return ((g.jump_minus, np.array([c.decay for c in cs])), core,
             (g.jump_plus, np.array([c.pump for c in cs])))
 
@@ -273,7 +262,7 @@ def _squeeze_stages(cs, g: SuperOpGenerators) -> tuple:
     """l_factor's three-factor product per coefficient set: lowering,
     phases, raising."""
     half_phase = np.array([0.5 * c.phase for c in cs])
-    phases = np.exp(np.multiply.outer(_index_difference(g.dim), half_phase))
+    phases = np.exp(np.multiply.outer(np.subtract(*slot_levels(g.dim)), half_phase))
     return ((g.squeeze_minus, np.array([c.squeeze_down for c in cs])), phases,
             (g.squeeze_plus, np.array([c.squeeze_up for c in cs])))
 
@@ -288,7 +277,7 @@ def _closed_form(models, times, method: str):
     if method == "factorized":
         return pref, _squeeze_stages(cs, g) + _jump_stages(cs, g)
     rotation = np.array([-1j * p.omega * t for p, t in zip(models, times)])
-    phases = np.exp(np.multiply.outer(_index_difference(g.dim), rotation))
+    phases = np.exp(np.multiply.outer(np.subtract(*slot_levels(g.dim)), rotation))
     lower = np.array([t * p.kappa for p, t in zip(models, times)])
     raise_ = np.array([t * p.kappa.conjugate() for p, t in zip(models, times)])
     return pref, (((g.squeeze_minus, lower),) + _jump_stages(cs, g)

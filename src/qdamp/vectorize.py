@@ -1,7 +1,9 @@
-"""Row-major vectorization of matrices.
+"""Row-major vectorization of matrices, and the layout of its slots.
 
 vec stacks matrix rows, so for a d x d matrix X the slot (n1, n2) lands at
-flat index n1*d + n2.  With that ordering the two-sided product obeys
+flat index n1*d + n2.  slot_levels owns that layout: every per-slot
+array of the package is built from its level pairs.  With that ordering
+the two-sided product obeys
 
     vec(A @ X @ B) == np.kron(A, B.T) @ vec(X)
 
@@ -33,3 +35,9 @@ def unvec(v: np.ndarray) -> np.ndarray:
     if d * d != v.size:
         raise ValueError(f"cannot unvec length {v.size}: not a perfect square")
     return v.reshape(d, d).copy()
+
+
+def slot_levels(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The levels (n1, n2) of each slot of vec of a dim x dim matrix, in
+    vec's order: vec(x)[k] is x[n1[k], n2[k]]."""
+    return np.divmod(np.arange(dim * dim), dim)

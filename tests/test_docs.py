@@ -85,6 +85,17 @@ def test_every_export_resolves_once(monkeypatch):
     assert not unresolved
 
 
+def test_every_module_name_the_readme_gives_resolves():
+    """Each `qdamp.<module>.<name>` in the README is an attribute of its
+    module, so a name that moves or goes takes its mention along."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`qdamp\.(\w+)\.(\w+)`", readme))
+    assert named
+    unresolved = [f"qdamp.{module}.{name}" for module, name in sorted(named)
+                  if not hasattr(importlib.import_module(f"qdamp.{module}"), name)]
+    assert not unresolved
+
+
 # each input rule and the functions that hold it; "finite" is the rule
 # that a number is finite (tested by an isfinite call or a comparison with
 # inf), the others compare the named value with a number

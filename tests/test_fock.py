@@ -66,10 +66,25 @@ def test_fock_state():
     rho = fock_state(5, 2)
     assert rho[2, 2] == 1.0
     npt.assert_allclose(np.trace(rho), 1.0, atol=ATOL)
-    with pytest.raises(ValueError):
-        fock_state(5, 5)
-    with pytest.raises(ValueError):
-        fock_state(5, -1)
+    npt.assert_array_equal(fock_state(5, np.int64(2)), rho)
+    for n in (5, -1):
+        with pytest.raises(ValueError, match=rf"^level n={n} outside 0\.\.4$"):
+            fock_state(5, n)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, np.float64(1.0), "1", None])
+def test_fock_state_level_must_be_an_integer(n):
+    """A bool is not a level: numpy would read rho[True, True] as a mask."""
+    with pytest.raises(ValueError, match=r"^level n must be an integer, got "):
+        fock_state(4, n)
+
+
+@pytest.mark.parametrize("build, arg", [(fock_state, 0), (coherent_state, 0.5),
+                                        (thermal_state, 0.5)])
+@pytest.mark.parametrize("dim", [1, 0, -3, True, 4.0])
+def test_state_builders_reject_a_bad_dim(build, arg, dim):
+    with pytest.raises(ValueError, match=r"^dim must be an integer >= 2, got "):
+        build(dim, arg)
 
 
 def test_coherent_state_moments():

@@ -5,12 +5,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qdamp.coefficients import check_time
 from qdamp.diagnostics import convergence_points
 from qdamp.fock import build_fock_ops, coherent_state, thermal_state
 from qdamp.linalg import (NumericalError, as_complex_matrix, check_complex,
-                          check_real, expm, hermitian_eigenvalues)
+                          check_real, direct_sum, entry_rows, expm,
+                          hermitian_eigenvalues)
 from qdamp.liouvillian import ModelParams
 
 ATOL = 1e-13
@@ -126,3 +130,42 @@ def test_hermitian_eigenvalues_uses_hermitian_part(rng):
     herm = 0.5 * (m + m.conj().T)
     npt.assert_allclose(hermitian_eigenvalues(m),
                         np.linalg.eigvalsh(herm), atol=1e-12)
+
+
+@st.composite
+def csr_blocks(draw, max_count=5, max_size=6):
+    """(blocks, size): 1..max_count complex size x size CSR blocks of
+    mixed nnz, each empty, sparse or full, or None."""
+    size = draw(st.integers(1, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = []
+    for density in draw(st.lists(st.sampled_from([None, 0.0, 0.3, 1.0]),
+                                 min_size=1, max_size=max_count)):
+        if density is None:
+            blocks.append(None)
+            continue
+        dense = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        blocks.append(sp.csr_array(dense * (rng.random((size, size)) < density)))
+    return blocks, size
+
+
+@given(drawn=csr_blocks())
+def test_direct_sum_is_block_diag(drawn):
+    """The direct sum stores scipy's block_diag entries, a None block
+    being zero, with 32-bit indices at these sizes."""
+    blocks, size = drawn
+    got = direct_sum(blocks, size)
+    want = sp.block_diag([sp.csr_array((size, size)) if b is None else b
+                          for b in blocks], format="csr")
+    assert got.shape == want.shape == (len(blocks) * size,) * 2
+    assert got.indices.dtype == got.indptr.dtype == np.int32
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@given(rows=st.integers(0, 9), cols=st.integers(1, 9),
+       density=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_entry_rows_are_the_coo_rows(rows, cols, density, seed):
+    rng = np.random.default_rng(seed)
+    m = sp.csr_array(rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density))
+    assert np.array_equal(entry_rows(m), sp.coo_array(m).row)

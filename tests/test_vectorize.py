@@ -1,9 +1,12 @@
-"""Row-major vectorization, the sandwich identity and the trace row."""
+"""Row-major vectorization, its slot layout, the sandwich identity and
+the trace row."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qdamp.vectorize import unvec, vec
+from qdamp.vectorize import slot_levels, unvec, vec
 
 
 def test_vec_is_row_major():
@@ -14,6 +17,16 @@ def test_vec_is_row_major():
 def test_vec_unvec_round_trip(rng):
     x = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     npt.assert_array_equal(unvec(vec(x)), x)
+
+
+@given(d=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_slot_levels_are_the_levels_of_vec_order(d, seed):
+    """Slot k of vec(x) holds x[n1[k], n2[k]]."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    n1, n2 = slot_levels(d)
+    assert n1.shape == n2.shape == (d * d,)
+    assert np.array_equal(vec(x), x[n1, n2])
 
 
 def test_unvec_rejects_non_square_length():
