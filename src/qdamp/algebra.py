@@ -33,14 +33,15 @@ completely localized way.  Every generator moves each of the two slot
 indices by at most 2, so restricting a residual to interior_mask at
 margin 2 (read off each slot's levels, vectorize.slot_levels) removes
 exactly the affected entries; verify_algebra reports the projected
-residuals, computed on the CSR generators.  It evaluates the 23-row
-identity table as six CSR products, one per row group (each family's
-three rows, the commuting pairs, the sandwich rows): [A, B] + C on the
-direct sums (linalg.direct_sum) of the group's A, B and C, whose diagonal
-blocks are the rows' own products entry for entry.  Each residual is
-read from its block's stored entries whose row (linalg.entry_rows) and
-column slots are both interior, the one rule projected_residual also
-applies to a sparse input.
+residuals, computed on the CSR generators.  The dim and theta of its
+one input, FockOperators, select the 23-row identity table, built once
+per (dim, theta).  It is evaluated as seven CSR products, one per row
+group (each family's three rows, the commuting pairs, two groups of
+sandwich rows): [A, B] + C on the direct sums (linalg.direct_sum) of the
+group's A, B and C, whose diagonal blocks are the rows' own products
+entry for entry.  Each residual is read from its block's stored entries
+whose row (linalg.entry_rows) and column slots are both interior, the
+one rule projected_residual applies to any input.
 """
 
 from __future__ import annotations
@@ -175,8 +176,8 @@ def interior_mask(dim: int, margin: int) -> np.ndarray:
 def projected_residual(delta, dim: int, margin: int) -> float:
     """Frobenius norm of P @ delta @ P without materializing P.
 
-    delta is a dense ndarray or a scipy.sparse array.  A sparse one is
-    measured on its stored entries whose row and column slots are both
+    delta is a dense ndarray or a scipy.sparse array.  Either is measured
+    as CSR, on its stored entries whose row and column slots are both
     interior, in CSR order (_interior_norms), so no submatrix is built and
     the program is spared the import of scipy.sparse.linalg and the
     scipy.linalg it pulls in (about 0.14 s and 8.6 MB at start-up).
@@ -185,9 +186,7 @@ def projected_residual(delta, dim: int, margin: int) -> float:
     if np.shape(delta) != (mask.size, mask.size):
         raise ValueError(f"delta must be {mask.size} x {mask.size} at dim {dim}, "
                          f"got {np.shape(delta)}")
-    if sp.issparse(delta):
-        return _interior_norms(sp.csr_array(delta), mask)[0]
-    return float(np.linalg.norm(np.asarray(delta)[np.ix_(mask, mask)]))
+    return _interior_norms(sp.csr_array(delta), mask)[0]
 
 
 def _interior_norms(delta: sp.csr_array, mask: np.ndarray) -> list[float]:
@@ -254,17 +253,22 @@ _COMMUTING = (("pair_plus", "sym_plus"), ("pair_minus", "sym_minus"),
               ("squeeze_z", "jump_minus"))
 
 
-def _identity_table(g: SuperOpGenerators, ops: FockOperators):
-    """Every identity as a row (label, A, B, C), meaning [A, B] + C = 0,
-    in row groups: each family's three rows, the commuting pairs, and the
-    sandwich rows.
+@functools.lru_cache(maxsize=8)
+def _identity_table(dim: int, theta: float) -> tuple:
+    """(row groups, threshold) at (dim, theta), built once, then shared.
+
+    Every identity is a row (label, A, B, C), meaning [A, B] + C = 0, of
+    cached_generators(dim, theta), in row groups: each family's three
+    rows, the commuting pairs, and the sandwich rows in two groups of
+    three (a group's product holds all its rows' buffers at once).
 
     C is None for a pair that commutes.  Inside each family z raises plus
     by one and lowers minus by one, and [plus, minus] closes on z as
     _FAMILIES says.  Cross-family brackets either vanish or land on
-    explicit sandwich combinations, listed last; those are CSR Kronecker
-    products whatever the type of the generators.
+    explicit sandwich combinations, listed last.  threshold is the
+    report's, 2u max ||A||_F ||B||_F over the rows.
     """
+    g = cached_generators(dim, theta)
     groups = []
     for family, closing in _FAMILIES:
         z, plus, minus = (f"{family}_{s}" for s in ("z", "plus", "minus"))
@@ -277,11 +281,12 @@ def _identity_table(g: SuperOpGenerators, ops: FockOperators):
     groups.append([(f"[{a}, {b}]", getattr(g, a), getattr(g, b), None)
                    for a, b in _COMMUTING])
 
+    ops = build_fock_ops(dim, theta)
     a, a_dag, one = ops.a, ops.a_dag, ops.identity
     a2 = a @ a
     ad2 = a_dag @ a_dag
-    ad_x_ad = _kron(a_dag, a_dag.T)            # X -> a+ X a+
-    a_x_a = _kron(a, a.T)                      # X -> a X a
+    ad_x_ad = g.pair_plus                      # X -> a+ X a+
+    a_x_a = g.pair_minus                       # X -> a X a
     ad2_left = _kron(ad2, one)                 # X -> (a+)^2 X
     ad2_right = _kron(one, ad2.T)              # X -> X (a+)^2
     a2_left = _kron(a2, one)                   # X -> a^2 X
@@ -293,6 +298,8 @@ def _identity_table(g: SuperOpGenerators, ops: FockOperators):
          g.jump_z, g.squeeze_minus, -0.5 * (a2_left - a2_right)),
         ("[jump_plus, squeeze_plus] - (ad_x_ad - ad2_left)",
          g.jump_plus, g.squeeze_plus, -(ad_x_ad - ad2_left)),
+    ])
+    groups.append([
         ("[jump_plus, squeeze_minus] - (a_x_a - a2_right)",
          g.jump_plus, g.squeeze_minus, -(a_x_a - a2_right)),
         ("[jump_minus, squeeze_plus] - (ad2_right - ad_x_ad)",
@@ -300,46 +307,40 @@ def _identity_table(g: SuperOpGenerators, ops: FockOperators):
         ("[jump_minus, squeeze_minus] - (a2_left - a_x_a)",
          g.jump_minus, g.squeeze_minus, -(a2_left - a_x_a)),
     ])
-    return groups
+    norms = [np.linalg.norm(x.data) * np.linalg.norm(y.data)
+             for group in groups for _, x, y, _ in group]
+    return groups, float(np.finfo(float).eps * max(norms))  # eps is 2u
 
 
-def verify_algebra(ops_or_gen, margin: int = 2) -> AlgebraReport:
+def verify_algebra(ops: FockOperators, margin: int = 2) -> AlgebraReport:
     """Interior-projected residual for every commutation identity.
 
-    Accepts either FockOperators, whose dim and theta select the CSR
-    generators of cached_generators, or an existing SuperOpGenerators,
-    CSR or dense (a dense one is converted to CSR once; the ladder
-    operators for the right-hand sides are rebuilt from its dim and
-    theta).  The residual for each identity is the Frobenius norm of
+    ops selects the table by its dim and theta alone (_identity_table,
+    over the CSR generators of cached_generators); any other input is a
+    TypeError.  The residual for each identity is the Frobenius norm of
     P ([A, B] + C) P with P the interior projector at the given margin;
     margin 2 is enough to remove every truncation artifact because no
     generator moves a slot index by more than 2.  The margin is checked
     before any commutator is formed.
 
-    Each row group of _identity_table is one CSR product: [A, B] + C with
-    A, B and C the direct sums of the group's rows, whose diagonal blocks
-    are the rows' own [A, B] + C entry for entry.  Each residual is read
-    from its block's stored entries under one interior mask
+    Each of the table's seven row groups is one CSR product: [A, B] + C
+    with A, B and C the direct sums of the group's rows, whose diagonal
+    blocks are the rows' own [A, B] + C entry for entry.  Each residual
+    is read from its block's stored entries under one interior mask
     (_interior_norms).
     """
+    if not isinstance(ops, FockOperators):
+        raise TypeError(f"verify_algebra needs FockOperators, got {type(ops).__name__}")
     margin = check_margin(margin)
-    if isinstance(ops_or_gen, SuperOpGenerators):
-        gen = replace(ops_or_gen, **{f: sp.csr_array(getattr(ops_or_gen, f))
-                                     for f in _MATRIX_FIELDS})
-        ops = build_fock_ops(gen.dim, gen.theta)
-    else:
-        ops = ops_or_gen
-        gen = cached_generators(ops.dim, ops.theta)
-    d = gen.dim
+    d = ops.dim
+    groups, threshold = _identity_table(d, ops.theta)
     mask = interior_mask(d, margin)
-    entries, norms = [], []
-    for group in _identity_table(gen, ops):
+    entries = []
+    for group in groups:
         labels, a, b, c = zip(*group)
         delta = commutator(direct_sum(a, d * d), direct_sum(b, d * d))
         if any(m is not None for m in c):
             delta = delta + direct_sum(c, d * d)
         entries += map(IdentityResidual, labels, _interior_norms(delta, mask))
-        norms += [np.linalg.norm(x.data) * np.linalg.norm(y.data) for x, y in zip(a, b)]
-    threshold = np.finfo(float).eps * max(norms)  # eps is 2u
     return AlgebraReport(dim=d, margin=margin, empty_interior=margin >= d,
-                         threshold=float(threshold), entries=entries)
+                         threshold=threshold, entries=entries)

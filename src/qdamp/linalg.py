@@ -5,7 +5,7 @@ check_complex (a finite number), check_margin (a margin).  Then the dense matrix
 exponential (the exact route's step map for parity blocks of at most
 propagators.DENSE_BLOCK_ROWS rows, and the test oracle exact_superop),
 the action of a sparse matrix exponential on a vector (the exact route's
-step map above that rule: taylor_plan and taylor_apply), Hermitian
+step map above that rule: taylor_plan, shifted_norm, taylor_apply), Hermitian
 eigensolves (diagnostics), and the package's one CSR direct sum
 (direct_sum) and row of each stored CSR entry (entry_rows).
 
@@ -144,17 +144,17 @@ def taylor_plan(block, gap: float) -> TaylorPlan:
     """The plan of exp(gap block) for a square CSR block.
 
     The shift is the mean diagonal of gap block.  Of the (m, s) with
-    s = ceil(norm / theta_m), norm the exact 1-norm of the shifted
-    matrix, the plan takes the least m s, the first such m on a tie: the
-    fewest matvecs that meet TAYLOR_TOL.  That is scipy's expm_multiply
-    below its norm-estimate bound, bit for bit.  A non-finite norm, or a
-    plan of more than TAYLOR_MAX_MATVECS matvecs, raises NumericalError.
+    s = ceil(norm / theta_m), norm the shifted matrix's exact 1-norm
+    (shifted_norm), the plan takes the least m s, the first m on a tie:
+    the fewest matvecs that meet TAYLOR_TOL, as scipy's expm_multiply
+    takes below its norm-estimate bound.  A non-finite norm, or a plan of
+    more than TAYLOR_MAX_MATVECS matvecs, raises NumericalError.
     """
     scaled = gap * block
     rows = scaled.shape[0]
     shift = scaled.trace() / rows
     shifted = scaled - shift * sp.eye_array(rows, format="csr")
-    norm = abs(shifted).sum(axis=0).max()
+    norm = shifted_norm(scaled.data, scaled.indices, scaled.diagonal())
     if not math.isfinite(norm):
         raise NumericalError(f"the Taylor step over {gap} has a non-finite 1-norm")
     if norm == 0.0:
@@ -167,6 +167,14 @@ def taylor_plan(block, gap: float) -> TaylorPlan:
             f"the Taylor step over {gap} needs {steps:.1e} steps of degree {degree} "
             f"(1-norm {norm:.1e}), more than {TAYLOR_MAX_MATVECS:.0e} matvecs")
     return TaylorPlan(shifted, shift, degree, steps)
+
+
+def shifted_norm(data, indices, diagonal) -> float:
+    """The 1-norm of a duplicate-free square CSR matrix, from its stored
+    entries and diagonal, shifted by its mean diagonal: each column's sum
+    of |entries|, the diagonal's |b_ii| replaced by |b_ii - mean|."""
+    sums = np.bincount(indices, weights=np.abs(data), minlength=diagonal.size)
+    return float((sums + np.abs(diagonal - diagonal.mean()) - np.abs(diagonal)).max())
 
 
 def taylor_apply(plan: TaylorPlan, x: np.ndarray) -> np.ndarray:

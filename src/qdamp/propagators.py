@@ -101,7 +101,8 @@ import scipy.sparse as sp
 from .algebra import SuperOpGenerators, build_generators, cached_generators  # noqa: F401
 from .coefficients import check_steps, check_time, eval_coefficients
 from .diagnostics import DiagnosticsRecord, state_diagnostics
-from .linalg import NumericalError, as_complex_matrix, expm, taylor_apply, taylor_plan
+from .linalg import (NumericalError, as_complex_matrix, expm, shifted_norm, taylor_apply,
+                     taylor_plan)
 # build_liouvillian is not called here either; the tracer wraps it too.
 from .liouvillian import (ModelParams, ParityClass, build_liouvillian,  # noqa: F401
                           build_liouvillian_trace_exact, generator_template)
@@ -274,14 +275,14 @@ def _closed_form(models, times, method: str):
     g = cached_generators(models[0].dim, models[0].theta)
     cs = [eval_coefficients(p, t) for p, t in zip(models, times)]
     pref = np.array([c.prefactor for c in cs])
+    squeeze = _squeeze_stages(cs, g)
     if method == "factorized":
-        return pref, _squeeze_stages(cs, g) + _jump_stages(cs, g)
-    rotation = np.array([-1j * p.omega * t for p, t in zip(models, times)])
-    phases = np.exp(np.multiply.outer(np.subtract(*slot_levels(g.dim)), rotation))
+        return pref, squeeze + _jump_stages(cs, g)
+    # squeeze[1], at half of phase -2i omega t, is the rotation exp(-i omega t (n1 - n2))
     lower = np.array([t * p.kappa for p, t in zip(models, times)])
     raise_ = np.array([t * p.kappa.conjugate() for p, t in zip(models, times)])
     return pref, (((g.squeeze_minus, lower),) + _jump_stages(cs, g)
-                  + (phases, (g.squeeze_plus, raise_)))
+                  + (squeeze[1], (g.squeeze_plus, raise_)))
 
 
 def _closed_form_pass(method: str, models, times, x, n_steps: int) -> np.ndarray:
@@ -599,29 +600,18 @@ def _exact_chunks(models: list) -> list[list]:
     return [models[i:i + size] for i in range(0, len(models), size)]
 
 
-def _shifted_norm(cls: ParityClass, block: np.ndarray) -> float:
-    """The 1-norm of a parity block, given by its entries in cls's
-    pattern, shifted by its mean diagonal: each column's sum of absolute
-    values, with the diagonal entry's |b_ii| replaced by |b_ii - mean|.
-    It can differ from taylor_plan's norm, taken after scaling by the
-    gap, in the last bits."""
-    diag = block[cls.diagonal]
-    sums = np.bincount(cls.indices, weights=np.abs(block), minlength=cls.slots.size)
-    return (sums + np.abs(diag - diag.mean()) - np.abs(diag)).max()
-
-
 def _direct_sums(cls: ParityClass, blocks: list, size: int) -> list:
     """(slots, direct sum) per CSR direct sum of the class's blocks, one
     block's entries per model, model j's state at slots j * size + cls.slots.
 
     A Taylor plan takes one shift, step count and degree for its whole
     matrix, all set by its largest norm, so only blocks whose
-    shifted norms (_shifted_norm) are within DIRECT_SUM_NORM_RATIO of
+    shifted norms (linalg.shifted_norm) are within DIRECT_SUM_NORM_RATIO of
     the smallest in their sum share one: no block then costs more than
     about that ratio times its own steps.  The ratios do not depend on
     the step, so the sums serve every step of a chain.
     """
-    norms = [_shifted_norm(cls, block) for block in blocks]
+    norms = [shifted_norm(block, cls.indices, block[cls.diagonal]) for block in blocks]
     groups = []
     for j in sorted(range(len(blocks)), key=norms.__getitem__):
         if groups and norms[j] <= DIRECT_SUM_NORM_RATIO * norms[groups[-1][0]]:

@@ -171,15 +171,16 @@ def sandwich_sum(x: np.ndarray, left: np.ndarray, right: np.ndarray,
 
 
 def verify_algebra_by_rows(ops: FockOperators, margin: int) -> AlgebraReport:
-    """verify_algebra on the CSR generators of ops, one identity at a time.
+    """verify_algebra on the rows of ops's cached identity table
+    (algebra._identity_table), one identity at a time.
 
     Each row's residual is the norm of the stored entries of
     (commutator(A, B) + C)[ix_(mask, mask)] with duplicates summed; the
-    threshold is 2u max ||A||_F ||B||_F over the rows.
+    threshold is 2u max ||A||_F ||B||_F over the rows, recomputed here.
     """
-    gen = cached_generators(ops.dim, ops.theta)
     mask = interior_mask(ops.dim, margin)
-    rows = [row for group in _identity_table(gen, ops) for row in group]
+    groups, _ = _identity_table(ops.dim, ops.theta)
+    rows = [row for group in groups for row in group]
     entries = []
     for label, a, b, c in rows:
         delta = commutator(a, b) if c is None else commutator(a, b) + c

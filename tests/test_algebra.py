@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import verify_algebra_by_rows
-from qdamp.algebra import (build_generators, commutator, interior_mask,
-                           projected_residual, sparse_generators,
-                           verify_algebra)
+from qdamp.algebra import (_identity_table, build_generators, commutator,
+                           interior_mask, projected_residual,
+                           sparse_generators, verify_algebra)
 from qdamp.fock import build_fock_ops
 
 TOL = 1e-12
@@ -44,24 +44,27 @@ def test_identities_hold_with_phase_convention():
     assert report.all_within()
 
 
-def test_verify_accepts_prebuilt_generators():
-    gen = build_generators(build_fock_ops(6, theta=0.5))
-    assert gen.theta == 0.5
-    report = verify_algebra(gen, margin=2)
-    assert report.all_within()
-    assert report.dim == 6
-    # dense generators and the CSR ones behind FockOperators input give the
-    # same table, edge artifacts (margin 0) included
-    for theta in (0.0, 0.3):
-        ops = build_fock_ops(8, theta=theta)
-        for margin in (0, 2):
-            dense = verify_algebra(build_generators(ops), margin=margin)
-            csr = verify_algebra(ops, margin=margin)
-            assert [e.label for e in dense.entries] == [e.label for e in csr.entries]
-            assert dense.threshold == pytest.approx(csr.threshold, rel=1e-14)
-            for d_entry, c_entry in zip(dense.entries, csr.entries):
-                assert abs(d_entry.residual - c_entry.residual) <= 1e-13, (
-                    theta, margin, d_entry.label)
+def test_verify_rejects_prebuilt_generators():
+    # generators carry dim and theta too, so only the type check keeps them
+    # from being verified as the canonical set of that (dim, theta)
+    ops = build_fock_ops(6, theta=0.5)
+    for gen in (build_generators(ops), sparse_generators(ops)):
+        with pytest.raises(TypeError, match="needs FockOperators, got SuperOpGenerators"):
+            verify_algebra(gen, margin=2)
+
+
+def test_identity_table_is_built_once_per_dim_and_theta():
+    # margins share the table; a report at another (dim, theta) in between
+    # leaves the bytes as they were
+    _identity_table.cache_clear()
+    ops = build_fock_ops(7, theta=0.4)
+    first = verify_algebra(ops, margin=2).to_text()
+    verify_algebra(ops, margin=0)
+    other = verify_algebra(build_fock_ops(5, theta=-1.1), margin=1).to_text()
+    assert verify_algebra(ops, margin=2).to_text() == first
+    assert verify_algebra(build_fock_ops(5, theta=-1.1), margin=1).to_text() == other
+    info = _identity_table.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
 
 
 def test_margin_zero_exposes_edge_artifacts():
@@ -111,12 +114,20 @@ def test_zero_margin_residual_is_plain_norm(rng):
         np.linalg.norm(delta))
 
 
+def _dense_projected_residual(delta: np.ndarray, dim: int, margin: int) -> float:
+    """Frobenius norm of the interior submatrix of a dense delta."""
+    mask = interior_mask(dim, margin)
+    return float(np.linalg.norm(delta[np.ix_(mask, mask)]))
+
+
 def test_projected_residual_reads_sparse_input(rng):
     delta = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     delta[rng.random(size=(16, 16)) < 0.7] = 0.0
     for margin in (0, 1, 3, 4):
-        assert projected_residual(sp.csr_array(delta), 4, margin) == pytest.approx(
-            projected_residual(delta, 4, margin), rel=1e-14, abs=0.0)
+        want = _dense_projected_residual(delta, 4, margin)
+        for given_delta in (delta, sp.csr_array(delta)):
+            assert projected_residual(given_delta, 4, margin) == pytest.approx(
+                want, rel=1e-14, abs=0.0)
 
 
 def test_projected_residual_reads_non_canonical_csr_like_its_dense_form(rng):
@@ -136,7 +147,7 @@ def test_projected_residual_reads_non_canonical_csr_like_its_dense_form(rng):
     dense = delta.toarray()
     for margin in range(0, d + 1):
         assert projected_residual(delta, d, margin) == pytest.approx(
-            projected_residual(dense, d, margin), rel=1e-14, abs=0.0), margin
+            _dense_projected_residual(dense, d, margin), rel=1e-14, abs=0.0), margin
     # the caller's array is summed on a copy, not in place
     for got, want in zip((delta.data, delta.indices, delta.indptr), before):
         npt.assert_array_equal(got, want)

@@ -14,7 +14,7 @@ from qdamp.diagnostics import convergence_points
 from qdamp.fock import build_fock_ops, coherent_state, thermal_state
 from qdamp.linalg import (NumericalError, as_complex_matrix, check_complex,
                           check_real, direct_sum, entry_rows, expm,
-                          hermitian_eigenvalues)
+                          hermitian_eigenvalues, shifted_norm)
 from qdamp.liouvillian import ModelParams
 
 ATOL = 1e-13
@@ -161,6 +161,18 @@ def test_direct_sum_is_block_diag(drawn):
     assert got.indices.dtype == got.indptr.dtype == np.int32
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@given(drawn=csr_blocks(max_size=9))
+def test_shifted_norm_is_the_dense_shifted_1_norm(drawn):
+    """From the stored entries and the diagonal, missing diagonal entries
+    included: the 1-norm of M - mean(diag M) I."""
+    blocks, size = drawn
+    for m in (b for b in blocks if b is not None):
+        dense = m.toarray()
+        want = np.abs(dense - np.diag(dense).mean() * np.eye(size)).sum(axis=0).max()
+        got = shifted_norm(m.data, m.indices, m.diagonal())
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * np.abs(dense).max())
 
 
 @given(rows=st.integers(0, 9), cols=st.integers(1, 9),

@@ -27,7 +27,8 @@ from qdamp.algebra import build_generators
 from qdamp.coefficients import eval_coefficients, hyperbolic_weights
 from qdamp.diagnostics import compare_states
 from qdamp.fock import build_fock_ops, coherent_state, fock_state
-from qdamp.linalg import TAYLOR_MAX_MATVECS, TAYLOR_THETA, NumericalError, expm
+from qdamp.linalg import (TAYLOR_MAX_MATVECS, TAYLOR_THETA, NumericalError, expm,
+                          shifted_norm)
 from qdamp.liouvillian import (ModelParams, build_liouvillian,
                                build_liouvillian_trace_exact, generator_template)
 from qdamp.propagators import (
@@ -1093,8 +1094,8 @@ def test_exact_direct_sums_hold_only_blocks_of_close_norm():
         blocks = [build_liouvillian_trace_exact(p).data[cls.entries] for p in models]
         norms = [_shifted_norm(b) for _, b in parts]
         for (_, b), entries in zip(parts, blocks):
-            assert propagators._shifted_norm(cls, entries) == pytest.approx(
-                _shifted_norm(b), rel=1e-13)
+            got = shifted_norm(entries, cls.indices, entries[cls.diagonal])
+            assert got == pytest.approx(_shifted_norm(b), rel=1e-13)
         sums = propagators._direct_sums(cls, blocks, size)
         members = [sorted({int(i) // size for i in slots}) for slots, _ in sums]
         assert members == [[0, 1, 2], [3, 4], [5]]
