@@ -266,7 +266,8 @@ def load_config(path: str) -> RunConfig:
 
 def _states(cfg: RunConfig, models: Sequence[ModelParams],
             times: Sequence[float]) -> dict:
-    """Each method's states at every point, the methods in sorted order.
+    """Each method's n x d x d stack of states, one per point, the methods
+    in sorted order.
 
     The points are models x times, model after model, and each method is
     one propagate_sweep call from cfg.rho0 (no swept parameter changes
@@ -275,34 +276,35 @@ def _states(cfg: RunConfig, models: Sequence[ModelParams],
     out = {}
     for m in sorted(cfg.methods):
         method, n_steps = ("factorized", cfg.n_steps) if m == "stepped" else (m, 1)
-        out[m] = [r.rho_t for per_model in propagators.propagate_sweep(
-            models, cfg.rho0, times, method, n_steps) for r in per_model]
+        out[m] = np.array([r.rho_t for per_model in propagators.propagate_sweep(
+            models, cfg.rho0, times, method, n_steps) for r in per_model])
     return out
-
-
-def _diag_cells(rho: np.ndarray, margin: int) -> list:
-    rec = state_diagnostics(rho, margin=margin)
-    return [_fmt(rec.trace.real), _fmt(rec.trace.imag),
-            _fmt(rec.herm_residual), _fmt(rec.min_eigenvalue),
-            _fmt(rec.purity), _fmt(rec.mean_n), _fmt(rec.tail_mass)]
 
 
 def _rows(cfg: RunConfig, times: Sequence[float], states: dict) -> list:
     """Simulate rows per point: one list per point, methods in the order
-    of states, which maps each method to its states, one per point; point
-    k is at times[k]."""
+    of states, which maps each method to its stack of states, one per
+    point; point k is at times[k].
+
+    Each method's states are diagnosed, and compared with the exact ones,
+    as one stack; the exact states' distance to themselves is 0.0.
+    """
     exact = states.get("exact")
-    out = []
-    for k, t in enumerate(times):
-        rows = []
-        for m, series in states.items():
-            dist_f = dist_t = None
-            if exact is not None:
-                dist_f, dist_t = compare_states(series[k], exact[k])
-            rows.append([_fmt(t), m] + _diag_cells(series[k], cfg.margin)
-                        + [_fmt(dist_f), _fmt(dist_t)])
-        out.append(rows)
-    return out
+    cells = {}
+    for m, stack in states.items():
+        if exact is None:
+            dists = [(None, None)] * len(stack)
+        elif m == "exact":
+            dists = [(0.0, 0.0)] * len(stack)
+        else:
+            dists = compare_states(stack, exact)
+        cells[m] = [[_fmt(rec.trace.real), _fmt(rec.trace.imag),
+                     _fmt(rec.herm_residual), _fmt(rec.min_eigenvalue),
+                     _fmt(rec.purity), _fmt(rec.mean_n), _fmt(rec.tail_mass),
+                     _fmt(dist_f), _fmt(dist_t)]
+                    for rec, (dist_f, dist_t) in zip(
+                        state_diagnostics(stack, margin=cfg.margin), dists)]
+    return [[[_fmt(t), m] + cells[m][k] for m in states] for k, t in enumerate(times)]
 
 
 def _write_csv(stream: TextIO, header: Sequence[str], rows: list) -> None:

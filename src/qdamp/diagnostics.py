@@ -2,12 +2,16 @@
 
 Nothing here repairs a state.  Hermiticity violations, negative
 eigenvalues and trace drift are measured and reported; deciding what to do
-about them is the caller's job.  convergence_points holds the rules of
+about them is the caller's job.  state_diagnostics and compare_states
+take one d x d state or an n x d x d stack, measured in passes of at
+most propagators.CLOSED_FORM_BLOCK_BYTES of states; each state of a
+stack gets the bits of its own call.  convergence_points holds the rules of
 a study's arguments, for convergence_study and the config loader alike.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,55 +36,95 @@ class DiagnosticsRecord:
     tail_mass: float
 
 
-def state_diagnostics(rho: np.ndarray, margin: int = 4) -> DiagnosticsRecord:
+def _as_states(rho, name: str) -> np.ndarray:
+    """rho as a complex128 d x d matrix or n x d x d stack, by
+    as_complex_matrix's rules for each matrix."""
+    rho = np.asarray(rho)
+    if rho.ndim != 3:
+        return as_complex_matrix(rho, name)
+    n, rows, cols = rho.shape
+    return as_complex_matrix(rho.reshape(n * rows, cols), name).reshape(rho.shape)
+
+
+def _passes(states: np.ndarray):
+    """An n x d x d stack in slices of at most CLOSED_FORM_BLOCK_BYTES
+    bytes of states (one state at least), the size of a propagation pass."""
+    from .propagators import CLOSED_FORM_BLOCK_BYTES   # deferred: it imports this module
+    per_pass = max(1, CLOSED_FORM_BLOCK_BYTES // max(states[:1].nbytes, 1))
+    return (states[i:i + per_pass] for i in range(0, len(states), per_pass))
+
+
+def state_diagnostics(rho: np.ndarray, margin: int = 4
+                      ) -> DiagnosticsRecord | list[DiagnosticsRecord]:
     """Measure trace, Hermiticity defect, spectrum floor, purity, occupation.
 
+    rho is one d x d state, for one DiagnosticsRecord, or an n x d x d
+    stack, for a list of n records, each with the bits of its state's
+    own call: the eigensolves, traces, products and diagonals are
+    stacked, the Frobenius norm and the mean occupation stay per state,
+    where a stacked form would round differently.
     tail_mass is the population on the top `margin` Fock levels; it is the
     number to watch when deciding whether a truncation was large enough.
     NumericalError if a value overflows (a finite state of huge entries).
     """
-    rho = as_complex_matrix(rho, "rho")
-    d = rho.shape[0]
-    if rho.shape[1] != d:
+    rho = _as_states(rho, "rho")
+    d = rho.shape[-1]
+    if rho.shape[-2] != d:
         raise ValueError(f"rho must be square, got {rho.shape}")
     margin = check_margin(margin)
+    levels = np.arange(d)
+    records = []
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = np.real(np.diag(rho))
-        eigs = hermitian_eigenvalues(rho)
-        record = DiagnosticsRecord(
-            trace=complex(np.trace(rho)),
-            herm_residual=float(np.linalg.norm(rho - rho.conj().T)),
-            min_eigenvalue=float(eigs[0]),
-            purity=float(np.real(np.trace(rho @ rho))),
-            mean_n=float(np.arange(d) @ diag),
-            tail_mass=float(diag[max(d - margin, 0):].sum()),
-        )
-    values = vars(record)
-    overflowed = [name for name, ok in zip(values, np.isfinite(list(values.values())))
-                  if not ok]
-    if overflowed:
-        raise NumericalError(f"the state's {', '.join(overflowed)} overflowed")
-    return record
+        for part in _passes(rho.reshape(-1, d, d)):
+            diag = np.diagonal(part, axis1=1, axis2=2).real
+            per_state = zip(np.trace(part, axis1=1, axis2=2),
+                            part - part.conj().swapaxes(1, 2),
+                            hermitian_eigenvalues(part),
+                            np.trace(part @ part, axis1=1, axis2=2).real,
+                            diag, diag[:, max(d - margin, 0):].sum(axis=1))
+            records += [DiagnosticsRecord(
+                trace=complex(trace),
+                herm_residual=float(np.linalg.norm(defect)),
+                min_eigenvalue=float(eigs[0]),
+                purity=float(purity),
+                mean_n=float(levels @ occupations),
+                tail_mass=float(tail),
+            ) for trace, defect, eigs, purity, occupations, tail in per_state]
+    for record in records:
+        overflowed = [name for name, value in vars(record).items()
+                      if not cmath.isfinite(value)]
+        if overflowed:
+            raise NumericalError(f"the state's {', '.join(overflowed)} overflowed")
+    return records if rho.ndim == 3 else records[0]
 
 
-def compare_states(rho_a: np.ndarray, rho_b: np.ndarray) -> tuple[float, float]:
+def compare_states(rho_a: np.ndarray, rho_b: np.ndarray
+                   ) -> tuple[float, float] | list[tuple[float, float]]:
     """(Frobenius distance, trace distance) between two states.
 
-    The trace distance is half the absolute eigenvalue sum of the
-    Hermitian part of the difference; for valid density matrices it lies
-    in [0, 1].  NumericalError if one of them overflows.
+    rho_a and rho_b are two d x d states, for one pair, or two n x d x d
+    stacks, for a list of n pairs, each with the bits of its own call
+    (the eigensolves stacked, the norms per state).  The trace distance
+    is half the absolute eigenvalue sum of the Hermitian part of the
+    difference; for valid density matrices it lies in [0, 1].
+    NumericalError if one of them overflows.
     """
-    rho_a = as_complex_matrix(rho_a, "rho_a")
-    rho_b = as_complex_matrix(rho_b, "rho_b")
+    rho_a = _as_states(rho_a, "rho_a")
+    rho_b = _as_states(rho_b, "rho_b")
     if rho_a.shape != rho_b.shape:
         raise ValueError(f"states must share a shape, got {rho_a.shape} vs {rho_b.shape}")
+    d = rho_a.shape[-1]
+    pairs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = rho_a - rho_b
-        frob = float(np.linalg.norm(delta))
-        tdist = float(0.5 * np.abs(hermitian_eigenvalues(delta)).sum())
-    if not np.isfinite([frob, tdist]).all():
+        for part_a, part_b in zip(_passes(rho_a.reshape(-1, d, d)),
+                                  _passes(rho_b.reshape(-1, d, d))):
+            delta = part_a - part_b
+            halves = 0.5 * np.abs(hermitian_eigenvalues(delta)).sum(axis=1)
+            pairs += [(float(np.linalg.norm(diff)), float(half))
+                      for diff, half in zip(delta, halves)]
+    if not np.isfinite(pairs).all():
         raise NumericalError("the distance between the states overflowed")
-    return frob, tdist
+    return pairs if rho_a.ndim == 3 else pairs[0]
 
 
 @dataclass(frozen=True)
@@ -151,7 +195,8 @@ def convergence_study(params, rho0, method: str = "factorized", *,
     t_final is divided into n equal steps (global error, slope near -1).
     Every state comes from propagate_sweep: one approximate pass over the
     sorted distinct times per distinct n (local mode is the single n = 1),
-    then one exact pass over those times.
+    then one exact pass over those times; each pass's states are compared
+    with the exact ones as one stack (compare_states).
     Error points at the numerical noise floor are excluded from the slope
     fit, and a slope needs two distinct x among the rest; otherwise it is
     omitted.  If every point is below the floor the table reports
@@ -161,12 +206,13 @@ def convergence_study(params, rho0, method: str = "factorized", *,
 
     mode, xs, points = convergence_points(t_values, n_steps_values, t_final)
     times = sorted({t for t, _ in points})
-    approx = {n: propagators.propagate_sweep([params], rho0, times, method, n)[0]
+    approx = {n: np.array([r.rho_t for r in propagators.propagate_sweep(
+                  [params], rho0, times, method, n)[0]])
               for n in dict.fromkeys(n for _, n in points)}
-    exact = propagators.propagate_sweep([params], rho0, times, "exact")[0]
-    at = {(t, n): compare_states(a.rho_t, e.rho_t)
-          for n, per_time in approx.items()
-          for t, a, e in zip(times, per_time, exact)}
+    exact = np.array([r.rho_t for r in propagators.propagate_sweep(
+        [params], rho0, times, "exact")[0]])
+    at = {(t, n): pair for n, stack in approx.items()
+          for t, pair in zip(times, compare_states(stack, exact))}
 
     frob_errs, tdist_errs = map(list, zip(*(at[point] for point in points)))
     slope, fit_residual, exact_noise = _fit_slope(xs, frob_errs)

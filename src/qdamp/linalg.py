@@ -223,16 +223,17 @@ def entry_rows(m) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian part of m, ascending.
+    """Eigenvalues of the Hermitian part of m, ascending; of each matrix
+    of an n x d x d stack, as its rows, with the bits of its own call.
 
     The input is symmetrized as (m + m')/2 first; callers that care about
     the skew part measure it separately (diagnostics never repair states
     silently, they record the residual).
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"eigensolve needs a square matrix, got shape {m.shape}")
-    h = 0.5 * (m + m.conj().T)
+    h = 0.5 * (m + m.conj().swapaxes(-1, -2))
     try:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

@@ -55,7 +55,10 @@ liouvillian (CSR, about 9 nonzeros per row).  Every generator moves
 n1 + n2 by 0 or +-2, so L couples no slot of even n1 + n2 to one of odd
 n1 + n2 (the weak-symmetry reduction of Buca and Prosen, NJP 14 073007,
 2012): the route cuts L into its two parity blocks and chains the states
-over a time grid through exp(gap L_even) and exp(gap L_odd).  All
+over a time grid through exp(gap L_even) and exp(gap L_odd).  Only the
+classes that vec(rho0) occupies are evolved: a class whose slots are
+all +0 stays +0, so it gets no block, step map or apply (a Fock or
+thermal state has no odd slot).  All
 models of one (dim, theta) share the pattern of liouvillian's
 generator_template, blocks included, so a model enters as its stored
 entries alone, cut by the template's parity classes, and no slice of a
@@ -217,11 +220,21 @@ def _series(g, w, x, cap: int):
     on.  cap bounds the order.
     """
     out = term = x
+    dense = not sp.issparse(x)
     for k in range(1, cap + 1):
-        term = (g @ term) * (w / k)
-        if not (term.count_nonzero() if sp.issparse(term) else term.any()):
+        # a dense term is scaled where the product put it, and every term
+        # is added into out in place once out is not x (a sparse += makes
+        # a new sum).  A sparse term is scaled into a new array: it can
+        # hold one entry, and numpy rounds an in-place complex product of
+        # a one-element array differently from a new one.
+        term = g @ term
+        term = np.multiply(term, w / k, out=term) if dense else term * (w / k)
+        if not (term.any() if dense else term.count_nonzero()):
             break
-        out = out + term
+        if out is x:
+            out = out + term
+        else:
+            out += term
     return out
 
 
@@ -631,7 +644,8 @@ def _exact_chain(models: list, rho0: np.ndarray, times: list):
     The states are one vector, model after model.  Every trace-exact
     generator at one (dim, theta) has the pattern of its
     generator_template, so each model is only its stored entries, cut
-    into its parity blocks by the template's classes.  Above
+    into its parity blocks by the template's classes; a class whose
+    slots in vec(rho0) are all +0 is left out, and its slots stay +0.  Above
     DENSE_BLOCK_ROWS rows the blocks of one class form CSR direct sums
     over the models of close norm (_direct_sums), and each step applies
     a sum's exponential to those models' states of that class, one
@@ -645,11 +659,15 @@ def _exact_chain(models: list, rho0: np.ndarray, times: list):
     dim, n = models[0].dim, len(models)
     size = dim * dim
     dense = _dense_blocks(dim)
+    x = vec(rho0)
     entries = [build_liouvillian_trace_exact(p).data for p in models]
     # blocks pairs the slots of v with the block acting on them: per
-    # class, one dense block per model, or the direct sums
+    # class, one dense block per model, or the direct sums.  A class
+    # whose slots are all +0 (no bit set) stays +0, so it has none.
     blocks = []
     for cls in generator_template(dim, models[0].theta).classes:
+        if not x[cls.slots].view(np.uint64).any():
+            continue
         parts = [data[cls.entries] for data in entries]
         blocks += ([(cls.slots + j * size, cls.direct_sum([part]).toarray())
                     for j, part in enumerate(parts)] if dense
@@ -658,7 +676,7 @@ def _exact_chain(models: list, rho0: np.ndarray, times: list):
     # v holds the states at start + count * gap, and steps the step map:
     # (slots, exp(gap block)) per dense block, or (slots, Taylor plan) per
     # direct sum.  v is a new array, not the caller's rho0.
-    v = np.tile(vec(rho0), n)
+    v = np.tile(x, n)
     steps, start, gap, count = None, 0.0, 0.0, 0
     for t in times:
         tol = GAP_ULPS * np.spacing(t)

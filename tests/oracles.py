@@ -25,6 +25,12 @@ exponential of the trace-exact generator in extended precision, for
 stiff rates where a double-precision exponential is itself about as far
 from exp(t L) as the bars allow.
 
+The loops the program's kernels rewrote for speed are kept as they
+were, with a new array per term, and the tests check that the kernels
+keep their bits: series_by_new_terms (propagators._series on a block of
+states, now summed in place), and state_record and state_distance (one
+state's state_diagnostics and compare_states, now stacked).
+
 verify_algebra_by_rows is the commutation table one identity at a
 time: commutator(A, B) + C per row, measured on the fancy-indexed
 interior submatrix with its duplicates summed.  The program evaluates
@@ -49,6 +55,7 @@ from qdamp.algebra import (AlgebraReport, IdentityResidual, _identity_table,
                            build_generators, cached_generators, commutator,
                            interior_mask)
 from qdamp.coefficients import eval_coefficients
+from qdamp.diagnostics import DiagnosticsRecord
 from qdamp.fock import FockOperators
 from qdamp.liouvillian import ModelParams, build_liouvillian_trace_exact
 
@@ -168,6 +175,41 @@ def sandwich_sum(x: np.ndarray, left: np.ndarray, right: np.ndarray,
             break
         out = out + term
     return out
+
+
+def series_by_new_terms(g, w, x, cap: int):
+    """exp(w g) x for a nilpotent CSR g and a d^2 x n block x, one weight
+    per column, or the sparse identity x and a scalar w: sum_k g^k x w^k
+    / k!, each term and each partial sum a new array, up to the first
+    term with no nonzero or order cap."""
+    out = term = x
+    for k in range(1, cap + 1):
+        term = (g @ term) * (w / k)
+        if not (term.count_nonzero() if sp.issparse(term) else term.any()):
+            break
+        out = out + term
+    return out
+
+
+def state_record(rho: np.ndarray, margin: int) -> DiagnosticsRecord:
+    """state_diagnostics of one finite square state, one numpy call per value."""
+    d = rho.shape[0]
+    diag = np.real(np.diag(rho))
+    return DiagnosticsRecord(
+        trace=complex(np.trace(rho)),
+        herm_residual=float(np.linalg.norm(rho - rho.conj().T)),
+        min_eigenvalue=float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]),
+        purity=float(np.real(np.trace(rho @ rho))),
+        mean_n=float(np.arange(d) @ diag),
+        tail_mass=float(diag[max(d - margin, 0):].sum()),
+    )
+
+
+def state_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> tuple[float, float]:
+    """compare_states of two finite states of one shape."""
+    delta = rho_a - rho_b
+    return (float(np.linalg.norm(delta)),
+            float(0.5 * np.abs(np.linalg.eigvalsh(0.5 * (delta + delta.conj().T))).sum()))
 
 
 def verify_algebra_by_rows(ops: FockOperators, margin: int) -> AlgebraReport:

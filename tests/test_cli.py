@@ -451,7 +451,17 @@ def test_t_sweep_evolves_one_grid_in_sweep_order(tmp_path, capsys,
 
     for name in ("expm", "build_liouvillian_trace_exact"):
         monkeypatch.setattr(propagators, name, counted(name))
+    # a Fock state has no odd n1 + n2 slot, so its odd block is not evolved
     path = write_config(tmp_path, model=model, methods=methods,
+                        sweep={"param": "t", "values": values})
+    assert main(["sweep", "--config", path]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == {"expm": 1, "build_liouvillian_trace_exact": 1}
+    calls.clear()
+    # a coherent state occupies both parity classes
+    state = {"kind": "coherent", "alpha_re": 0.8, "alpha_im": 0.3}
+    path = write_config(tmp_path, model=model, methods=methods,
+                        initial_state=state,
                         sweep={"param": "t", "values": values})
     assert main(["sweep", "--config", path]) == EXIT_OK
     rows = csv_rows(capsys.readouterr().out)
@@ -461,6 +471,7 @@ def test_t_sweep_evolves_one_grid_in_sweep_order(tmp_path, capsys,
     assert [r[1] for r in rows] == [repr(v) for v in values for _ in methods]
     for v in values:
         one = write_config(tmp_path, "one.json", model=model, methods=methods,
+                           initial_state=state,
                            sweep={"param": "t", "values": [v]})
         assert main(["sweep", "--config", one]) == EXIT_OK
         want = csv_rows(capsys.readouterr().out)

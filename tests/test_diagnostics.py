@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import random_density
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import state_distance, state_record
 
+from qdamp import propagators
 from qdamp.diagnostics import (
     DiagnosticsRecord,
     NOISE_FLOOR,
@@ -10,7 +15,7 @@ from qdamp.diagnostics import (
     convergence_study,
     state_diagnostics,
 )
-from qdamp.fock import fock_state, thermal_state
+from qdamp.fock import coherent_state, fock_state, thermal_state
 from qdamp.linalg import NumericalError
 from qdamp.liouvillian import ModelParams
 
@@ -82,6 +87,109 @@ def test_compare_states_symmetry(rng):
     a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     b = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     assert compare_states(a, b) == pytest.approx(compare_states(b, a), abs=1e-13)
+
+
+def _bits(values) -> list:
+    """Each value's repr: equal reprs are equal bits, -0.0 apart from 0.0."""
+    return [repr(v) for v in values]
+
+
+@st.composite
+def _state_stacks(draw):
+    """n = 1..12 states at one d = 2..40, each from a state builder
+    (fock, coherent, thermal, random pure), some with a non-Hermitian
+    perturbation; a margin; and a second stack to compare with."""
+    d, n = draw(st.integers(2, 40)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stacks = []
+    for _ in range(2):
+        states = []
+        for _ in range(n):
+            kind = draw(st.sampled_from(["fock", "coherent", "thermal", "random"]))
+            if kind == "fock":
+                rho = fock_state(d, draw(st.integers(0, d - 1)))
+            elif kind == "coherent":
+                rho = coherent_state(d, complex(draw(st.floats(-2.0, 2.0)),
+                                                draw(st.floats(-2.0, 2.0))))
+            elif kind == "thermal":
+                rho = thermal_state(d, draw(st.floats(0.0, 5.0)))
+            else:
+                rho = random_density(d, draw(st.integers(0, d - 1)), rng)
+            noise = draw(st.sampled_from([0.0, 1e-12, 1e-3]))
+            states.append(rho + noise * (rng.normal(size=(d, d))
+                                         + 1j * rng.normal(size=(d, d))))
+        stacks.append(np.array(states))
+    return stacks[0], stacks[1], draw(st.integers(0, d + 2))
+
+
+@settings(max_examples=60)
+@given(problem=_state_stacks())
+def test_stacked_diagnostics_are_the_per_state_calls_bit_for_bit(problem):
+    """A stack's records and distances have the bits of one call per
+    state, and those the bits of one numpy call per value (the oracles)."""
+    stack, other, margin = problem
+    records = state_diagnostics(stack, margin=margin)
+    pairs = compare_states(stack, other)
+    assert len(records) == len(pairs) == len(stack)
+    for rho, rho_b, rec, pair in zip(stack, other, records, pairs):
+        one = state_diagnostics(rho, margin=margin)
+        assert isinstance(one, DiagnosticsRecord)
+        assert _bits(vars(rec).values()) == _bits(vars(one).values())
+        assert _bits(vars(one).values()) == _bits(vars(state_record(rho, margin)).values())
+        assert _bits(pair) == _bits(compare_states(rho, rho_b))
+        assert _bits(pair) == _bits(state_distance(rho, rho_b))
+
+
+def test_stacked_diagnostics_keep_the_error_paths():
+    stack = np.array([fock_state(4, 0), thermal_state(4, 0.5)])
+    with pytest.raises(ValueError, match="square"):
+        state_diagnostics(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="margin"):
+        state_diagnostics(stack, margin=-1)
+    with pytest.raises(ValueError, match="2-dimensional"):
+        state_diagnostics(np.zeros((1, 2, 3, 3)))
+    for bad in (np.nan, np.inf):
+        broken = stack.copy()
+        broken[1, 2, 3] = bad
+        with pytest.raises(NumericalError, match="rho contains NaN or Inf"):
+            state_diagnostics(broken)
+        with pytest.raises(NumericalError, match="rho_b contains NaN or Inf"):
+            compare_states(stack, broken)
+    with pytest.raises(ValueError, match="shape"):
+        compare_states(stack, stack[:1])
+    with pytest.raises(ValueError, match="shape"):
+        compare_states(stack, stack[0])
+    huge = np.array([stack[0], np.full((4, 4), 1e200, dtype=complex)])
+    with pytest.raises(NumericalError, match="the state's purity overflowed"):
+        state_diagnostics(huge)
+    with pytest.raises(NumericalError, match="the distance between the states"):
+        compare_states(huge, -huge)
+    # an empty stack has no records
+    assert state_diagnostics(np.zeros((0, 3, 3))) == []
+    assert compare_states(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))) == []
+
+
+def test_stacked_diagnostics_take_bounded_passes(monkeypatch):
+    """A stack is measured CLOSED_FORM_BLOCK_BYTES of states at a time:
+    with room for two states a pass, five states take three passes and
+    keep their bits."""
+    rng = np.random.default_rng(7)
+    stack = np.array([random_density(6, 5, rng) for _ in range(5)])
+    whole = state_diagnostics(stack), compare_states(stack, stack[::-1])
+    eigensolves = []
+    solve = np.linalg.eigvalsh
+
+    def counted(h):
+        eigensolves.append(len(h))
+        return solve(h)
+
+    monkeypatch.setattr(propagators, "CLOSED_FORM_BLOCK_BYTES", 2 * 16 * 36 + 15)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    passes = state_diagnostics(stack), compare_states(stack, stack[::-1])
+    assert eigensolves == [2, 2, 1] * 2
+    assert [_bits(vars(r).values()) for r in passes[0]] == [
+        _bits(vars(r).values()) for r in whole[0]]
+    assert [_bits(p) for p in passes[1]] == [_bits(p) for p in whole[1]]
 
 
 def test_convergence_local_mode_slope():

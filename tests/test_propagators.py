@@ -18,15 +18,15 @@ import scipy.linalg
 import scipy.sparse
 from conftest import random_admissible_params, random_density, stiff_models
 from oracles import (exact_superop_extended, form_one, form_two, l_factor_six,
-                     sandwich_sum)
+                     sandwich_sum, series_by_new_terms)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdamp import diagnostics, propagators
-from qdamp.algebra import build_generators
+from qdamp.algebra import build_generators, cached_generators
 from qdamp.coefficients import eval_coefficients, hyperbolic_weights
 from qdamp.diagnostics import compare_states
-from qdamp.fock import build_fock_ops, coherent_state, fock_state
+from qdamp.fock import build_fock_ops, coherent_state, fock_state, thermal_state
 from qdamp.linalg import (TAYLOR_MAX_MATVECS, TAYLOR_THETA, NumericalError, expm,
                           shifted_norm)
 from qdamp.liouvillian import (ModelParams, build_liouvillian,
@@ -463,16 +463,18 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_exact_grid_forms_one_exponential_per_distinct_gap(monkeypatch):
-    # a step map is two expm calls, one per parity block
+    # a step map is one expm per parity block that rho0 occupies: both for
+    # a coherent state, the even one alone for a Fock state (no odd n1 + n2)
     calls = _count_calls(monkeypatch, "expm", "build_liouvillian_trace_exact")
     p = ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=8)
-    rho0 = fock_state(8, 1)
-    propagate_sweep([p], rho0, np.linspace(0.0, 2.0, 9))
-    assert calls == {"expm": 2, "build_liouvillian_trace_exact": 1}
-    calls.clear()
-    # gaps 0.5, 0.5, 0, 1.2 - 1.0 (not 0.2 in binary): two distinct gaps
-    propagate_sweep([p], rho0, [0.5, 1.0, 1.0, 1.2])
-    assert calls == {"expm": 4, "build_liouvillian_trace_exact": 1}
+    for rho0, blocks in ((coherent_state(8, 0.9 - 0.4j), 2), (fock_state(8, 1), 1)):
+        calls.clear()
+        propagate_sweep([p], rho0, np.linspace(0.0, 2.0, 9))
+        assert calls == {"expm": blocks, "build_liouvillian_trace_exact": 1}
+        calls.clear()
+        # gaps 0.5, 0.5, 0, 1.2 - 1.0 (not 0.2 in binary): two distinct gaps
+        propagate_sweep([p], rho0, [0.5, 1.0, 1.0, 1.2])
+        assert calls == {"expm": 2 * blocks, "build_liouvillian_trace_exact": 1}
 
 
 @pytest.mark.parametrize("times", [
@@ -578,20 +580,27 @@ def test_sparse_exact_grid_forms_one_scaled_pair_per_distinct_gap(monkeypatch):
     planned, applied = _record_taylor(monkeypatch)
     calls = _count_calls(monkeypatch, "expm", "build_liouvillian_trace_exact")
     p = _readme_model(12)
-    rho0 = fock_state(12, 1)
-    propagate_sweep([p], rho0, np.linspace(0.0, 2.0, 9))
-    # one plan per parity block, applied on each of the 8 steps
-    assert calls == {"build_liouvillian_trace_exact": 1}
-    assert len(planned) == 2
-    assert [step for step, _ in applied] == planned * 8
-    calls.clear()
-    planned.clear()
-    applied.clear()
-    # gaps 0.5, 0.5, 0, 1.2 - 1.0 (not 0.2 in binary): two distinct gaps
-    propagate_sweep([p], rho0, [0.5, 1.0, 1.0, 1.2])
-    assert calls == {"build_liouvillian_trace_exact": 1}
-    assert len(planned) == 4
-    assert [step for step, _ in applied] == planned[:2] * 2 + planned[2:]
+    # both parity classes of a coherent state, the even one alone of a Fock
+    # state (no odd n1 + n2 slot)
+    for rho0, blocks in ((coherent_state(12, 0.9 - 0.4j), 2), (fock_state(12, 1), 1)):
+        calls.clear()
+        planned.clear()
+        applied.clear()
+        propagate_sweep([p], rho0, np.linspace(0.0, 2.0, 9))
+        # one plan per occupied parity block, applied on each of the 8 steps
+        assert calls == {"build_liouvillian_trace_exact": 1}
+        assert [plan.shifted.shape for plan in planned] == [(72, 72)] * blocks
+        assert [step for step, _ in applied] == planned * 8
+        assert all(x.any() for _, x in applied)     # no all-zero class is evolved
+        calls.clear()
+        planned.clear()
+        applied.clear()
+        # gaps 0.5, 0.5, 0, 1.2 - 1.0 (not 0.2 in binary): two distinct gaps
+        propagate_sweep([p], rho0, [0.5, 1.0, 1.0, 1.2])
+        assert calls == {"build_liouvillian_trace_exact": 1}
+        assert len(planned) == 2 * blocks
+        assert [step for step, _ in applied] == (planned[:blocks] * 2
+                                                 + planned[blocks:])
 
 
 def test_exact_grid_fails_fast_when_memory_is_short(monkeypatch):
@@ -915,6 +924,40 @@ def test_taylor_kernel_at_stiff_rates_meets_the_dense_oracle():
         assert _tracedist(res.rho_t, want) <= _stiff_bar(p, res.t), res.t
 
 
+@settings(max_examples=40)
+@given(d=st.integers(2, 16), theta=st.floats(-3.0, 3.0),
+       name=st.sampled_from(["jump_minus", "jump_plus", "squeeze_minus",
+                             "squeeze_plus"]),
+       n=st.integers(1, 5), scale=st.sampled_from([0.0, 0.3, 5.0]),
+       zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_series_sums_in_place_with_the_bits_of_new_terms(d, theta, name, n,
+                                                         scale, zero, seed):
+    """propagators._series on a block of states against the loop that
+    makes a new array per term and sum; the caller's block is left as it
+    was.  A zero weight or block ends the sum at its first term.  On the
+    sparse identity with one weight (_form's exp(w g)), the sum keeps the
+    bits and the stored pattern of that loop."""
+    g = getattr(cached_generators(d, theta), name)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(d * d, n)) + 1j * rng.normal(size=(d * d, n))
+    if zero:
+        x[:] = 0.0
+    w = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    keep = x.copy()
+    got = propagators._series(g, w, x, d)
+    assert np.array_equal(got.view(np.uint64),
+                          series_by_new_terms(g, w, x, d).view(np.uint64))
+    assert np.array_equal(x.view(np.uint64), keep.view(np.uint64))
+    eye = scipy.sparse.eye_array(d * d, dtype=np.complex128, format="csr")
+    got = propagators._series(g, w[0], eye, d)
+    want = series_by_new_terms(g, w[0], eye, d)
+    assert got.nnz == want.nnz
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+    assert eye.nnz == d * d and not (eye != scipy.sparse.eye_array(d * d)).nnz
+
+
 def test_gap_steps_stay_within_the_exact_norm_bound():
     """Each of a plan's steps has a shifted 1-norm within theta of its
     degree, and no (degree, steps) pair of the table meets that bound
@@ -1072,13 +1115,67 @@ def test_exact_sweep_is_one_direct_sum_per_parity_class(monkeypatch):
     planned, applied = _record_taylor(monkeypatch)
     calls = _count_calls(monkeypatch, "build_liouvillian_trace_exact")
     models = [replace(_readme_model(12), kappa=k) for k in (0.0, 0.05, 0.1j)]
-    propagators.propagate_sweep(models, fock_state(12, 1), [2.0])
-    # one generator per model; per class one plan and one vector of all
-    # three models
-    assert calls == {"build_liouvillian_trace_exact": 3}
-    assert [plan.shifted.shape for plan in planned] == [(216, 216), (216, 216)]
-    assert [(step, x.shape) for step, x in applied] == [
-        (planned[0], (216,)), (planned[1], (216,))]
+    # both parity classes of a coherent state, the even one alone of a Fock
+    # state (no odd n1 + n2 slot)
+    for rho0, blocks in ((coherent_state(12, 0.9 - 0.4j), 2), (fock_state(12, 1), 1)):
+        calls.clear()
+        planned.clear()
+        applied.clear()
+        propagators.propagate_sweep(models, rho0, [2.0])
+        # one generator per model; per occupied class one plan and one
+        # vector of all three models
+        assert calls == {"build_liouvillian_trace_exact": 3}
+        assert [plan.shifted.shape for plan in planned] == [(216, 216)] * blocks
+        assert [(step, x.shape) for step, x in applied] == [
+            (plan, (216,)) for plan in planned]
+        assert all(x.any() for _, x in applied)     # no all-zero class is evolved
+
+
+@st.composite
+def _even_problems(draw):
+    """1 to 3 admissible models at one d = 2..14 (both sides of the
+    dense-block rule) and theta, a Fock or thermal state (no odd n1 + n2
+    slot), levels (n1, n2) of odd n1 + n2, and a short grid."""
+    d = draw(st.integers(2, 10) | st.integers(11, 14))
+    theta = draw(st.floats(-3.0, 3.0))
+    models = []
+    for _ in range(draw(st.integers(1, 3))):
+        mu, nu = draw(_RATE), draw(_RATE)
+        kappa = (draw(st.floats(0.0, 1.0)) * math.sqrt(mu * nu)
+                 * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
+        models.append(ModelParams(omega=draw(st.floats(0.0, 2.0)), mu=mu, nu=nu,
+                                  kappa=kappa, dim=d, theta=theta))
+    rho0 = (fock_state(d, draw(st.integers(0, d - 1))) if draw(st.booleans())
+            else thermal_state(d, draw(st.floats(0.0, 3.0))))
+    n1 = draw(st.integers(0, d - 1))
+    n2 = draw(st.sampled_from([k for k in range(d) if (n1 + k) % 2]))
+    gaps = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    return models, rho0, (n1, n2), list(itertools.accumulate(gaps, initial=1e-3))
+
+
+@settings(max_examples=15)
+@given(problem=_even_problems())
+def test_exact_chain_evolves_only_the_occupied_parity_classes(problem):
+    """Without an odd coherence the odd slots stay +0, and the even slots
+    have the bits of the runs with one, real, imaginary or complex; with
+    it the odd slots are evolved (the full dense exponential)."""
+    models, rho0, (n1, n2), times = problem
+    even, odd = generator_template(rho0.shape[0], models[0].theta).classes
+    plain = propagators.propagate_sweep(models, rho0, times)
+    want = {(p, t): exact_superop(p, t) for p in models for t in times}
+    for c in (0.1, 0.1j, 0.05 - 0.02j):
+        coherent = rho0.astype(complex)
+        coherent[n1, n2] += c
+        coherent[n2, n1] += np.conj(c)
+        mixed = propagators.propagate_sweep(models, coherent, times)
+        for p, row, mixed_row in zip(models, plain, mixed):
+            for res, other in zip(row, mixed_row):
+                v, w = vec(res.rho_t), vec(other.rho_t)
+                assert not v[odd.slots].view(np.uint64).any(), (p, res.t)
+                assert np.array_equal(v[even.slots].view(np.uint64),
+                                      w[even.slots].view(np.uint64)), (p, res.t, c)
+                assert np.abs(w - want[p, res.t] @ vec(coherent)).max() <= 1e-12, (
+                    p, res.t, c)
 
 
 def test_exact_direct_sums_hold_only_blocks_of_close_norm():
