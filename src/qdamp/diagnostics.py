@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import check_steps
-from .linalg import (NumericalError, as_complex_matrix, check_margin, check_real,
+from .linalg import (NumericalError, adjoint, as_complex_matrix, check_margin, check_real,
                      hermitian_eigenvalues)
 
 SLOPE_FIT_FLOOR = 1e-12    # error points below this are excluded from fits
@@ -76,20 +76,25 @@ def state_diagnostics(rho: np.ndarray, margin: int = 4
     records = []
     with np.errstate(over="ignore", invalid="ignore"):
         for part in _passes(rho.reshape(-1, d, d)):
+            # one value at a time, each stacked temporary dropped once read
+            traces = np.trace(part, axis1=1, axis2=2)
+            defects = adjoint(part)
+            np.subtract(part, defects, out=defects)
+            herm = [float(np.linalg.norm(defect)) for defect in defects]
+            del defects
+            floors = hermitian_eigenvalues(part)[:, 0]
+            purities = np.trace(part @ part, axis1=1, axis2=2).real
             diag = np.diagonal(part, axis1=1, axis2=2).real
-            per_state = zip(np.trace(part, axis1=1, axis2=2),
-                            part - part.conj().swapaxes(1, 2),
-                            hermitian_eigenvalues(part),
-                            np.trace(part @ part, axis1=1, axis2=2).real,
-                            diag, diag[:, max(d - margin, 0):].sum(axis=1))
             records += [DiagnosticsRecord(
                 trace=complex(trace),
-                herm_residual=float(np.linalg.norm(defect)),
-                min_eigenvalue=float(eigs[0]),
+                herm_residual=residual,
+                min_eigenvalue=float(floor),
                 purity=float(purity),
                 mean_n=float(levels @ occupations),
                 tail_mass=float(tail),
-            ) for trace, defect, eigs, purity, occupations, tail in per_state]
+            ) for trace, residual, floor, purity, occupations, tail in zip(
+                traces, herm, floors, purities, diag,
+                diag[:, max(d - margin, 0):].sum(axis=1))]
     for record in records:
         overflowed = [name for name, value in vars(record).items()
                       if not cmath.isfinite(value)]
@@ -119,9 +124,10 @@ def compare_states(rho_a: np.ndarray, rho_b: np.ndarray
         for part_a, part_b in zip(_passes(rho_a.reshape(-1, d, d)),
                                   _passes(rho_b.reshape(-1, d, d))):
             delta = part_a - part_b
+            norms = [float(np.linalg.norm(diff)) for diff in delta]
             halves = 0.5 * np.abs(hermitian_eigenvalues(delta)).sum(axis=1)
-            pairs += [(float(np.linalg.norm(diff)), float(half))
-                      for diff, half in zip(delta, halves)]
+            del delta
+            pairs += [(norm, float(half)) for norm, half in zip(norms, halves)]
     if not np.isfinite(pairs).all():
         raise NumericalError("the distance between the states overflowed")
     return pairs if rho_a.ndim == 3 else pairs[0]

@@ -6,8 +6,10 @@ exponential (the exact route's step map for parity blocks of at most
 propagators.DENSE_BLOCK_ROWS rows, and the test oracle exact_superop),
 the action of a sparse matrix exponential on a vector (the exact route's
 step map above that rule: taylor_plan, shifted_norm, taylor_apply), Hermitian
-eigensolves (diagnostics), and the package's one CSR direct sum
-(direct_sum) and row of each stored CSR entry (entry_rows).
+eigensolves and adjoints (diagnostics), and the package's one CSR direct sum
+(direct_sum), row of each stored CSR entry (entry_rows) and raw CSR
+product with a dense block (csr_matmul, the closed-form and Taylor
+kernels' per-term product).
 
 The action is the truncated Taylor algorithm of Al-Mohy and Higham
 (SIAM J. Sci. Comput. 33:488, 2011), which needs only sparse matvecs.
@@ -32,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+# private: the compiled kernels behind a CSR array's `@` (see csr_matmul)
+from scipy.sparse import _sparsetools
 
 # theta_m of Al-Mohy and Higham for a backward error of TAYLOR_TOL: m
 # Taylor terms per step suffice while the step's shifted 1-norm is at most
@@ -183,20 +187,52 @@ def taylor_apply(plan: TaylorPlan, x: np.ndarray) -> np.ndarray:
     Each step sums terms until two in a row are negligible against the
     sum in max-norm (Al-Mohy and Higham's early stop, as in scipy's
     expm_multiply) or the degree is reached, then multiplies by
-    exp(shift / steps).
+    exp(shift / steps).  The sum is a new array for its first term and
+    summed in place from then on, so the caller's x is left alone, and
+    every |.| is read into one buffer.
     """
-    a, out = plan.shifted, x
+    a, out, given = plan.shifted, x, x
     eta = np.exp(plan.shift / plan.steps)
+    mag = np.empty(x.shape)
     for _ in range(plan.steps):
-        c1 = np.abs(x).max()
+        c1 = np.abs(x, out=mag).max()
         for j in range(plan.degree):
-            x = (1.0 / (plan.steps * (j + 1))) * (a @ x)
-            c2 = np.abs(x).max()
-            out = out + x
-            if c1 + c2 <= TAYLOR_TOL * np.abs(out).max():
+            x = (1.0 / (plan.steps * (j + 1))) * csr_matmul(a, x)
+            c2 = np.abs(x, out=mag).max()
+            if out is given:
+                out = out + x
+            else:
+                out += x
+            if c1 + c2 <= TAYLOR_TOL * np.abs(out, out=mag).max():
                 break
             c1 = c2
         out = x = eta * out
+    return out
+
+
+def csr_matmul(a, x: np.ndarray) -> np.ndarray:
+    """a @ x for a CSR array a and a 1-d or 2-d ndarray x, bit for bit:
+    the zeros and the compiled kernel, csr_matvec for a vector or one
+    column and csr_matvecs for a block, that scipy's `@` dispatches to.
+
+    scipy.sparse._sparsetools is a private module.  It is called directly
+    because scipy's operator dispatch around it (type and shape tests,
+    scalar checks) costs about as much as the kernel itself on the d^2 x n
+    blocks of the closed-form and Taylor kernels at d = 16, a product per
+    series term.  The tests hold this function to a @ x bit for bit, so a
+    scipy that changes the module fails them.  x's length must be a's
+    column count (the kernel itself does not check it).
+    """
+    rows, cols = a.shape
+    if x.shape[0] != cols:
+        raise ValueError(f"csr_matmul: a has {cols} columns, x has shape {x.shape}")
+    out = np.zeros((rows,) + x.shape[1:], dtype=np.promote_types(a.dtype, x.dtype))
+    if x.ndim == 1 or x.shape[1] == 1:
+        _sparsetools.csr_matvec(rows, cols, a.indptr, a.indices, a.data, x.ravel(),
+                                out.ravel())
+    else:
+        _sparsetools.csr_matvecs(rows, cols, x.shape[1], a.indptr, a.indices, a.data,
+                                 x.ravel(), out.ravel())
     return out
 
 
@@ -222,6 +258,15 @@ def entry_rows(m) -> np.ndarray:
     return np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
 
 
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each matrix of a stack,
+    as a new C-order array.  The transposed view is copied, then
+    conjugated in place: a ufunc reading it directly would take a buffer
+    of numpy's (8192 elements, 131 kB complex) on top of its output."""
+    out = m.swapaxes(-1, -2).copy()
+    return np.conjugate(out, out=out)
+
+
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Hermitian part of m, ascending; of each matrix
     of an n x d x d stack, as its rows, with the bits of its own call.
@@ -233,7 +278,9 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"eigensolve needs a square matrix, got shape {m.shape}")
-    h = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    h = adjoint(m)
+    np.add(m, h, out=h)
+    np.multiply(0.5, h, out=h)     # 0.5 * (m + m'), in place
     try:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

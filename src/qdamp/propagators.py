@@ -32,12 +32,25 @@ dim and theta alone, and the model and t enter only through scalar
 weights.  So one kernel (_closed_form, _apply) evaluates many columns, a
 column being a model and a time of one dim and theta: a stage is a
 generator with one weight per column, applied to the d^2 x n block of
-states as its terminating series (one sparse matmat per term for all
-columns), or a d^2 x n array, one diagonal per column, built from each
-slot's levels (vectorize.slot_levels); per-column prefactors multiply
-last.  Each column has the bits of its one-column call, and no d^2 x d^2
-matrix is formed.  factorized_superop and alternative_superop form the
-same stages as CSR factors and densify their product once; they,
+states as its terminating series (one raw CSR product per term for all
+columns, linalg.csr_matmul), or a d^2 x n array, one diagonal per
+column, built from each slot's levels (vectorize.slot_levels);
+per-column prefactors multiply last.  Each column has the bits of its
+one-column call, and no d^2 x d^2 matrix is formed.  Every stage maps
+each parity class of n1 + n2 into itself (see the exact route below),
+so the kernel evolves only the slots vec(rho0) occupies
+(_closed_form_pass): when one class holds every set bit (a Fock or
+thermal state), the generators are their blocks on that class
+(_class_generators, built once per dim and theta), the diagonals their
+rows, the block of states d^2/2 x n, and the other class's slots are +0
+in the result; the occupied slots keep the bits of the pass on all
+slots, which can leave -0 where this leaves +0.  A state with both
+classes (a coherent one) is one pass on all slots: two class passes
+make twice the series calls, each on half the rows, and took 1.29,
+1.16, 1.08 and 1.01 times as long at d = 16, 24, 32 and 48 (11 models,
+8 steps, one BLAS thread, 2-vCPU VM).  factorized_superop and
+alternative_superop form the same stages as CSR factors and densify
+their product once; they,
 su11_factor and l_factor are the algebra-level oracles for tests at
 small d, and the first two the stepped splittings' step maps for chains
 longer than d^2 / SLOTS_PER_MATRIX_FREE_STEP steps.
@@ -92,6 +105,7 @@ access rather than asserting them.
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -101,11 +115,11 @@ import scipy.sparse as sp
 
 # build_generators (the dense view) is not called here; perfbench's tracer
 # wraps it under this module's name, so the name stays importable.
-from .algebra import SuperOpGenerators, build_generators, cached_generators  # noqa: F401
+from .algebra import build_generators, cached_generators  # noqa: F401
 from .coefficients import check_steps, check_time, eval_coefficients
 from .diagnostics import DiagnosticsRecord, state_diagnostics
-from .linalg import (NumericalError, as_complex_matrix, expm, shifted_norm, taylor_apply,
-                     taylor_plan)
+from .linalg import (NumericalError, as_complex_matrix, csr_matmul, entry_rows, expm,
+                     shifted_norm, taylor_apply, taylor_plan)
 # build_liouvillian is not called here either; the tracer wraps it too.
 from .liouvillian import (ModelParams, ParityClass, build_liouvillian,  # noqa: F401
                           build_liouvillian_trace_exact, generator_template)
@@ -211,9 +225,10 @@ def _series(g, w, x, cap: int):
     """exp(w g) x for a nilpotent g, as the finite sum of g^k x w^k / k!,
     term k being (g @ term) * (w / k).
 
-    g is a CSR generator with x a d^2 x n block of states and w one
-    weight per column (one sparse matmat per term for all columns), or
-    with x the sparse identity and w a scalar, to form exp(w g) itself.
+    g is a CSR generator with x a block of states, one row per slot, and
+    w one weight per column (one raw CSR product per term for all
+    columns, linalg.csr_matmul), or with x the sparse identity and w a
+    scalar, to form exp(w g) itself (a sparse product per term).
     The sum stops at the first term with no nonzeros (a sparse term is tested
     with count_nonzero, since a sparse product can store explicit zeros);
     a column whose terms have run out only gains exact zeros from there
@@ -227,7 +242,7 @@ def _series(g, w, x, cap: int):
         # a new sum).  A sparse term is scaled into a new array: it can
         # hold one entry, and numpy rounds an in-place complex product of
         # a one-element array differently from a new one.
-        term = g @ term
+        term = csr_matmul(g, term) if dense else g @ term
         term = np.multiply(term, w / k, out=term) if dense else term * (w / k)
         if not (term.any() if dense else term.count_nonzero()):
             break
@@ -239,12 +254,12 @@ def _series(g, w, x, cap: int):
 
 
 def _apply(stages, v: np.ndarray, cap: int) -> np.ndarray:
-    """Apply a closed-form factor product to a d^2 x n block of states,
-    first stage first.
+    """Apply a closed-form factor product to a block of states, one row
+    per slot and one column per state, first stage first.
 
     A stage is either a pair (g, w), a CSR generator with one weight per
-    column standing for exp(w_j g) and applied by _series, or a d^2 x n
-    array, standing for one diagonal per column.
+    column standing for exp(w_j g) and applied by _series, or an array
+    of v's shape, standing for one diagonal per column.
     """
     for stage in stages:
         v = _series(*stage, v, cap) if isinstance(stage, tuple) else stage * v
@@ -263,29 +278,92 @@ def _stepped_matrix_free(dim: int, n_steps: int) -> bool:
     return n_steps * SLOTS_PER_MATRIX_FREE_STEP <= dim * dim
 
 
-def _jump_stages(cs, g: SuperOpGenerators) -> tuple:
+@dataclass(frozen=True, eq=False)
+class _StageGenerators:
+    """The closed-form stages' generators on some slots of vec(rho), and
+    those slots: ascending, or slice(None) for all of them."""
+    dim: int
+    slots: np.ndarray | slice
+    jump_minus: sp.csr_array
+    jump_plus: sp.csr_array
+    squeeze_minus: sp.csr_array
+    squeeze_plus: sp.csr_array
+
+
+def _all_slots(dim: int, theta: float) -> _StageGenerators:
+    """The _StageGenerators on all slots: algebra.cached_generators'."""
+    g = cached_generators(dim, theta)
+    return _StageGenerators(dim, slice(None), g.jump_minus, g.jump_plus,
+                            g.squeeze_minus, g.squeeze_plus)
+
+
+@functools.lru_cache(maxsize=8)
+def _class_generators(dim: int, theta: float) -> tuple:
+    """The _StageGenerators on each parity class of
+    generator_template(dim, theta), built once, then shared.
+
+    Every generator moves n1 + n2 by 0 or +-2, so a class's rows reach
+    only its own columns: a class block is the class's rows' stored
+    entries of the CSR generator, in CSR order, their columns re-indexed
+    to the class's slots.  Each row keeps its entries and their order, so
+    a product with the block has the bits of those rows of the product
+    with the generator.
+    """
+    full = _all_slots(dim, theta)
+    out = []
+    for cls in generator_template(dim, theta).classes:
+        inside = np.zeros(dim * dim, dtype=bool)
+        inside[cls.slots] = True
+        local = np.zeros(dim * dim, dtype=full.jump_minus.indices.dtype)
+        local[cls.slots] = np.arange(cls.slots.size)
+        blocks = []
+        for m in (full.jump_minus, full.jump_plus, full.squeeze_minus, full.squeeze_plus):
+            picks = np.flatnonzero(inside[entry_rows(m)])
+            indptr = np.concatenate(([0], np.cumsum(np.diff(m.indptr)[cls.slots])))
+            blocks.append(sp.csr_array(
+                (m.data[picks], local[m.indices[picks]], indptr.astype(local.dtype)),
+                shape=(cls.slots.size, cls.slots.size)))
+        out.append(_StageGenerators(dim, cls.slots, *blocks))
+    return tuple(out)
+
+
+def _occupied(x: np.ndarray, slots: np.ndarray) -> bool:
+    """Whether some slot of vec x among slots holds a set bit (-0 does)."""
+    return bool(x[slots].view(np.uint64).any())
+
+
+def _occupied_slots(x: np.ndarray, dim: int, theta: float) -> _StageGenerators:
+    """The _StageGenerators on the slots x occupies: one parity class's
+    when the other's slots are all +0, else all slots."""
+    occupied = [g for g in _class_generators(dim, theta) if _occupied(x, g.slots)]
+    return occupied[0] if len(occupied) == 1 else _all_slots(dim, theta)
+
+
+def _jump_stages(cs, g) -> tuple:
     """su11_factor's product per coefficient set: lowering exponential,
-    core, raising exponential."""
+    core, raising exponential; on g.slots."""
     scale = np.array([c.scale for c in cs])
     core = scale ** -(np.add(*slot_levels(g.dim))[:, None] + 1.0)   # n1 + n2
-    return ((g.jump_minus, np.array([c.decay for c in cs])), core,
+    return ((g.jump_minus, np.array([c.decay for c in cs])), core[g.slots],
             (g.jump_plus, np.array([c.pump for c in cs])))
 
 
-def _squeeze_stages(cs, g: SuperOpGenerators) -> tuple:
+def _squeeze_stages(cs, g) -> tuple:
     """l_factor's three-factor product per coefficient set: lowering,
-    phases, raising."""
+    phases, raising; on g.slots."""
     half_phase = np.array([0.5 * c.phase for c in cs])
     phases = np.exp(np.multiply.outer(np.subtract(*slot_levels(g.dim)), half_phase))
-    return ((g.squeeze_minus, np.array([c.squeeze_down for c in cs])), phases,
+    return ((g.squeeze_minus, np.array([c.squeeze_down for c in cs])), phases[g.slots],
             (g.squeeze_plus, np.array([c.squeeze_up for c in cs])))
 
 
-def _closed_form(models, times, method: str):
+def _closed_form(models, times, method: str, g: _StageGenerators | None = None):
     """Per-column prefactors and the stages, first acting first, of a
     closed-form map; column j is models[j] at times[j], and all models
-    share dim and theta."""
-    g = cached_generators(models[0].dim, models[0].theta)
+    share dim and theta.  The stages act on g's slots, by default all of
+    them: each generator is g's, each diagonal its rows on those slots."""
+    if g is None:
+        g = _all_slots(models[0].dim, models[0].theta)
     cs = [eval_coefficients(p, t) for p, t in zip(models, times)]
     pref = np.array([c.prefactor for c in cs])
     squeeze = _squeeze_stages(cs, g)
@@ -299,12 +377,25 @@ def _closed_form(models, times, method: str):
 
 
 def _closed_form_pass(method: str, models, times, x, n_steps: int) -> np.ndarray:
-    """vec x after n_steps maps under models[j] at times[j], column j."""
-    pref, stages = _closed_form(models, times, method)
-    v = np.repeat(x[:, None], len(models), axis=1)
+    """vec x after n_steps maps under models[j] at times[j], column j.
+
+    Only the slots x occupies are evolved (_occupied_slots, the exact
+    route's test: a class is occupied when one of its slots holds a set
+    bit, -0 included).  Every stage maps each parity class of n1 + n2
+    into itself, so a class whose slots in x are all +0 stays 0: its
+    slots are +0 in the result, and the other class's are the rows of
+    the pass on all slots, bit for bit.  A state with both classes (a
+    coherent one) is that one pass, on the full generators.
+    """
+    dim, n = models[0].dim, len(models)
+    g = _occupied_slots(x, dim, models[0].theta)
+    pref, stages = _closed_form(models, times, method, g)
+    v = np.repeat(x[g.slots, None], n, axis=1)
     for _ in range(n_steps):
-        v = _apply(stages, v, models[0].dim) * pref
-    return v
+        v = _apply(stages, v, dim) * pref
+    out = np.zeros((x.size, n), dtype=np.complex128)
+    out[g.slots] = v
+    return out
 
 
 def _step_map_pass(method: str, models, times, x, n_steps: int) -> np.ndarray:
@@ -382,7 +473,7 @@ def su11_factor(params: ModelParams, t: float) -> np.ndarray:
     test suite; the difference near the edge is that exponential's error.
     """
     c = eval_coefficients(params, t)
-    g = cached_generators(params.dim, params.theta)
+    g = _all_slots(params.dim, params.theta)
     return _form(_jump_stages([c], g), params.dim)
 
 
@@ -397,7 +488,7 @@ def l_factor(params: ModelParams, t: float) -> np.ndarray:
     halves.
     """
     c = eval_coefficients(params, t)
-    g = cached_generators(params.dim, params.theta)
+    g = _all_slots(params.dim, params.theta)
     return _form(_squeeze_stages([c], g), params.dim)
 
 
@@ -666,7 +757,7 @@ def _exact_chain(models: list, rho0: np.ndarray, times: list):
     # whose slots are all +0 (no bit set) stays +0, so it has none.
     blocks = []
     for cls in generator_template(dim, models[0].theta).classes:
-        if not x[cls.slots].view(np.uint64).any():
+        if not _occupied(x, cls.slots):
             continue
         parts = [data[cls.entries] for data in entries]
         blocks += ([(cls.slots + j * size, cls.direct_sum([part]).toarray())

@@ -28,8 +28,12 @@ from exp(t L) as the bars allow.
 The loops the program's kernels rewrote for speed are kept as they
 were, with a new array per term, and the tests check that the kernels
 keep their bits: series_by_new_terms (propagators._series on a block of
-states, now summed in place), and state_record and state_distance (one
-state's state_diagnostics and compare_states, now stacked).
+states, now summed in place), taylor_apply_by_new_sums (linalg's
+taylor_apply, now summed in place with raw CSR products),
+closed_form_all_slots (propagators._closed_form_pass on every slot of
+vec(rho), now on the slots the state occupies), and state_record and
+state_distance (one state's state_diagnostics and compare_states, now
+stacked).
 
 verify_algebra_by_rows is the commutation table one identity at a
 time: commutator(A, B) + C per row, measured on the fancy-indexed
@@ -57,7 +61,9 @@ from qdamp.algebra import (AlgebraReport, IdentityResidual, _identity_table,
 from qdamp.coefficients import eval_coefficients
 from qdamp.diagnostics import DiagnosticsRecord
 from qdamp.fock import FockOperators
+from qdamp.linalg import TAYLOR_TOL
 from qdamp.liouvillian import ModelParams, build_liouvillian_trace_exact
+from qdamp.propagators import _apply, _closed_form
 
 
 def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,6 +195,36 @@ def series_by_new_terms(g, w, x, cap: int):
             break
         out = out + term
     return out
+
+
+def taylor_apply_by_new_sums(plan, x: np.ndarray) -> np.ndarray:
+    """linalg.taylor_apply with each product by scipy's `@` and each
+    partial sum and |.| a new array."""
+    a, out = plan.shifted, x
+    eta = np.exp(plan.shift / plan.steps)
+    for _ in range(plan.steps):
+        c1 = np.abs(x).max()
+        for j in range(plan.degree):
+            x = (1.0 / (plan.steps * (j + 1))) * (a @ x)
+            c2 = np.abs(x).max()
+            out = out + x
+            if c1 + c2 <= TAYLOR_TOL * np.abs(out).max():
+                break
+            c1 = c2
+        out = x = eta * out
+    return out
+
+
+def closed_form_all_slots(method: str, models, times, x: np.ndarray,
+                          n_steps: int) -> np.ndarray:
+    """The closed-form pass on every slot of vec x: the stages on all
+    slots (the generators of algebra.cached_generators), n_steps times,
+    column j under models[j] at times[j]."""
+    pref, stages = _closed_form(models, times, method)
+    v = np.repeat(x[:, None], len(models), axis=1)
+    for _ in range(n_steps):
+        v = _apply(stages, v, models[0].dim) * pref
+    return v
 
 
 def state_record(rho: np.ndarray, margin: int) -> DiagnosticsRecord:

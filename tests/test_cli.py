@@ -824,9 +824,9 @@ def test_stepped_simulate_is_one_kernel_pass_over_its_times(tmp_path,
     passes = []
     real = propagators._closed_form
 
-    def recording(models, ts, method):
+    def recording(models, ts, method, *slots):
         passes.append(len(ts))
-        return real(models, ts, method)
+        return real(models, ts, method, *slots)
 
     monkeypatch.setattr(propagators, "_closed_form", recording)
     out = tmp_path / "all.csv"

@@ -39,10 +39,13 @@ def test_route_table_prints_both_tables():
                            "--dims", "6", "--repeats", "1"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "README grid, one pass per route, median ms:" in proc.stdout
-    assert "README grid, 8 steps per route, median ms:" in proc.stdout
-    assert proc.stdout.count("| d  | exact | factorized |") == 2
-    assert "|  6 | " in proc.stdout
+    # one pass and 8 steps, each from a coherent state (both parity
+    # classes) and from fock 2 (one class)
+    for state in ("coherent alpha 1.2", "fock 2"):
+        assert f"README grid from {state}, one pass per route, median ms:" in proc.stdout
+        assert f"README grid from {state}, 8 steps per route, median ms:" in proc.stdout
+    assert proc.stdout.count("| d  | exact | factorized |") == 4
+    assert proc.stdout.count("|  6 | ") == 4
 
 
 def test_csv_digest_prints_one_digest_per_run():

@@ -6,16 +6,21 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import taylor_apply_by_new_sums
 
+from qdamp import propagators
+from qdamp.algebra import cached_generators
 from qdamp.coefficients import check_time
 from qdamp.diagnostics import convergence_points
 from qdamp.fock import build_fock_ops, coherent_state, thermal_state
 from qdamp.linalg import (NumericalError, as_complex_matrix, check_complex,
-                          check_real, direct_sum, entry_rows, expm,
-                          hermitian_eigenvalues, shifted_norm)
-from qdamp.liouvillian import ModelParams
+                          check_real, csr_matmul, direct_sum, entry_rows, expm,
+                          hermitian_eigenvalues, shifted_norm, taylor_apply,
+                          taylor_plan)
+from qdamp.liouvillian import (ModelParams, build_liouvillian_trace_exact,
+                               generator_template)
 
 ATOL = 1e-13
 
@@ -181,3 +186,73 @@ def test_entry_rows_are_the_coo_rows(rows, cols, density, seed):
     rng = np.random.default_rng(seed)
     m = sp.csr_array(rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density))
     assert np.array_equal(entry_rows(m), sp.coo_array(m).row)
+
+
+def _kernel_matrices(dim, theta, model):
+    """The CSR matrices the closed-form and Taylor kernels multiply at
+    (dim, theta): the stage generators, their parity-class blocks, and
+    the Taylor plans' shifted matrices of model's generator, whole and of
+    each class's block."""
+    g = cached_generators(dim, theta)
+    names = ("jump_minus", "jump_plus", "squeeze_minus", "squeeze_plus")
+    out = [getattr(g, name) for name in names]
+    out += [getattr(part, name) for part in propagators._class_generators(dim, theta)
+            for name in names]
+    entries = build_liouvillian_trace_exact(model).data
+    out.append(taylor_plan(build_liouvillian_trace_exact(model), 0.3).shifted)
+    out += [taylor_plan(cls.direct_sum([entries[cls.entries]]), 0.3).shifted
+            for cls in generator_template(dim, theta).classes]
+    return out
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+@pytest.mark.parametrize("dim, theta", [(2, 0.0), (5, 0.7), (16, 0.0), (24, -1.3)])
+def test_csr_matmul_is_scipys_product_bit_for_bit(index, dim, theta):
+    """csr_matmul(a, x) has the shape, dtype and bits of a @ x, for a
+    vector, one column and a block of 5, C-contiguous, with -0 and
+    subnormal entries, on 32- and 64-bit indices."""
+    rng = np.random.default_rng(dim)
+    model = _model(dim=dim, theta=theta, kappa=0.1 + 0.05j)
+    for m in _kernel_matrices(dim, theta, model):
+        a = sp.csr_array((m.data, m.indices.astype(index), m.indptr.astype(index)),
+                         shape=m.shape)
+        assert a.indices.dtype == a.indptr.dtype == index
+        n = a.shape[1]
+        for shape in ((n,), (n, 1), (n, 5)):
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            special = (complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324)[:x.size]
+            x.reshape(-1)[:len(special)] = special
+            got, want = csr_matmul(a, x), a @ x
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(ValueError, match="csr_matmul"):
+        csr_matmul(a, np.ones(n + 1, dtype=complex))
+
+
+@settings(max_examples=30)
+@given(dim=st.integers(2, 20), theta=st.floats(-3.0, 3.0),
+       rates=st.tuples(st.floats(0.05, 50.0), st.floats(0.05, 50.0)),
+       gap=st.sampled_from([0.0, 1e-3, 0.3, 2.0]), whole=st.booleans(),
+       columns=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_taylor_apply_sums_in_place_with_the_bits_of_new_sums(
+        dim, theta, rates, gap, whole, columns, seed):
+    """taylor_apply against the loop with scipy's products and a new
+    array per sum and |.|, on a whole generator or a parity block's
+    direct sum, for a vector or a block; the caller's x is left as it
+    was."""
+    model = _model(dim=dim, theta=theta, mu=rates[0], nu=rates[1],
+                   kappa=0.5 * math.sqrt(rates[0] * rates[1]) * 1j)
+    block = build_liouvillian_trace_exact(model)
+    if not whole:
+        cls = generator_template(dim, theta).classes[seed % 2]
+        block = cls.direct_sum([block.data[cls.entries]])
+    plan = taylor_plan(block, gap)
+    rng = np.random.default_rng(seed)
+    shape = (block.shape[0],) if columns is None else (block.shape[0], columns)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    keep = x.copy()
+    got = taylor_apply(plan, x)
+    want = taylor_apply_by_new_sums(plan, x)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(x.view(np.uint64), keep.view(np.uint64))

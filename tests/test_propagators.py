@@ -17,8 +17,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 from conftest import random_admissible_params, random_density, stiff_models
-from oracles import (exact_superop_extended, form_one, form_two, l_factor_six,
-                     sandwich_sum, series_by_new_terms)
+from oracles import (closed_form_all_slots, exact_superop_extended, form_one, form_two,
+                     l_factor_six, sandwich_sum, series_by_new_terms)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -1247,9 +1247,9 @@ def test_closed_form_grid_evaluates_each_distinct_positive_time_once(monkeypatch
     real = propagators._closed_form
     columns = []
 
-    def recording(models, ts, method):
+    def recording(models, ts, method, *slots):
         columns.append(list(ts))
-        return real(models, ts, method)
+        return real(models, ts, method, *slots)
 
     monkeypatch.setattr(propagators, "_closed_form", recording)
     for method in ("factorized", "alternative"):
@@ -1271,9 +1271,9 @@ def test_closed_form_passes_are_bounded_and_keep_the_bits(monkeypatch):
     real = propagators._closed_form
     widths = []
 
-    def recording(models, ts, method):
+    def recording(models, ts, method, *slots):
         widths.append(len(ts))
-        return real(models, ts, method)
+        return real(models, ts, method, *slots)
 
     monkeypatch.setattr(propagators, "_closed_form", recording)
     # two columns of 121 slots per pass
@@ -1282,6 +1282,93 @@ def test_closed_form_passes_are_bounded_and_keep_the_bits(monkeypatch):
     assert widths == [2, 2, 2, 1]
     for a, b in zip(whole, passes):
         assert np.array_equal(a.rho_t, b.rho_t)
+
+
+@st.composite
+def _closed_form_problems(draw):
+    """A closed-form kernel call: 1 to 3 admissible models at one
+    d = 2..24 and theta, kappa 0 or not, one time each, a route
+    (factorized, alternative, or factorized stepped at n <= d^2 / 16
+    steps), and vec of a Fock, thermal or coherent state, or of a Fock
+    or thermal state given a real, imaginary or -0 coherence at one odd
+    n1 + n2 slot and its mirror; and the number of parity classes it
+    occupies."""
+    d = draw(st.integers(2, 24))
+    theta = draw(st.floats(-3.0, 3.0))
+    models, times = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        mu, nu = draw(_RATE), draw(_RATE)
+        kappa = 0.0 if draw(st.booleans()) else (
+            draw(st.floats(0.1, 1.0)) * math.sqrt(mu * nu)
+            * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
+        models.append(ModelParams(omega=draw(st.floats(0.0, 2.0)), mu=mu, nu=nu,
+                                  kappa=kappa, dim=d, theta=theta))
+        times.append(draw(st.floats(0.05, 2.0)))
+    method = draw(st.sampled_from(["factorized", "alternative", "stepped"]))
+    n_steps = draw(st.integers(1, max(1, d * d // 16))) if method == "stepped" else 1
+    kind = draw(st.sampled_from(["fock", "thermal", "coherent", "real", "imaginary",
+                                 "-0"]))
+    if kind == "coherent":
+        rho = coherent_state(d, cmath.rect(draw(st.floats(0.3, 1.5)),
+                                           draw(st.floats(0.0, 2.0 * math.pi))))
+    else:
+        rho = (fock_state(d, draw(st.integers(0, d - 1))) if draw(st.booleans())
+               else thermal_state(d, draw(st.floats(0.0, 3.0))))
+    if kind in ("real", "imaginary", "-0"):
+        n1 = draw(st.integers(0, d - 1))
+        n2 = draw(st.sampled_from([k for k in range(d) if (n1 + k) % 2]))
+        c = {"real": 0.05, "imaginary": 0.05j, "-0": complex(-0.0, 0.0)}[kind]
+        rho = rho.astype(complex)
+        rho[n1, n2], rho[n2, n1] = c, np.conj(c)
+    return (method.replace("stepped", "factorized"), models, times, vec(rho), n_steps,
+            1 if kind in ("fock", "thermal") else 2)
+
+
+@settings(max_examples=40)
+@given(problem=_closed_form_problems())
+def test_closed_form_pass_evolves_only_the_occupied_slots(problem):
+    """The closed-form kernel equals the pass on all slots by value on
+    every slot, keeps its bits on the slots of each occupied class, and
+    leaves an unoccupied class +0 (where the pass on all slots can leave
+    -0)."""
+    method, models, times, x, n_steps, count = problem
+    got = propagators._closed_form_pass(method, models, times, x, n_steps)
+    want = closed_form_all_slots(method, models, times, x, n_steps)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    classes = generator_template(models[0].dim, models[0].theta).classes
+    occupied = [cls for cls in classes if x[cls.slots].view(np.uint64).any()]
+    assert len(occupied) == count
+    for cls in classes:
+        bits = got[cls.slots].view(np.uint64)
+        if cls in occupied:
+            assert np.array_equal(bits, want[cls.slots].view(np.uint64))
+        else:
+            assert not bits.any()
+
+
+@pytest.mark.parametrize("dim, theta", [(2, 0.0), (5, 0.4), (8, -2.0), (16, 0.0)])
+def test_class_generators_are_the_generators_blocks(dim, theta):
+    """Each class block has the generator's class rows, entries in CSR
+    order, its columns re-indexed to the class; no entry of a class row
+    reaches the other class."""
+    g = cached_generators(dim, theta)
+    for cls, part in zip(generator_template(dim, theta).classes,
+                         propagators._class_generators(dim, theta)):
+        assert part.slots is cls.slots
+        outside = np.ones(dim * dim, dtype=bool)
+        outside[cls.slots] = False
+        for name in ("jump_minus", "jump_plus", "squeeze_minus", "squeeze_plus"):
+            full, block = getattr(g, name), getattr(part, name)
+            rows = full[cls.slots]
+            assert not rows[:, outside].nnz
+            assert block.shape == (cls.slots.size,) * 2
+            assert block.indices.dtype == full.indices.dtype
+            assert np.array_equal(block.indptr, rows.indptr)
+            assert np.array_equal(cls.slots[block.indices], rows.indices)
+            assert np.array_equal(block.data.view(np.uint64), rows.data.view(np.uint64))
+    assert propagators._class_generators(dim, theta) is propagators._class_generators(
+        dim, theta)
 
 
 def test_series_grid_is_one_pass_over_its_distinct_positive_columns(monkeypatch):

@@ -3,11 +3,13 @@
     python tools/route_table.py [--dims 16 24 32 48 64] [--repeats 7]
 
 The README model (omega 1, mu 0.4, nu 0.1, kappa 0.1 + 0.05i, theta 0)
-from a coherent state with alpha 1.2, over the times linspace(0, 2, 9).
-A route's cell is the median wall time, in ms, of one propagate_sweep
-call of that one model over the grid, after one untimed call; the first
-table's last column is the nine states' state_diagnostics.  The second
-table times every route stepped at STEPS steps, the CLI default.  BLAS
+over the times linspace(0, 2, 9), from a coherent state with alpha 1.2
+(both parity classes of n1 + n2 occupied) and from fock_state(d, 2)
+(the even class only), one table each.  A route's cell is the median
+wall time, in ms, of one propagate_sweep call of that one model over
+the grid, after one untimed call; the one-pass tables' last column is
+the nine states' state_diagnostics.  The stepped tables time every
+route stepped at STEPS steps, the CLI default.  BLAS
 runs single-threaded (OPENBLAS_NUM_THREADS is set to 1 before numpy is
 imported).  The tables go to stdout; nothing is written.
 """
@@ -26,12 +28,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from qdamp.diagnostics import state_diagnostics  # noqa: E402
-from qdamp.fock import coherent_state  # noqa: E402
+from qdamp.fock import coherent_state, fock_state  # noqa: E402
 from qdamp.liouvillian import ModelParams  # noqa: E402
 from qdamp.propagators import METHODS, propagate_sweep  # noqa: E402
 
 TIMES = np.linspace(0.0, 2.0, 9)
 STEPS = 8
+STATES = {"coherent alpha 1.2": lambda dim: coherent_state(dim, 1.2),
+          "fock 2": lambda dim: fock_state(dim, 2)}
 
 
 def median_ms(call, repeats: int) -> float:
@@ -51,19 +55,21 @@ def main(argv=None) -> None:
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
     for n_steps in (1, STEPS):
-        table(args.dims, args.repeats, n_steps)
+        for state in STATES:
+            table(args.dims, args.repeats, n_steps, state)
 
 
-def table(dims, repeats: int, n_steps) -> None:
-    """One row per d of each route's median ms, over n_steps steps."""
+def table(dims, repeats: int, n_steps, state: str) -> None:
+    """One row per d of each route's median ms from state, over n_steps
+    steps."""
     last = " 9 x state_diagnostics |" if n_steps == 1 else ""
     steps = "one pass" if n_steps == 1 else f"{n_steps} steps"
-    print(f"\nREADME grid, {steps} per route, median ms:\n")
+    print(f"\nREADME grid from {state}, {steps} per route, median ms:\n")
     print("| d  | " + " | ".join(METHODS) + " |" + last)
     print("|---:|" + "---:|" * (len(METHODS) + bool(last)))
     for dim in dims:
         model = ModelParams(omega=1.0, mu=0.4, nu=0.1, kappa=0.1 + 0.05j, dim=dim)
-        rho0 = coherent_state(dim, 1.2)
+        rho0 = STATES[state](dim)
         cells = [median_ms(lambda m=m: propagate_sweep([model], rho0, TIMES, m, n_steps),
                            repeats) for m in METHODS]
         if last:
